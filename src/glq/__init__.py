@@ -11,8 +11,8 @@ the same code paths.
 __version__ = "0.1.0"
 
 from .errors import (ClassEmptyError, ClassTooLargeError, GlqError,
-                     InconclusiveError, LengthNotAdditiveError,
-                     ResourceBoundError)
+                     InconclusiveError, InvariantError,
+                     LengthNotAdditiveError, ResourceBoundError)
 from .field import Field, field_make, field_of_order
 from .gltype import (GLType, centralizer_order, class_size, det_of_type,
                      enumerate_plain_types, format_gltype, gl_order, lift,
@@ -31,7 +31,7 @@ from .stablecenter import (CheckReport, FitResult, Prediction, check_case,
                            predict_union, sweep_merge_irreducible,
                            sweep_two_reflections, sweep_union_distinct,
                            sweep_union_equal)
-from .store import ExpansionCache, cache_get, cache_load, cache_put, make_key
+from .store import ExpansionCache, make_key
 
 __all__ = [
     "__version__",
@@ -54,8 +54,8 @@ __all__ = [
     "sweep_union_distinct", "sweep_union_equal", "sweep_merge_irreducible",
     "fit_polynomial_in_q", "fit_polynomial_in_n", "fit_family_in_q",
     # caching
-    "ExpansionCache", "make_key", "cache_get", "cache_put", "cache_load",
+    "ExpansionCache", "make_key",
     # errors
     "GlqError", "ResourceBoundError", "ClassTooLargeError", "ClassEmptyError",
-    "LengthNotAdditiveError", "InconclusiveError",
+    "LengthNotAdditiveError", "InconclusiveError", "InvariantError",
 ]

@@ -3,9 +3,11 @@ constants, their stable large-n values, and the block normal form for
 length-additive factorizations.
 
 The product of two class sums K_λ(n)·K_μ(n) = Σ_ν a^ν_λμ(n)·K_ν(n) is
-computed by counting, never by floating point: a^ν_λμ(n) is the number of
-ways one fixed element of 𝒦_ν factors as g·h with g ∈ 𝒦_λ and h ∈ 𝒦_μ.
-Only the smaller of the two classes is ever enumerated.
+computed by counting, never by floating point, on one path for every caller:
+the smaller class is enumerated, the other is represented by its canonical
+matrix h₀, and one element per orbit of sampled centralizer elements
+c ∈ C(h₀) is classified.  Structure constants and stable products are read
+from these full products.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from . import matfq, polyalg
-from .errors import (ClassEmptyError, ClassTooLargeError,
+from . import matfq
+from .errors import (ClassEmptyError, ClassTooLargeError, InvariantError,
                      LengthNotAdditiveError, ResourceBoundError)
-from .field import field_make
-from .gltype import (GLType, canonical_matrix, class_size, empty_type,
-                     enumerate_plain_types, gl_order, gltype_sort_key, lift,
-                     min_rank, modified_type_of, norm, reflection_length,
-                     type_of)
+from .gltype import (GLType, canonical_matrix, class_size,
+                     enumerate_plain_types, format_gltype, gl_order,
+                     gltype_sort_key, lift, min_rank, modified_type_of, norm,
+                     reflection_length)
 
 if TYPE_CHECKING:
     from .field import Field
@@ -43,6 +44,7 @@ __all__ = [
 DEFAULT_MEMORY_BOUND = 5_000_000
 DEFAULT_PAIR_BOUND = 10 ** 8
 DEFAULT_GROUP_BOUND = 10 ** 7
+CENTRALIZER_SAMPLES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +53,15 @@ DEFAULT_GROUP_BOUND = 10 ** 7
 
 @dataclass(frozen=True)
 class ClassOrbit:
-    """A fully enumerated conjugacy class 𝒦_μ(n) with stored inverses."""
+    """A fully enumerated conjugacy class 𝒦_μ(n): `elements` is a read-only
+    (size, n, n) stack in breadth-first order, `index` maps each element's
+    bytes to its position."""
 
     field: "Field"
     mu: GLType
     n: int
     rep: np.ndarray
-    elements: list
-    inverses: list
+    elements: np.ndarray
     index: dict
     size: int
 
@@ -127,48 +130,34 @@ def generators(field: "Field", n: int) -> list:
 
 
 def _bfs_orbit(field: "Field", J: np.ndarray, expected: int):
-    """Closure of J under conjugation by the generators, carrying inverses
-    along for free: (sxs⁻¹)⁻¹ = sx⁻¹s⁻¹."""
+    """Closure of J under conjugation by the generators, one breadth-first
+    level per step; the order is that of a first-in first-out queue."""
     n = J.shape[0]
-    gens = [(s, matfq.inverse(field, s)) for s in generators(field, n)]
-    elements = [J.copy()]
-    inverses = [matfq.inverse(field, J)]
+    step = n * n
+    gens = generators(field, n)
     index = {J.tobytes(): 0}
-    if field.e == 1:
-        p = field.p
-        gens64 = [(s.astype(np.int64), si.astype(np.int64)) for s, si in gens]
-        i = 0
-        while i < len(elements):
-            g, gi = elements[i], inverses[i]
-            i += 1
-            for s, si in gens64:
-                ng = ((s @ g @ si) % p).astype(np.uint8)
-                key = ng.tobytes()
+    frontier = [J.tobytes()]
+    while frontier:
+        level = np.frombuffer(b"".join(frontier), np.uint8).reshape(-1, n, n)
+        images = [matfq.conjugate_stack(field, s, level).tobytes()
+                  for s in gens]
+        frontier = []
+        for at in range(0, len(images[0]), step):
+            for raw in images:
+                key = raw[at:at + step]
                 if key not in index:
-                    index[key] = len(elements)
-                    elements.append(ng)
-                    inverses.append(((s @ gi @ si) % p).astype(np.uint8))
-    else:
-        i = 0
-        while i < len(elements):
-            g, gi = elements[i], inverses[i]
-            i += 1
-            for s, si in gens:
-                ng = matfq.mat_mul(field, matfq.mat_mul(field, s, g), si)
-                key = ng.tobytes()
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(ng)
-                    inverses.append(
-                        matfq.mat_mul(field, matfq.mat_mul(field, s, gi), si))
-    assert len(elements) == expected, \
-        f"orbit size {len(elements)} != class size {expected}"
-    return elements, inverses, index
+                    index[key] = len(index)
+                    frontier.append(key)
+    if len(index) != expected:
+        raise InvariantError(
+            f"orbit size {len(index)} != class size {expected}")
+    elements = np.frombuffer(b"".join(index), np.uint8).reshape(-1, n, n)
+    return elements, index
 
 
 def enumerate_class(mu: GLType, n: int, field: "Field" = None,
                     memory_bound: int = DEFAULT_MEMORY_BOUND) -> ClassOrbit:
-    """All members of the modified-type-μ class in GL_n(q), with inverses."""
+    """All members of the modified-type-μ class in GL_n(q)."""
     F = field if field is not None else mu.field
     if F != mu.field:
         raise ValueError("field mismatch")
@@ -176,8 +165,7 @@ def enumerate_class(mu: GLType, n: int, field: "Field" = None,
     if size > memory_bound:
         raise ClassTooLargeError(
             f"class of size {size} exceeds the memory bound {memory_bound}; "
-            "raise memory_bound, or compute coefficients via "
-            "structure_constant_at against a smaller partner class")
+            "raise it with --memory-bound (memory_bound in the library)")
     if memory_bound == DEFAULT_MEMORY_BOUND:
         return _enumerate_class_cached(mu, n)
     return _build_orbit(mu, n)
@@ -191,9 +179,9 @@ def _enumerate_class_cached(mu: GLType, n: int) -> ClassOrbit:
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     F = mu.field
     J = canonical_matrix(lift(mu, n))
-    elements, inverses, index = _bfs_orbit(F, J, class_size(mu, n))
+    elements, index = _bfs_orbit(F, J, class_size(mu, n))
     return ClassOrbit(field=F, mu=mu, n=n, rep=J, elements=elements,
-                      inverses=inverses, index=index, size=len(elements))
+                      index=index, size=len(elements))
 
 
 def enumerate_group(field: "Field", n: int,
@@ -236,144 +224,71 @@ def enumerate_modified_types(field: "Field", max_norm: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# matching a target type without refactoring every product
+# class-sum products and structure constants
 # ---------------------------------------------------------------------------
 
-def _target_profile(field: "Field", plain: GLType):
-    """(char poly, per-repeated-factor expected kernel filtration) of a plain
-    type; equality of both is equivalent to equality of plain types."""
-    cp = (1,)
-    repeated = []
-    for f, parts in plain.entries:
-        fm = polyalg.poly_pow(field, f, sum(parts))
-        cp = polyalg.poly_mul(field, cp, fm)
-        if sum(parts) > 1:
-            d = len(f) - 1
-            dims = tuple(d * sum(min(i, p) for p in parts)
-                         for i in range(1, parts[0] + 1))
-            repeated.append((f, dims))
-    return cp, tuple(repeated)
-
-
-def _matches_profile(field: "Field", M: np.ndarray, profile) -> bool:
-    cp, repeated = profile
-    if matfq.char_poly(field, M) != cp:
-        return False
-    for f, dims in repeated:
-        B = matfq.poly_at_matrix(field, f, M)
-        P = B
-        for i, expected in enumerate(dims):
-            if i:
-                P = matfq.mat_mul(field, P, B)
-            if matfq.kernel_dim(field, P) != expected:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# parallel work units (top level so they fork cleanly)
-# ---------------------------------------------------------------------------
-
-def _count_worker(payload) -> int:
-    p, e, n, stacked, count, z_bytes, enum_on_left, profile = payload
-    field = field_make(p, e)
-    z = np.frombuffer(z_bytes, dtype=np.uint8).reshape(n, n)
-    arr = np.frombuffer(stacked, dtype=np.uint8).reshape(count, n, n)
-    total = 0
-    for i in range(count):
-        M = arr[i]
-        prod = matfq.mat_mul(field, M, z) if enum_on_left \
-            else matfq.mat_mul(field, z, M)
-        if _matches_profile(field, prod, profile):
-            total += 1
-    return total
-
-
-def _classify_worker(payload) -> Counter:
-    p, e, n, stacked, count, fixed_bytes, enum_on_left = payload
-    field = field_make(p, e)
-    fixed = np.frombuffer(fixed_bytes, dtype=np.uint8).reshape(n, n)
-    arr = np.frombuffer(stacked, dtype=np.uint8).reshape(count, n, n)
-    counts: Counter = Counter()
-    for i in range(count):
-        M = arr[i]
-        prod = matfq.mat_mul(field, M, fixed) if enum_on_left \
-            else matfq.mat_mul(field, fixed, M)
-        counts[modified_type_of(field, prod)] += 1
-    return counts
-
-
-def _run_chunked(worker, field: "Field", n: int, mats: list, tail, jobs: int):
-    """Map `worker` over the matrix list in deterministic chunks; jobs == 1
-    runs inline, larger values fork — results are bit-identical either way."""
-    if jobs <= 1 or len(mats) < 2 * jobs:
-        stacked = np.stack(mats).tobytes() if mats else b""
-        return [worker((field.p, field.e, n, stacked, len(mats), *tail))]
-    bounds = np.linspace(0, len(mats), jobs + 1, dtype=int)
-    payloads = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        chunk = mats[lo:hi]
-        payloads.append((field.p, field.e, n, np.stack(chunk).tobytes(),
-                         len(chunk), *tail))
-    import multiprocessing
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        return pool.map(worker, payloads)
-
-
-# ---------------------------------------------------------------------------
-# structure constants and class-sum products
-# ---------------------------------------------------------------------------
-
-def structure_constant_at(lam: GLType, mu: GLType, nu: GLType, n: int,
-                          field: "Field" = None, jobs: int = 1,
-                          memory_bound: int = DEFAULT_MEMORY_BOUND) -> int:
-    """a^ν_λμ(n): the number of factorizations J_{ν↑n} = g·h with g ∈ 𝒦_λ(n)
-    and h ∈ 𝒦_μ(n), counted over the smaller of the two classes."""
-    F = field if field is not None else lam.field
-    z = canonical_matrix(lift(nu, n))
-    if class_size(lam, n) <= class_size(mu, n):
-        orbit = enumerate_class(lam, n, F, memory_bound)
-        profile = _target_profile(F, lift(mu, n))
-        # g^{-1}·z must land in 𝒦_μ
-        results = _run_chunked(_count_worker, F, n, orbit.inverses,
-                               (z.tobytes(), True, profile), jobs)
-    else:
-        orbit = enumerate_class(mu, n, F, memory_bound)
-        profile = _target_profile(F, lift(lam, n))
-        # z·h^{-1} must land in 𝒦_λ
-        results = _run_chunked(_count_worker, F, n, orbit.inverses,
-                               (z.tobytes(), False, profile), jobs)
-    return sum(results)
+def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
+    """Representatives and sizes of the orbits on `orbit` of the group that
+    CENTRALIZER_SAMPLES random elements of C(h₀) generate, acting by
+    conjugation.  Any such group will do: conjugating g by c ∈ C(h₀)
+    conjugates g·h₀ and h₀·g, so their types are constant on each orbit."""
+    rng = random.Random(0)
+    step = orbit.n * orbit.n
+    perms = []
+    samples = CENTRALIZER_SAMPLES if orbit.size > 1 else 0  # nothing to merge
+    for _ in range(samples):
+        c = matfq.conjugator(field, h0, h0, rng=rng)
+        if not matfq.mat_eq(matfq.mat_mul(field, c, h0),
+                            matfq.mat_mul(field, h0, c)):
+            raise InvariantError("a sampled conjugator does not commute "
+                                 "with the fixed class representative")
+        raw = matfq.conjugate_stack(field, c, orbit.elements).tobytes()
+        perms.append(np.fromiter(
+            (orbit.index[raw[at:at + step]] for at in range(0, len(raw), step)),
+            dtype=np.int64, count=orbit.size))
+    # connected components: propagate the least index along every edge
+    # i → perm[i] both ways, with pointer jumping, until nothing moves
+    label = np.arange(orbit.size)
+    while True:
+        new = label.copy()
+        for perm in perms:
+            new[perm] = np.minimum(new[perm], label)
+            np.minimum(new, new[perm], out=new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps = np.flatnonzero(label == np.arange(orbit.size))
+    return reps, np.bincount(label)[reps]
 
 
 def multiply_class_sums(lam: GLType, mu: GLType, n: int,
-                        field: "Field" = None, jobs: int = 1,
+                        field: "Field" = None,
                         memory_bound: int = DEFAULT_MEMORY_BOUND,
                         ) -> ClassSumExpansion:
-    """Full expansion K_λ(n)·K_μ(n) = Σ_ν a^ν·K_ν(n) from a single pass over
-    the smaller class: with h₀ ∈ 𝒦_μ fixed, #{g ∈ 𝒦_λ : g·h₀ ∈ 𝒦_ν} is
-    independent of the choice of h₀, so a^ν = |𝒦_μ|·#/|𝒦_ν|."""
+    """Full expansion K_λ(n)·K_μ(n) = Σ_ν a^ν·K_ν(n) from the smaller class:
+    with h₀ fixed in the other class, #{g : g·h₀ ∈ 𝒦_ν} is independent of
+    the choice of h₀, so a^ν = |other class|·#/|𝒦_ν|.  One g per orbit of
+    sampled centralizer elements of h₀ is classified, weighted by the orbit
+    size (see _centralizer_orbits)."""
     F = field if field is not None else lam.field
     size_lam = class_size(lam, n)
     size_mu = class_size(mu, n)
-    if size_lam <= size_mu:
-        orbit = enumerate_class(lam, n, F, memory_bound)
-        fixed = canonical_matrix(lift(mu, n))
-        results = _run_chunked(_classify_worker, F, n, orbit.elements,
-                               (fixed.tobytes(), True), jobs)
-        other_size = size_mu
-    else:
-        orbit = enumerate_class(mu, n, F, memory_bound)
-        fixed = canonical_matrix(lift(lam, n))
-        results = _run_chunked(_classify_worker, F, n, orbit.elements,
-                               (fixed.tobytes(), False), jobs)
-        other_size = size_lam
+    enum_on_left = size_lam <= size_mu
+    small, other = (lam, mu) if enum_on_left else (mu, lam)
+    orbit = enumerate_class(small, n, F, memory_bound)
+    h0 = canonical_matrix(lift(other, n))
     counts: Counter = Counter()
-    for c in results:
-        counts.update(c)
+    for i, weight in zip(*_centralizer_orbits(F, orbit, h0)):
+        g = orbit.elements[i]
+        prod = matfq.mat_mul(F, g, h0) if enum_on_left \
+            else matfq.mat_mul(F, h0, g)
+        counts[modified_type_of(F, prod)] += int(weight)
     candidates = enumerate_modified_types(F, norm(lam) + norm(mu), n)
-    assert set(counts) <= set(candidates), \
-        "observed a product type outside the candidate set"
+    if not set(counts) <= set(candidates):
+        raise InvariantError(
+            "observed a product type outside the candidate set")
+    other_size = size_mu if enum_on_left else size_lam
     terms = {}
     total = 0
     for nu in candidates:
@@ -382,12 +297,24 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
             continue
         size_nu = class_size(nu, n)
         a, rem = divmod(c * other_size, size_nu)
-        assert rem == 0, "structure constant must be integral"
+        if rem:
+            raise InvariantError("structure constant at "
+                                 f"{format_gltype(nu)} is not integral")
         terms[nu] = a
         total += a * size_nu
-    assert total == size_lam * size_mu, \
-        "counting identity Σ a^ν|𝒦_ν| = |𝒦_λ||𝒦_μ| failed"
+    if total != size_lam * size_mu:
+        raise InvariantError(
+            "counting identity Σ a^ν|𝒦_ν| = |𝒦_λ||𝒦_μ| failed")
     return ClassSumExpansion(field=F, n=n, lam=lam, mu=mu, terms=terms)
+
+
+def structure_constant_at(lam: GLType, mu: GLType, nu: GLType, n: int,
+                          field: "Field" = None,
+                          memory_bound: int = DEFAULT_MEMORY_BOUND) -> int:
+    """a^ν_λμ(n), read from the full product at rank n; ClassEmptyError when
+    𝒦_ν is empty at rank n."""
+    lift(nu, n)
+    return multiply_class_sums(lam, mu, n, field, memory_bound).get(nu)
 
 
 def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
@@ -395,7 +322,7 @@ def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
                     memory_bound: int = DEFAULT_MEMORY_BOUND,
                     ) -> ClassSumExpansion:
     """Brute-force expansion over all |𝒦_λ|·|𝒦_μ| products; independent of
-    the streaming path and used to validate it."""
+    multiply_class_sums and used to validate it."""
     F = field if field is not None else lam.field
     size_lam = class_size(lam, n)
     size_mu = class_size(mu, n)
@@ -411,7 +338,9 @@ def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
     terms = {}
     for nu, c in counts.items():
         a, rem = divmod(c, class_size(nu, n))
-        assert rem == 0, "every class must be hit uniformly"
+        if rem:
+            raise InvariantError(
+                f"class {format_gltype(nu)} is not hit uniformly")
         terms[nu] = a
     return ClassSumExpansion(field=F, n=n, lam=lam, mu=mu, terms=terms)
 
@@ -421,7 +350,7 @@ def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
 # ---------------------------------------------------------------------------
 
 def stable_constant(lam: GLType, mu: GLType, nu: GLType,
-                    field: "Field" = None, jobs: int = 1) -> int:
+                    field: "Field" = None) -> int:
     """The n-independent top-degree coefficient a^ν_λμ, computed once at the
     smallest rank where 𝒦_ν is nonempty."""
     if norm(nu) != norm(lam) + norm(mu):
@@ -431,25 +360,30 @@ def stable_constant(lam: GLType, mu: GLType, nu: GLType,
     k = min_rank(nu)
     if min_rank(lam) > k or min_rank(mu) > k:
         return 0  # a factor class is empty at rank k, hence at every n >= k
-    return structure_constant_at(lam, mu, nu, k, field, jobs)
+    return structure_constant_at(lam, mu, nu, k, field)
 
 
-def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
-                   jobs: int = 1) -> ClassSumExpansion:
+def stable_product(lam: GLType, mu: GLType,
+                   field: "Field" = None) -> ClassSumExpansion:
     """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖,
-    each evaluated at its own minimal rank."""
+    each read at its own minimal rank k from one full product per k."""
     F = field if field is not None else lam.field
+    products = {}
     terms = {}
     for nu in enumerate_plain_types(F, norm(lam) + norm(mu)):  # as modified
-        a = stable_constant(lam, mu, nu, F, jobs)
+        k = min_rank(nu)
+        if min_rank(lam) > k or min_rank(mu) > k:
+            continue  # as in stable_constant
+        if k not in products:
+            products[k] = multiply_class_sums(lam, mu, k, F)
+        a = products[k].get(nu)
         if a:
             terms[nu] = a
     return ClassSumExpansion(field=F, n=None, lam=lam, mu=mu, terms=terms)
 
 
 def verify_stability(lam: GLType, mu: GLType, nu: GLType,
-                     field: "Field" = None, n_list=None,
-                     jobs: int = 1) -> StabilityReport:
+                     field: "Field" = None, n_list=None) -> StabilityReport:
     """Recompute a^ν_λμ(n) at several n and check the values agree."""
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError("stability applies to top-degree coefficients only")
@@ -460,7 +394,7 @@ def verify_stability(lam: GLType, mu: GLType, nu: GLType,
     values = []
     for n in ns:
         try:
-            a = structure_constant_at(lam, mu, nu, n, field, jobs)
+            a = structure_constant_at(lam, mu, nu, n, field)
         except ClassEmptyError:
             a = 0
         values.append((n, a))

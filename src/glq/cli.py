@@ -20,7 +20,7 @@ from . import __version__, polyalg
 from .classcalc import (DEFAULT_MEMORY_BOUND, enumerate_group,
                         enumerate_modified_types, multiply_class_sums,
                         multiply_oracle, stable_product, verify_stability)
-from .errors import ResourceBoundError
+from .errors import InvariantError, ResourceBoundError
 from .field import field_make, field_of_order
 from .gltype import (canonical_matrix, centralizer_order, class_size,
                      enumerate_plain_types, format_gltype, gl_order, lift,
@@ -42,7 +42,6 @@ __all__ = ["main", "build_parser", "VERIFY_STABILITY_TRIPLES"]
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "csv", "machine"),
                    default="table")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--memory-bound", dest="memory_bound", type=int,
                    default=DEFAULT_MEMORY_BOUND)
@@ -133,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_matrix(field, text: str) -> np.ndarray:
     rows = [[int(x) for x in row.split(",")]
             for row in text.split(";") if row.strip()]
+    if any(not 0 <= x < field.q for row in rows for x in row):
+        raise ValueError(f"entries must be field codes 0..{field.q - 1}")
     A = np.array(rows, dtype=np.uint8)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square: rows 'a,b;c,d'")
-    if A.size and int(A.max()) >= field.q:
-        raise ValueError(f"entries must be field codes 0..{field.q - 1}")
     return A
 
 
@@ -284,7 +283,7 @@ def _cmd_mul(args) -> int:
     key = make_key(lam, mu, args.n)
     expansion = cache.get(key) if cache is not None else None
     if expansion is None:
-        expansion = multiply_class_sums(lam, mu, args.n, field, jobs=args.jobs,
+        expansion = multiply_class_sums(lam, mu, args.n, field,
                                         memory_bound=args.memory_bound)
         if cache is not None:
             cache.put(key, expansion, seed=args.seed)
@@ -301,7 +300,7 @@ def _cmd_stable(args) -> int:
     key = make_key(lam, mu, None)
     expansion = cache.get(key) if cache is not None else None
     if expansion is None:
-        expansion = stable_product(lam, mu, field, jobs=args.jobs)
+        expansion = stable_product(lam, mu, field)
         if cache is not None:
             cache.put(key, expansion, seed=args.seed)
             cache.save()
@@ -349,7 +348,7 @@ def _cmd_fit(args) -> int:
     fit = fit_polynomial_in_n(
         parse_gltype(field, args.lam), parse_gltype(field, args.mu),
         parse_gltype(field, args.nu), field,
-        n_list=tuple(int(x) for x in args.ns.split(",")), jobs=args.jobs)
+        n_list=tuple(int(x) for x in args.ns.split(",")))
     return _print_fit(fit, args)
 
 
@@ -358,7 +357,7 @@ def _cmd_check(args) -> int:
     params = _parse_case_params(field, args.params)
     if args.nu is not None:
         params["nu"] = parse_gltype(field, args.nu)
-    report = check_case(field, args.case, jobs=args.jobs, **params)
+    report = check_case(field, args.case, **params)
     _emit(("case", "params", "computed", "predicted", "status", "match"),
           [(report.case, report.params, report.computed,
             report.predicted.value, report.predicted.status,
@@ -393,7 +392,7 @@ def _suite_stability(args, rows) -> int:
         report = verify_stability(parse_gltype(field, lam_txt),
                                   parse_gltype(field, mu_txt),
                                   parse_gltype(field, nu_txt),
-                                  field, jobs=args.jobs)
+                                  field)
         values = " ".join(f"a({n})={a}" for n, a in report.values)
         rows.append(("ok" if report.passed else "FAIL",
                      f"q={q} {lam_txt} * {mu_txt} -> {nu_txt}", values))
@@ -409,7 +408,7 @@ def _suite_oracle(args, rows) -> int:
         bad = 0
         for lam in types:
             for mu in types:
-                fast = multiply_class_sums(lam, mu, n, field, jobs=args.jobs,
+                fast = multiply_class_sums(lam, mu, n, field,
                                            memory_bound=args.memory_bound)
                 slow = multiply_oracle(lam, mu, n, field,
                                        memory_bound=args.memory_bound)
@@ -464,14 +463,12 @@ def _suite_centralizers(args, rows) -> int:
 def _suite_formulas(args, rows) -> int:
     reports = []
     for q in (2, 3):
-        reports += sweep_two_reflections(field_of_order(q), jobs=args.jobs)
-    reports += sweep_union_distinct(field_of_order(3), 2, jobs=args.jobs)
-    reports += sweep_union_distinct(field_of_order(5), 2, jobs=args.jobs)
-    reports += sweep_union_equal(field_of_order(3), jobs=args.jobs)
-    reports += sweep_merge_irreducible(field_of_order(3), 2, (2, 1, 1),
-                                       jobs=args.jobs)
-    reports += sweep_merge_irreducible(field_of_order(5), 2, (2, 4, 1),
-                                       jobs=args.jobs)
+        reports += sweep_two_reflections(field_of_order(q))
+    reports += sweep_union_distinct(field_of_order(3), 2)
+    reports += sweep_union_distinct(field_of_order(5), 2)
+    reports += sweep_union_equal(field_of_order(3))
+    reports += sweep_merge_irreducible(field_of_order(3), 2, (2, 1, 1))
+    reports += sweep_merge_irreducible(field_of_order(5), 2, (2, 4, 1))
     failures = 0
     for r in reports:
         if r.match:
@@ -510,6 +507,9 @@ def main(argv=None) -> int:
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: ValueError subclasses are usage/domain
 errors (exit 2), ResourceBoundError subclasses abort on a configured bound
-(exit 3), and proved-formula mismatches are reported, not raised.
+(exit 3), InvariantError is a failed internal check (exit 1), and
+proved-formula mismatches are reported, not raised.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ __all__ = [
     "ClassEmptyError",
     "LengthNotAdditiveError",
     "InconclusiveError",
+    "InvariantError",
 ]
 
 
@@ -39,3 +41,8 @@ class LengthNotAdditiveError(GlqError, ValueError):
 
 class InconclusiveError(GlqError, RuntimeError):
     """Randomized conjugator search exhausted retries without a verdict."""
+
+
+class InvariantError(GlqError, RuntimeError):
+    """An exactness invariant failed: a result would be wrong if returned.
+    Raised explicitly, so the check also holds under python -O."""

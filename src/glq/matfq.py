@@ -1,7 +1,8 @@
 """Exact dense linear algebra over F_q on small numpy matrices.
 
 Matrices are numpy uint8 arrays of canonical field-element codes.
-Products of prime-field matrices run through int64 numpy matmul; everything
+Products of prime-field matrices run through int64 numpy matmul, and stacks
+of extension-field matrices through the field's numpy tables; everything
 scalar-heavy (elimination, Hessenberg reduction) runs on plain int lists
 indexed into the field's lookup tables, which is both exact and fast at
 desk scale (n <= 8 or so).
@@ -25,12 +26,13 @@ __all__ = [
     "mat_from_rows", "identity", "scalar_matrix", "mat_mul", "mat_add",
     "mat_sub", "mat_neg", "block_diag", "transpose", "mat_eq", "rank",
     "kernel_dim", "inverse", "nullspace", "char_poly", "poly_at_matrix",
-    "conjugacy_invariant", "commuting_space", "conjugator",
+    "conjugacy_invariant", "commuting_space", "conjugator", "conjugate_stack",
     "format_matrix", "parse_matrix",
 ]
 
 CONJUGATOR_RETRIES = 64
 CONJUGATOR_EXHAUSTIVE_LIMIT = 2 ** 20
+CONJUGATE_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,34 @@ def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                     if bs[j]:
                         oi[j] = add[oi[j]][row[bs[j]]]
     return np.array(out, dtype=np.uint8)
+
+
+def _stack_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Batched product through the field tables, broadcasting leading axes;
+    slower than mat_mul's scalar loop on one small matrix."""
+    prods = field.mul_np[A[..., :, :, None], B[..., None, :, :]]
+    out = np.zeros(prods.shape[:-3] + (A.shape[-2], B.shape[-1]), np.uint8)
+    for s in range(A.shape[-1]):
+        out = field.add_np[out, prods[..., s, :]]
+    return out
+
+
+def conjugate_stack(field: Field, c: np.ndarray,
+                    stack: np.ndarray) -> np.ndarray:
+    """c·X·c⁻¹ for every X of an (N, n, n) stack, CONJUGATE_CHUNK matrices at
+    a time so the int64 temporaries of large classes stay small.  Prime
+    fields use integer matmul, other fields the tables."""
+    ci = inverse(field, c)
+    out = np.empty(stack.shape, dtype=np.uint8)
+    if field.e == 1:
+        c, ci = c.astype(np.int64), ci.astype(np.int64)
+    for lo in range(0, len(stack), CONJUGATE_CHUNK):
+        X = stack[lo:lo + CONJUGATE_CHUNK]
+        if field.e == 1:
+            out[lo:lo + len(X)] = (c @ X.astype(np.int64) @ ci) % field.p
+        else:
+            out[lo:lo + len(X)] = _stack_mul(field, _stack_mul(field, c, X), ci)
+    return out
 
 
 def mat_add(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:

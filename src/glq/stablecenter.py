@@ -10,6 +10,7 @@ silent assumption.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -330,9 +331,17 @@ def _render_params(field: "Field", params: dict) -> str:
     return " ".join(f"{k}={show(k, v)}" for k, v in params.items())
 
 
-def check_case(field: "Field", case: str, jobs: int = 1, **params) -> CheckReport:
+def check_case(field: "Field", case: str, **params) -> CheckReport:
     """Compute the stable coefficient directly and compare it with the
     matching closed form; the prediction is never trusted."""
+    predictor = (predict_reflection_product if case == "two-reflections"
+                 else UNION_CASES.get(case))
+    if predictor is not None:
+        missing = [name for name in inspect.signature(predictor).parameters
+                   if name != "field" and name not in params]
+        if missing:
+            raise ValueError(f"case {case!r} needs the parameters "
+                             + ", ".join(missing))
     lam, mu, nu = _case_triple(field, case, params)
     if case == "two-reflections":
         predicted = predict_reflection_product(
@@ -340,51 +349,49 @@ def check_case(field: "Field", case: str, jobs: int = 1, **params) -> CheckRepor
     else:
         predicted = predict_union(
             field, case, **{k: v for k, v in params.items() if k != "nu"})
-    computed = stable_constant(lam, mu, nu, field, jobs=jobs)
+    computed = stable_constant(lam, mu, nu, field)
     return CheckReport(case=case, params=_render_params(field, params),
                        lam=lam, mu=mu, nu=nu, computed=computed,
                        predicted=predicted, match=computed == predicted.value)
 
 
-def sweep_two_reflections(field: "Field", jobs: int = 1) -> list:
+def sweep_two_reflections(field: "Field") -> list:
     """Every (ξ, η, ν) with ‖ν‖ = 2 — the table's entire domain at this q."""
     reports = []
     for xi in field.units():
         for eta in field.units():
             for nu in enumerate_plain_types(field, 2):  # read as modified
                 reports.append(check_case(field, "two-reflections",
-                                          jobs=jobs, xi=xi, eta=eta, nu=nu))
+                                          xi=xi, eta=eta, nu=nu))
     return reports
 
 
-def sweep_union_distinct(field: "Field", d: int, jobs: int = 1) -> list:
+def sweep_union_distinct(field: "Field", d: int) -> list:
     """All ordered tuples of d distinct unit eigenvalues (possibly none)."""
     import itertools
-    return [check_case(field, "union-distinct", jobs=jobs, xs=xs)
+    return [check_case(field, "union-distinct", xs=xs)
             for xs in itertools.permutations(field.units(), d)]
 
 
-def sweep_union_equal(field: "Field", pairs=((1, 1), (1, 2), (2, 1)),
-                      jobs: int = 1) -> list:
+def sweep_union_equal(field: "Field",
+                      pairs=((1, 1), (1, 2), (2, 1))) -> list:
     reports = []
     for xi in field.units():
         if xi == 1:
             continue
         for c, d in pairs:
-            reports.append(check_case(field, "union-equal", jobs=jobs,
-                                      xi=xi, c=c, d=d))
+            reports.append(check_case(field, "union-equal", xi=xi, c=c, d=d))
     return reports
 
 
-def sweep_merge_irreducible(field: "Field", xi: int, fprime,
-                            jobs: int = 1) -> list:
+def sweep_merge_irreducible(field: "Field", xi: int, fprime) -> list:
     """One report per monic irreducible target one degree above f′ — both the
     compatible constant terms (predicted [d]) and the graded zeros."""
     fprime = tuple(fprime)
     d = len(fprime)  # degree of the targets = deg f′ + 1
     targets = [f for f in polyalg.enumerate_phi(field, d) if len(f) == d + 1]
-    return [check_case(field, "merge-irreducible", jobs=jobs,
-                       xi=xi, fprime=fprime, f=f) for f in targets]
+    return [check_case(field, "merge-irreducible", xi=xi, fprime=fprime, f=f)
+            for f in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +468,7 @@ def fit_polynomial_in_q(points) -> FitResult:
 
 
 def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
-                        field: "Field" = None, n_list=(None,),
-                        jobs: int = 1) -> FitResult:
+                        field: "Field" = None, n_list=(None,)) -> FitResult:
     """Interpolate a^ν_λμ(n) in the variable x = [n]_q over the given ranks."""
     F = field if field is not None else lam.field
     ns = tuple(n_list)
@@ -474,7 +480,7 @@ def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
     pts = []
     for n in ns:
         try:
-            a = structure_constant_at(lam, mu, nu, n, F, jobs=jobs)
+            a = structure_constant_at(lam, mu, nu, n, F)
         except ClassEmptyError:
             a = 0
         pts.append((q_int(F.q, n), a))
@@ -549,7 +555,7 @@ def _family_union_poly(field: "Field", xi_label, f_label):
     return {"case": "union-poly", "xi": xi, "f": f}
 
 
-def fit_family_in_q(name: str, q_list=(3, 5, 7), jobs: int = 1):
+def fit_family_in_q(name: str, q_list=(3, 5, 7)):
     """Run one labeled family at several q and fit the results in q.
 
     Returns (FitResult or None, reports, skipped) where `reports` holds the
@@ -570,7 +576,7 @@ def fit_family_in_q(name: str, q_list=(3, 5, 7), jobs: int = 1):
             skipped.append(q)
             continue
         case = params.pop("case")
-        report = check_case(field, case, jobs=jobs, **params)
+        report = check_case(field, case, **params)
         reports.append(report)
         points.append((q, report.computed))
     fit = fit_polynomial_in_q(points) if len(points) >= 2 else None

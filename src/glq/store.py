@@ -21,7 +21,6 @@ from .gltype import GLType, class_size, format_gltype, norm, parse_gltype
 __all__ = [
     "ExpansionCache", "make_key", "parse_key",
     "serialize_expansion", "parse_expansion", "default_cache_path",
-    "cache_get", "cache_put", "cache_load", "cache_save",
 ]
 
 _STABLE = "stable"  # the n field of records holding top-degree products
@@ -178,26 +177,3 @@ class ExpansionCache:
                              f"\t{meta}\n")
         os.replace(temp, target)
         return target
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience on one shared cache
-# ---------------------------------------------------------------------------
-
-_shared = ExpansionCache()
-
-
-def cache_get(key: str) -> ClassSumExpansion | None:
-    return _shared.get(key)
-
-
-def cache_put(key: str, expansion: ClassSumExpansion, seed=None) -> None:
-    _shared.put(key, expansion, seed)
-
-
-def cache_load(path=None) -> int:
-    return _shared.load(path)
-
-
-def cache_save(path=None) -> Path:
-    return _shared.save(path)

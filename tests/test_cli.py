@@ -1,7 +1,13 @@
 """Subcommand behavior, output formats, exit codes, and cache plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from glq import classcalc
 from glq.classcalc import multiply_class_sums
 from glq.cli import VERIFY_STABILITY_TRIPLES, main
 from glq.field import field_make
@@ -61,6 +67,12 @@ def test_type_rejects_singular_matrix(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_type_rejects_entry_beyond_a_byte(capsys):
+    code, out, err = run(capsys, "type", "--q", "3", "--matrix", "300,0;0,1")
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
@@ -103,12 +115,33 @@ def test_machine_output_round_trips(capsys):
     assert meta.startswith("v=") and "ts=0" in meta
 
 
-def test_jobs_output_is_byte_identical(capsys):
+def test_repeated_output_is_byte_identical(capsys):
     argv = ("mul", "--q", "3", "--n", "2", "--no-cache",
             "--lambda", "1@t-2", "--mu", "1@t-2")
-    _, out1, _ = run(capsys, *argv, "--jobs", "1")
-    _, out2, _ = run(capsys, *argv, "--jobs", "2")
+    _, out1, _ = run(capsys, *argv)
+    _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+def test_jobs_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--q", "3", "--n", "2", "--no-cache", "--jobs", "2",
+              "--lambda", "1@t-2", "--mu", "1@t-2"])
+    assert exc.value.code == 2
+
+
+def test_invariant_failure_exits_one(capsys, monkeypatch):
+    real = classcalc._centralizer_orbits
+
+    def doubled(*args):
+        reps, weights = real(*args)
+        return reps, 2 * weights
+
+    monkeypatch.setattr(classcalc, "_centralizer_orbits", doubled)
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 1 and not out
+    assert err.startswith("invariant failed: counting identity")
 
 
 def test_mul_resource_bound_exit_code(capsys):
@@ -238,6 +271,14 @@ def test_check_rejects_malformed_params(capsys):
     assert code == 2 and "key=value" in err
 
 
+def test_check_requires_case_params(capsys):
+    code, out, err = run(capsys, "check", "--q", "3", "--case",
+                         "union-distinct")
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "xs" in err
+
+
 # ---------------------------------------------------------------------------
 # verify suites and exit codes
 # ---------------------------------------------------------------------------
@@ -286,3 +327,20 @@ def test_domain_errors_exit_two(capsys):
     code, _, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
                        "--lambda", "1@t^2+2", "--mu", "")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--q", "3", "--n", "3", "--lambda", "1@t-2", "--mu", "1@t-1"),
+    ("stable", "--q", "2", "--lambda", "1@t-1", "--mu", "1@t-1"),
+])
+def test_output_is_unchanged_under_python_O(argv):
+    # the exactness checks are explicit errors, not asserts that -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    command = ("-m", "glq.cli", *argv, "--no-cache", "--format", "machine")
+    plain = subprocess.run([sys.executable, *command], env=env,
+                           capture_output=True, text=True)
+    optimized = subprocess.run([sys.executable, "-O", *command], env=env,
+                               capture_output=True, text=True)
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout != ""

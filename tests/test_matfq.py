@@ -133,6 +133,19 @@ def test_mat_mul_associative_sweep(field):
         assert matfq.mat_eq(left, right)
 
 
+@pytest.mark.parametrize("field", [F3, F4])
+def test_conjugate_stack_matches_mat_mul(field, monkeypatch):
+    monkeypatch.setattr(matfq, "CONJUGATE_CHUNK", 2)  # a partial last chunk
+    rng = random.Random(5)
+    c = random_invertible(field, 3, rng)
+    ci = matfq.inverse(field, c)
+    stack = np.stack([random_matrix(field, 3, rng) for _ in range(5)])
+    got = matfq.conjugate_stack(field, c, stack)
+    for X, Y in zip(stack, got):
+        want = matfq.mat_mul(field, matfq.mat_mul(field, c, X), ci)
+        assert matfq.mat_eq(Y, want)
+
+
 # ---------------------------------------------------------------------------
 # rank / kernel / inverse / nullspace
 # ---------------------------------------------------------------------------
