@@ -1,7 +1,7 @@
 """Exact dense linear algebra over F_q on small numpy matrices.
 
 Matrices are numpy uint8 arrays of canonical field-element codes.
-Products of prime-field matrices run through int64 numpy matmul, and stacks
+Products of prime-field matrices run through int64 numpy matmul, and those
 of extension-field matrices through the field's numpy tables; everything
 scalar-heavy (elimination, Hessenberg reduction) runs on plain int lists
 indexed into the field's lookup tables, which is both exact and fast at
@@ -59,29 +59,12 @@ def scalar_matrix(field: Field, c: int, n: int) -> np.ndarray:
 
 
 def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
+    """A·B for two matrices, or for stacks of them broadcast over their
+    leading axes.  Prime fields use integer matmul, other fields the tables."""
+    if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     if field.e == 1:
         return ((A.astype(np.int64) @ B.astype(np.int64)) % field.p).astype(np.uint8)
-    add, mul = field.add_table, field.mul_table
-    a, b = A.tolist(), B.tolist()
-    m, k, n = A.shape[0], A.shape[1], B.shape[1]
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        ai, oi = a[i], out[i]
-        for s in range(k):
-            c = ai[s]
-            if c:
-                row, bs = mul[c], b[s]
-                for j in range(n):
-                    if bs[j]:
-                        oi[j] = add[oi[j]][row[bs[j]]]
-    return np.array(out, dtype=np.uint8)
-
-
-def _stack_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Batched product through the field tables, broadcasting leading axes;
-    slower than mat_mul's scalar loop on one small matrix."""
     prods = field.mul_np[A[..., :, :, None], B[..., None, :, :]]
     out = np.zeros(prods.shape[:-3] + (A.shape[-2], B.shape[-1]), np.uint8)
     for s in range(A.shape[-1]):
@@ -92,18 +75,12 @@ def _stack_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def conjugate_stack(field: Field, c: np.ndarray,
                     stack: np.ndarray) -> np.ndarray:
     """c·X·c⁻¹ for every X of an (N, n, n) stack, CONJUGATE_CHUNK matrices at
-    a time so the int64 temporaries of large classes stay small.  Prime
-    fields use integer matmul, other fields the tables."""
+    a time so the temporaries of large classes stay small."""
     ci = inverse(field, c)
     out = np.empty(stack.shape, dtype=np.uint8)
-    if field.e == 1:
-        c, ci = c.astype(np.int64), ci.astype(np.int64)
     for lo in range(0, len(stack), CONJUGATE_CHUNK):
         X = stack[lo:lo + CONJUGATE_CHUNK]
-        if field.e == 1:
-            out[lo:lo + len(X)] = (c @ X.astype(np.int64) @ ci) % field.p
-        else:
-            out[lo:lo + len(X)] = _stack_mul(field, _stack_mul(field, c, X), ci)
+        out[lo:lo + len(X)] = mat_mul(field, mat_mul(field, c, X), ci)
     return out
 
 
@@ -387,16 +364,9 @@ def commuting_space(field: Field, A: np.ndarray, B: np.ndarray) -> list[np.ndarr
 
 def _combine(field: Field, coeffs, basis_stack: np.ndarray) -> np.ndarray:
     """Linear combination of stacked basis matrices with scalar coefficients."""
-    if field.e == 1:
-        cs = np.array(coeffs, dtype=np.int64)
-        flat = basis_stack.reshape(len(coeffs), -1).astype(np.int64)
-        out = (cs @ flat) % field.p
-        return out.reshape(basis_stack.shape[1:]).astype(np.uint8)
-    X = np.zeros(basis_stack.shape[1:], dtype=np.uint8)
-    for c, M in zip(coeffs, basis_stack):
-        if c:
-            X = field.add_np[X, field.mul_np[c, M]]
-    return X
+    flat = basis_stack.reshape(len(coeffs), -1)
+    row = np.array([coeffs], dtype=np.uint8)
+    return mat_mul(field, row, flat).reshape(basis_stack.shape[1:])
 
 
 def conjugator(field: Field, A: np.ndarray, B: np.ndarray,

@@ -10,7 +10,6 @@ silent assumption.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -334,15 +333,11 @@ def _render_params(field: "Field", params: dict) -> str:
 def check_case(field: "Field", case: str, **params) -> CheckReport:
     """Compute the stable coefficient directly and compare it with the
     matching closed form; the prediction is never trusted."""
-    predictor = (predict_reflection_product if case == "two-reflections"
-                 else UNION_CASES.get(case))
-    if predictor is not None:
-        missing = [name for name in inspect.signature(predictor).parameters
-                   if name != "field" and name not in params]
-        if missing:
-            raise ValueError(f"case {case!r} needs the parameters "
-                             + ", ".join(missing))
-    lam, mu, nu = _case_triple(field, case, params)
+    try:
+        lam, mu, nu = _case_triple(field, case, params)
+    except KeyError as exc:
+        raise ValueError(
+            f"case {case!r} needs the parameter {exc.args[0]}") from None
     if case == "two-reflections":
         predicted = predict_reflection_product(
             field, params["xi"], params["eta"], nu)
