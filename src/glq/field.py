@@ -166,7 +166,7 @@ class Field:
             ]
 
         self.neg_table = [self.add_table[a].index(0) for a in range(q)]
-        # inverses by row scan of the multiplication table (0 is a sentinel)
+        # a⁻¹ by row scan of the multiplication table (0 is a sentinel)
         self.inv_table = [0] + [self.mul_table[a].index(1) for a in range(1, q)]
         self.add_np = np.array(self.add_table, dtype=np.uint8)
         self.mul_np = np.array(self.mul_table, dtype=np.uint8)
