@@ -3,8 +3,8 @@ top-degree expansions, polynomial fits, closed-form checks, and the
 verification suites.
 
 Exit codes: 0 success (conjectural mismatches are findings, still 0);
-1 proved-formula mismatch or invariant failure; 2 usage or domain error;
-3 resource-bound abort.
+1 proved-formula mismatch, invariant failure or inconclusive randomized
+search; 2 usage or domain error; 3 resource-bound abort.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import __version__, polyalg
 from .classcalc import (DEFAULT_MEMORY_BOUND, enumerate_group,
                         enumerate_modified_types, multiply_class_sums,
                         multiply_oracle, stable_product, verify_stability)
-from .errors import InvariantError, ResourceBoundError
+from .errors import InconclusiveError, InvariantError, ResourceBoundError
 from .field import field_make, field_of_order
 from .gltype import (canonical_matrix, centralizer_order, class_size,
                      enumerate_plain_types, format_gltype, gl_order, lift,
@@ -207,13 +207,19 @@ def _poly_text(coefficients, var: str) -> str:
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def _cache_open(args) -> ExpansionCache | None:
+def _cached(args, key: str, compute):
+    """The cached expansion under key; on a miss, compute() it and append
+    the record to the cache file."""
     if args.no_cache:
-        return None
-    path = Path(args.cache) if args.cache else default_cache_path()
-    cache = ExpansionCache(path)
+        return compute()
+    cache = ExpansionCache(Path(args.cache) if args.cache
+                           else default_cache_path())
     cache.load()
-    return cache
+    expansion = cache.get(key)
+    if expansion is None:
+        expansion = compute()
+        cache.append(key, expansion, seed=args.seed)
+    return expansion
 
 
 def _meta_text(seed) -> str:
@@ -279,15 +285,10 @@ def _cmd_mul(args) -> int:
     field = field_of_order(args.q)
     lam = parse_gltype(field, args.lam)
     mu = parse_gltype(field, args.mu)
-    cache = _cache_open(args)
-    key = make_key(lam, mu, args.n)
-    expansion = cache.get(key) if cache is not None else None
-    if expansion is None:
-        expansion = multiply_class_sums(lam, mu, args.n, field,
-                                        memory_bound=args.memory_bound)
-        if cache is not None:
-            cache.put(key, expansion, seed=args.seed)
-            cache.save()
+    expansion = _cached(args, make_key(lam, mu, args.n),
+                        lambda: multiply_class_sums(
+                            lam, mu, args.n, field,
+                            memory_bound=args.memory_bound))
     _print_expansion(expansion, args)
     return 0
 
@@ -296,14 +297,8 @@ def _cmd_stable(args) -> int:
     field = field_of_order(args.q)
     lam = parse_gltype(field, args.lam)
     mu = parse_gltype(field, args.mu)
-    cache = _cache_open(args)
-    key = make_key(lam, mu, None)
-    expansion = cache.get(key) if cache is not None else None
-    if expansion is None:
-        expansion = stable_product(lam, mu, field)
-        if cache is not None:
-            cache.put(key, expansion, seed=args.seed)
-            cache.save()
+    expansion = _cached(args, make_key(lam, mu, None),
+                        lambda: stable_product(lam, mu, field))
     _print_expansion(expansion, args)
     return 0
 
@@ -509,6 +504,9 @@ def main(argv=None) -> int:
         return 3
     except InvariantError as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)
+        return 1
+    except InconclusiveError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: ValueError subclasses are usage/domain
 errors (exit 2), ResourceBoundError subclasses abort on a configured bound
-(exit 3), InvariantError is a failed internal check (exit 1), and
-proved-formula mismatches are reported, not raised.
+(exit 3), InvariantError is a failed internal check and InconclusiveError a
+randomized search without a verdict (both exit 1), and proved-formula
+mismatches are reported, not raised.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matfq, polyalg
-from .errors import ClassEmptyError
+from .errors import ClassEmptyError, InvariantError
 
 if TYPE_CHECKING:
     from .field import Field
@@ -144,11 +144,13 @@ def type_of(field: "Field", A: np.ndarray) -> GLType:
         prev = 0
         for k in dims:
             c, rem = divmod(k - prev, d)
-            assert rem == 0, "kernel filtration not divisible by degree"
+            if rem:
+                raise InvariantError(
+                    "kernel filtration not divisible by degree")
             cols.append(c)
             prev = k
-        assert all(cols[i] >= cols[i + 1] for i in range(len(cols) - 1)), \
-            "kernel filtration increments must decrease"
+        if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
+            raise InvariantError("kernel filtration increments must decrease")
         entries.append((f, conjugate_partition(tuple(cols))))
     return gltype_make(field, entries)
 
@@ -267,7 +269,8 @@ def q_binomial(q: int, m: int, b: int) -> int:
     num = q_factorial(q, m)
     den = q_factorial(q, b) * q_factorial(q, m - b)
     out, rem = divmod(num, den)
-    assert rem == 0, "q-binomial must be integral"
+    if rem:
+        raise InvariantError("q-binomial must be integral")
     return out
 
 
@@ -282,7 +285,8 @@ def a_partition(parts: Partition, Q: int) -> int:
     for m in Counter(parts).values():
         for j in range(1, m + 1):
             total *= 1 - Fraction(1, Q) ** j
-    assert total.denominator == 1 and total > 0, "a_λ(Q) must be a positive integer"
+    if total.denominator != 1 or total <= 0:
+        raise InvariantError("a_λ(Q) must be a positive integer")
     return int(total)
 
 
@@ -311,7 +315,8 @@ def class_size(T: GLType, n: int, field: "Field" = None) -> int:
         raise ValueError("field mismatch")
     plain = lift(T, n)
     out, rem = divmod(gl_order(F, n), centralizer_order(plain))
-    assert rem == 0, "centralizer order must divide the group order"
+    if rem:
+        raise InvariantError("centralizer order must divide the group order")
     return out
 
 

@@ -3,7 +3,9 @@
 One tab-separated record per line — canonical key, machine-format terms,
 metadata — so cache files are human-inspectable and diff-friendly.  The
 cache is advisory: loads revalidate each record's counting identity and
-skip (with a warning) anything corrupt or written by another version.
+skip (with a warning) anything corrupt or written by another version.  New
+records are appended one line at a time; when a key repeats, the last valid
+line wins.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -24,6 +27,21 @@ __all__ = [
 ]
 
 _STABLE = "stable"  # the n field of records holding top-degree products
+
+
+# A cache file repeats a few dozen type texts across its records, so loads
+# memoize parsing and class sizes.  The lookups of parse_gltype and
+# class_size happen at call time, not import time, so the functions can be
+# replaced or wrapped from outside; exceptions are not memoized.
+
+@lru_cache(maxsize=4096)
+def _parse_type(field, text: str) -> GLType:
+    return parse_gltype(field, text)
+
+
+@lru_cache(maxsize=4096)
+def _class_size(T: GLType, n: int) -> int:
+    return class_size(T, n)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +78,7 @@ def parse_key(key: str):
         raise ValueError(f"malformed cache key {key!r}")
     field = field_of_order(q)
     n_val = None if n == _STABLE else int(n)
-    return field, n_val, parse_gltype(field, lam_txt), parse_gltype(field, mu_txt)
+    return field, n_val, _parse_type(field, lam_txt), _parse_type(field, mu_txt)
 
 
 def serialize_expansion(expansion: ClassSumExpansion) -> str:
@@ -76,21 +94,28 @@ def parse_expansion(field, n, lam: GLType, mu: GLType,
         nu_txt, sep, coeff_txt = item.rpartition(",")
         if not sep:
             raise ValueError(f"malformed expansion term {item!r}")
-        terms[parse_gltype(field, nu_txt)] = int(coeff_txt)
+        nu = _parse_type(field, nu_txt)
+        if nu in terms:
+            raise ValueError(f"repeated expansion term {nu_txt!r}")
+        terms[nu] = int(coeff_txt)
     return ClassSumExpansion(field=field, n=n, lam=lam, mu=mu, terms=terms)
 
 
 def _validate(expansion: ClassSumExpansion) -> None:
-    """The counting identity at finite n; the top-degree grading for stable
-    records (which have no single n to count in)."""
+    """Positive coefficients; the counting identity at finite n; the
+    top-degree grading for stable records (which have no single n to count
+    in)."""
     lam, mu, n = expansion.lam, expansion.mu, expansion.n
+    if any(coeff <= 0 for coeff in expansion.terms.values()):
+        raise ValueError("expansion holds a coefficient <= 0")
     if n is None:
         top = norm(lam) + norm(mu)
         if any(norm(nu) != top for nu in expansion.terms):
             raise ValueError("stable record holds a non-top-degree term")
         return
-    total = sum(coeff * class_size(nu, n) for nu, coeff in expansion.terms.items())
-    if total != class_size(lam, n) * class_size(mu, n):
+    total = sum(coeff * _class_size(nu, n)
+                for nu, coeff in expansion.terms.items())
+    if total != _class_size(lam, n) * _class_size(mu, n):
         raise ValueError("counting identity failed "
                          f"({total} pairs for key n={n})")
 
@@ -118,7 +143,8 @@ def default_cache_path() -> Path:
 
 
 class ExpansionCache:
-    """In-memory key → expansion map with load/save to a record file."""
+    """In-memory key → expansion map with load/save/append to a record
+    file."""
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
@@ -138,8 +164,9 @@ class ExpansionCache:
         self._records[key] = (expansion, _make_meta(seed))
 
     def load(self, path=None) -> int:
-        """Merge records from a file; returns how many were accepted.
-        Corrupt or foreign-version records are skipped with a warning."""
+        """Merge records from a file; returns how many lines were accepted.
+        Corrupt or foreign-version records are skipped with a warning, and
+        a later line replaces an earlier one with the same key."""
         target = Path(path) if path is not None else (self.path or
                                                       default_cache_path())
         if not target.exists():
@@ -163,6 +190,34 @@ class ExpansionCache:
                 self._records[key] = (expansion, meta)
                 accepted += 1
         return accepted
+
+    def append(self, key: str, expansion: ClassSumExpansion,
+               seed=None) -> Path:
+        """put(), then add the record as one line at the end of the file.
+
+        The line goes out in a single write on an O_APPEND descriptor, so
+        concurrent writers never interleave or drop each other's records.
+        A file whose last line is torn (no final newline, as a crashed
+        writer leaves it) gets a newline first, so the torn line stays one
+        skipped record instead of swallowing this one."""
+        self.put(key, expansion, seed)
+        target = self.path or default_cache_path()
+        target.parent.mkdir(parents=True, exist_ok=True)
+        line = (f"{key}\t{serialize_expansion(expansion)}"
+                f"\t{self._records[key][1]}\n")
+        fd = os.open(target, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = "\n" + line
+            data = line.encode("utf-8")
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise OSError(f"short write to {target}: {written} of "
+                          f"{len(data)} bytes")
+        return target
 
     def save(self, path=None) -> Path:
         """Write a complete snapshot atomically (temp file, then rename)."""

@@ -1,5 +1,6 @@
 """Subcommand behavior, output formats, exit codes, and cache plumbing."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from glq import classcalc
 from glq.classcalc import multiply_class_sums
 from glq.cli import VERIFY_STABILITY_TRIPLES, main
+from glq.errors import InconclusiveError
 from glq.field import field_make
 from glq.gltype import parse_gltype
 from glq.store import ExpansionCache, make_key, parse_expansion, parse_key
@@ -144,6 +146,18 @@ def test_invariant_failure_exits_one(capsys, monkeypatch):
     assert err.startswith("invariant failed: counting identity")
 
 
+def test_inconclusive_search_exits_one(capsys, monkeypatch):
+    def no_verdict(*args, **kwargs):
+        raise InconclusiveError("no invertible intertwiner found")
+
+    monkeypatch.setattr(classcalc.matfq, "conjugator", no_verdict)
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 1 and not out
+    assert err.startswith("inconclusive:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_mul_resource_bound_exit_code(capsys):
     code, _, err = run(capsys, "mul", "--q", "3", "--n", "4", "--no-cache",
                        "--memory-bound", "10",
@@ -208,6 +222,39 @@ def test_stable_uses_stable_cache_key(tmp_path, capsys):
                      "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 0
     assert path.read_text().startswith("q=3;n=stable;")
+
+
+_WRITER = """
+import json, sys
+from glq.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv + ["--cache", sys.argv[2], "--format", "machine"]) != 0:
+        sys.exit(1)
+"""
+
+
+def test_concurrent_writers_keep_every_record(tmp_path):
+    # two processes each add their own misses to one cache file; a snapshot
+    # rewrite per miss would drop whatever the other wrote in between
+    path = tmp_path / "cache.tsv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    batches = [
+        [["mul", "--q", "2", "--n", str(n), "--lambda", "1@t-1", "--mu", mu]
+         for n in (2, 3, 4) for mu in ("1@t-1", "")],
+        [["mul", "--q", "3", "--n", str(n), "--lambda", lam, "--mu", "1@t-2"]
+         for n in (2, 3) for lam in ("1@t-1", "1@t-2", "")],
+    ]
+    writers = [subprocess.Popen([sys.executable, "-c", _WRITER,
+                                 json.dumps(batch), str(path)], env=env,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+               for batch in batches]
+    for writer in writers:
+        _, err = writer.communicate(timeout=300)
+        assert writer.returncode == 0, err
+    fresh = ExpansionCache(path)
+    assert fresh.load() == len(fresh) == 12  # twelve distinct keys
 
 
 # ---------------------------------------------------------------------------

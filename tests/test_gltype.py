@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from glq import matfq, polyalg
-from glq.errors import ClassEmptyError
+from glq import gltype, matfq, polyalg
+from glq.errors import ClassEmptyError, InvariantError
 from glq.field import field_make
 from glq.gltype import (
     GLType, a_partition, canonical_matrix, centralizer_order, class_size,
@@ -346,6 +346,13 @@ def test_class_size_frozen():
     assert class_size(empty_type(F3), 4) == 1
     assert class_size(empty_type(F2), 1) == 1
     assert class_size(T(F2, "1@t-1"), 2) == 3
+
+
+def test_class_size_checks_divisibility_explicitly(monkeypatch):
+    # an explicit error, not an assert, so it also holds under python -O
+    monkeypatch.setattr(gltype, "centralizer_order", lambda T: 5)
+    with pytest.raises(InvariantError, match="must divide the group order"):
+        class_size(T(F3, "1@t-2"), 2)  # 5 does not divide |GL_2(3)| = 48
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])

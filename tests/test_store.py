@@ -1,5 +1,5 @@
-"""Cache keys, record serialization, revalidation on load, and the
-load/save round trip."""
+"""Cache keys, record serialization, revalidation on load, the load/save
+round trip, and appending records."""
 
 import itertools
 
@@ -173,6 +173,83 @@ def test_load_rejects_non_top_degree_stable_terms(tmp_path):
     fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="top-degree"):
         assert fresh.load() == 0
+
+
+def test_load_rejects_repeated_terms(tmp_path):
+    # the duplicate holds the same value, so the counting identity still holds
+    path = tmp_path / "cache.tsv"
+    expansion = multiply_class_sums(T(F3, "1@t-2"), T(F3, "1@t-2"), 2, F3)
+    cache = ExpansionCache(path)
+    cache.put(make_key(expansion.lam, expansion.mu, 2), expansion)
+    cache.save()
+    path.write_text(path.read_text().replace("∅,12|", "∅,12|∅,12|"))
+    fresh = ExpansionCache(path)
+    with pytest.warns(UserWarning, match="repeated expansion term"):
+        assert fresh.load() == 0
+
+
+@pytest.mark.parametrize("n, planted", [(2, "|1@t-2,0"), (None, ",-1")])
+def test_load_rejects_coefficients_below_one(tmp_path, n, planted):
+    # a zero term leaves the counting identity intact, and a negative one
+    # leaves a stable record's grading intact
+    path = tmp_path / "cache.tsv"
+    lam = T(F3, "1@t-2")
+    expansion = (multiply_class_sums(lam, lam, n, F3) if n is not None
+                 else stable_product(lam, lam, F3))
+    cache = ExpansionCache(path)
+    cache.put(make_key(lam, lam, n), expansion)
+    cache.save()
+    key, value, meta = path.read_text().rstrip("\n").split("\t")
+    if n is None:
+        value = value.rsplit(",", 1)[0] + planted
+    else:
+        value += planted
+    path.write_text(f"{key}\t{value}\t{meta}\n")
+    fresh = ExpansionCache(path)
+    with pytest.warns(UserWarning, match="coefficient <= 0"):
+        assert fresh.load() == 0
+
+
+def test_append_keeps_existing_lines_and_later_line_wins(tmp_path):
+    path = tmp_path / "cache.tsv"
+    lam = T(F3, "1@t-2")
+    key = make_key(lam, lam, 2)
+    cache = ExpansionCache(path)
+    cache.put(key, multiply_class_sums(lam, lam, 2, F3))
+    cache.save()
+    before = path.read_bytes()
+    # a second record for the same key that also passes revalidation
+    planted = multiply_class_sums(lam, lam, 2, F3)
+    planted.terms = {empty_type(F3): 12 * 12}
+    assert ExpansionCache(path).append(key, planted, seed=3) == path
+    after = path.read_bytes()
+    assert after.startswith(before) and after.count(b"\n") == 2
+    fresh = ExpansionCache(path)
+    assert fresh.load() == 2 and len(fresh) == 1
+    assert fresh.get(key).terms == planted.terms
+
+
+def test_append_after_torn_last_line(tmp_path):
+    path = tmp_path / "cache.tsv"
+    expansion = multiply_class_sums(T(F2, "1@t-1"), T(F2, "1@t-1"), 2, F2)
+    key = make_key(expansion.lam, expansion.mu, 2)
+    record = f"{key}\t{serialize_expansion(expansion)}"
+    path.write_text(record[:len(record) // 2])  # a writer died mid-line
+    ExpansionCache(path).append(key, expansion)
+    fresh = ExpansionCache(path)
+    with pytest.warns(UserWarning, match="skipping cache record") as seen:
+        assert fresh.load() == 1
+    assert len(seen) == 1 and ":1:" in str(seen[0].message)
+    assert fresh.get(key).terms == expansion.terms
+
+
+def test_append_creates_missing_file(tmp_path):
+    path = tmp_path / "nested" / "cache.tsv"
+    expansion = multiply_class_sums(T(F2, "1@t-1"), T(F2, "1@t-1"), 2, F2)
+    key = make_key(expansion.lam, expansion.mu, 2)
+    ExpansionCache(path).append(key, expansion)
+    fresh = ExpansionCache(path)
+    assert fresh.load() == 1 and fresh.get(key).terms == expansion.terms
 
 
 def test_load_missing_file_is_empty(tmp_path):
