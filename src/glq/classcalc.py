@@ -215,12 +215,17 @@ def enumerate_group(field: "Field", n: int,
 def enumerate_modified_types(field: "Field", max_norm: int, n: int) -> list:
     """All modified types ν with ‖ν‖ ≤ max_norm that have members in GL_n(q),
     sorted by (norm, canonical type order)."""
+    return list(_candidate_types(field, max_norm, n))
+
+
+@lru_cache(maxsize=64)
+def _candidate_types(field: "Field", max_norm: int, n: int) -> tuple:
     out = []
     for m in range(max_norm + 1):
         for ty in enumerate_plain_types(field, m):  # same data read as modified
             if min_rank(ty) <= n:
                 out.append(ty)
-    return sorted(out, key=lambda t: (norm(t), gltype_sort_key(t)))
+    return tuple(sorted(out, key=lambda t: (norm(t), gltype_sort_key(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +289,7 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
         prod = matfq.mat_mul(F, g, h0) if enum_on_left \
             else matfq.mat_mul(F, h0, g)
         counts[modified_type_of(F, prod)] += int(weight)
-    candidates = enumerate_modified_types(F, norm(lam) + norm(mu), n)
+    candidates = _candidate_types(F, norm(lam) + norm(mu), n)
     if not set(counts) <= set(candidates):
         raise InvariantError(
             "observed a product type outside the candidate set")
@@ -427,7 +432,8 @@ def normalize_triple(field: "Field", g: np.ndarray, h: np.ndarray,
     k = min_rank(nu)
     J = canonical_matrix(lift(nu, n))
     z = matfq.conjugator(field, gh, J, rng=rng)
-    assert z is not None, "gh is conjugate to its canonical matrix"
+    if z is None:
+        raise InvariantError("gh is not conjugate to its canonical matrix")
     zinv = matfq.inverse(field, z)
     gp = matfq.mat_mul(field, matfq.mat_mul(field, z, g), zinv)
     hp = matfq.mat_mul(field, matfq.mat_mul(field, z, h), zinv)
@@ -435,14 +441,14 @@ def normalize_triple(field: "Field", g: np.ndarray, h: np.ndarray,
     for name, M in (("g", gp), ("h", hp)):
         if not (matfq.mat_eq(M[k:, k:], eye) and not M[:k, k:].any()
                 and not M[k:, :k].any()):
-            raise AssertionError(
+            raise InvariantError(
                 f"conjugated {name} is not in diag(·, I) block form")
     gbar = np.ascontiguousarray(gp[:k, :k])
     hbar = np.ascontiguousarray(hp[:k, :k])
     if not matfq.mat_eq(matfq.mat_mul(field, gbar, hbar), J[:k, :k]):
-        raise AssertionError("block product does not match the canonical form")
+        raise InvariantError("block product does not match the canonical form")
     if k:
         if modified_type_of(field, gbar) != modified_type_of(field, g) or \
                 modified_type_of(field, hbar) != modified_type_of(field, h):
-            raise AssertionError("corner blocks changed modified type")
+            raise InvariantError("corner blocks changed modified type")
     return TripleNormalForm(z=z, gbar=gbar, hbar=hbar)

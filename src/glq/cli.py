@@ -214,8 +214,7 @@ def _cached(args, key: str, compute):
         return compute()
     cache = ExpansionCache(Path(args.cache) if args.cache
                            else default_cache_path())
-    cache.load()
-    expansion = cache.get(key)
+    expansion = cache.lookup(key)
     if expansion is None:
         expansion = compute()
         cache.append(key, expansion, seed=args.seed)

@@ -227,9 +227,9 @@ def reflection_length(field: "Field", A: np.ndarray) -> int:
     which equals rank(A − I)."""
     n = A.shape[0]
     r = matfq.rank(field, matfq.mat_sub(field, A, matfq.identity(n)))
-    if __debug__ and n <= 4:
-        assert r == norm(modified_type_of(field, A)), \
-            "rank(A - I) disagrees with the modified-type norm"
+    if n <= 4 and r != norm(modified_type_of(field, A)):
+        raise InvariantError(
+            "rank(A - I) disagrees with the modified-type norm")
     return r
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import polyalg
-from .errors import InconclusiveError
+from .errors import InconclusiveError, InvariantError
 
 if TYPE_CHECKING:
     from .field import Field
@@ -336,7 +336,8 @@ def conjugacy_invariant(field: Field, A: np.ndarray):
         while k < full:
             P = mat_mul(field, P, B)
             k_next = kernel_dim(field, P)
-            assert k_next > k, "kernel filtration must strictly grow"
+            if k_next <= k:
+                raise InvariantError("kernel filtration must strictly grow")
             dims.append(k_next)
             k = k_next
         data.append((f, tuple(dims)))
@@ -387,7 +388,9 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
     if conjugacy_invariant(field, A) != conjugacy_invariant(field, B):
         return None
     basis = commuting_space(field, A, B)
-    assert basis, "conjugate matrices have a nonzero intertwiner space"
+    if not basis:
+        raise InvariantError(
+            "matching invariants but no nonzero intertwiner: invariant bug")
     stack = np.stack(basis)
     s = len(basis)
     rng = rng if rng is not None else random.Random(0)
@@ -402,7 +405,7 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
             X = _combine(field, coeffs, stack)
             if X.any() and rank(field, X) == n:
                 return X
-        raise AssertionError(
+        raise InvariantError(
             "matching invariants but no invertible intertwiner: invariant bug")
     raise InconclusiveError(
         f"no invertible intertwiner found in {retries} samples from a space "

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import polyalg
 from .classcalc import stable_constant, structure_constant_at
-from .errors import ClassEmptyError
+from .errors import ClassEmptyError, InvariantError
 from .field import field_of_order
 from .gltype import (GLType, det_of_type, enumerate_plain_types, gltype_make,
                      min_rank, norm, q_binomial, q_int)
@@ -155,7 +155,8 @@ def predict_reflection_product(field: "Field", xi: int, eta: int,
     if parts == (2,):
         value = 2 * q if root in (xi, eta) else q
         return Prediction(value, PROVED, "two-reflection product table")
-    assert parts == (1,) and len(f) == 3, "norm-2 shapes are exhausted"
+    if parts != (1,) or len(f) != 3:
+        raise InvariantError("norm-2 shapes are exhausted")
     return Prediction(q + 1, PROVED, "two-reflection product table")
 
 
@@ -457,8 +458,8 @@ def fit_polynomial_in_q(points) -> FitResult:
         all_integer=all(c.denominator == 1 for c in coefficients),
         all_nonnegative_shifted=all(c >= 0 for c in shifted),
     )
-    for a, v in pts:
-        assert result.evaluate(a) == v, "interpolation must reproduce inputs"
+    if any(result.evaluate(a) != v for a, v in pts):
+        raise InvariantError("interpolation must reproduce inputs")
     return result
 
 

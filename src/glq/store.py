@@ -2,10 +2,11 @@
 
 One tab-separated record per line — canonical key, machine-format terms,
 metadata — so cache files are human-inspectable and diff-friendly.  The
-cache is advisory: loads revalidate each record's counting identity and
-skip (with a warning) anything corrupt or written by another version.  New
-records are appended one line at a time; when a key repeats, the last valid
-line wins.
+cache is advisory: every record read is revalidated (counting identity,
+grading of stable records) and anything corrupt or written by another
+version is skipped with a warning.  New records are appended one line at a
+time; when a key repeats, the last valid line wins.  A lookup of one key
+parses and revalidates only that key's lines.
 """
 
 from __future__ import annotations
@@ -130,6 +131,30 @@ def _check_meta(meta: str) -> None:
         raise ValueError(f"version {fields.get('v')!r} != {__version__!r}")
 
 
+def _parse_record(target: Path, lineno: int, line: str):
+    """(key, expansion, meta) of one record line, or None after warning
+    that the line is corrupt or from another version."""
+    try:
+        key, value, meta = line.split("\t")
+        _check_meta(meta)
+        field, n, lam, mu = parse_key(key)
+        expansion = parse_expansion(field, n, lam, mu, value)
+        _validate(expansion)
+    except (ValueError, KeyError) as exc:
+        # stacklevel 3: the caller of load() or lookup()
+        warnings.warn(f"skipping cache record at {target}:{lineno}: {exc}",
+                      stacklevel=3)
+        return None
+    return key, expansion, meta
+
+
+def _numbered_lines(target: Path):
+    """(line number, line without its newline) for each line of the file."""
+    with open(target, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            yield lineno, line.rstrip("\n")
+
+
 # ---------------------------------------------------------------------------
 # the cache
 # ---------------------------------------------------------------------------
@@ -143,8 +168,8 @@ def default_cache_path() -> Path:
 
 
 class ExpansionCache:
-    """In-memory key → expansion map with load/save/append to a record
-    file."""
+    """In-memory key → expansion map with load/lookup/save/append on a
+    record file."""
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
@@ -163,33 +188,50 @@ class ExpansionCache:
     def put(self, key: str, expansion: ClassSumExpansion, seed=None) -> None:
         self._records[key] = (expansion, _make_meta(seed))
 
+    def _target(self, path=None) -> Path:
+        if path is not None:
+            return Path(path)
+        return self.path or default_cache_path()
+
     def load(self, path=None) -> int:
         """Merge records from a file; returns how many lines were accepted.
         Corrupt or foreign-version records are skipped with a warning, and
         a later line replaces an earlier one with the same key."""
-        target = Path(path) if path is not None else (self.path or
-                                                      default_cache_path())
+        target = self._target(path)
         if not target.exists():
             return 0
         accepted = 0
-        with open(target, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    key, value, meta = line.split("\t")
-                    _check_meta(meta)
-                    field, n, lam, mu = parse_key(key)
-                    expansion = parse_expansion(field, n, lam, mu, value)
-                    _validate(expansion)
-                except (ValueError, KeyError) as exc:
-                    warnings.warn(f"skipping cache record at {target}:{lineno}:"
-                                  f" {exc}", stacklevel=2)
-                    continue
+        for lineno, line in _numbered_lines(target):
+            if not line or line.startswith("#"):
+                continue
+            record = _parse_record(target, lineno, line)
+            if record is not None:
+                key, expansion, meta = record
                 self._records[key] = (expansion, meta)
                 accepted += 1
         return accepted
+
+    def lookup(self, key: str) -> ClassSumExpansion | None:
+        """The expansion under key in the cache file, or None.
+
+        Same answer as load() then get(key), but only the lines of this key
+        are parsed and revalidated, last first: the first valid one wins and
+        is kept in memory.  A skipped line of this key warns as in load();
+        lines of other keys are not examined."""
+        target = self._target()
+        if not target.exists():
+            return None
+        prefix = key + "\t"
+        candidates = [(lineno, line)
+                      for lineno, line in _numbered_lines(target)
+                      if line.startswith(prefix)]
+        for lineno, line in reversed(candidates):
+            record = _parse_record(target, lineno, line)
+            if record is not None:
+                _, expansion, meta = record
+                self._records[key] = (expansion, meta)
+                return expansion
+        return None
 
     def append(self, key: str, expansion: ClassSumExpansion,
                seed=None) -> Path:
@@ -201,7 +243,7 @@ class ExpansionCache:
         writer leaves it) gets a newline first, so the torn line stays one
         skipped record instead of swallowing this one."""
         self.put(key, expansion, seed)
-        target = self.path or default_cache_path()
+        target = self._target()
         target.parent.mkdir(parents=True, exist_ok=True)
         line = (f"{key}\t{serialize_expansion(expansion)}"
                 f"\t{self._records[key][1]}\n")
@@ -221,8 +263,7 @@ class ExpansionCache:
 
     def save(self, path=None) -> Path:
         """Write a complete snapshot atomically (temp file, then rename)."""
-        target = Path(path) if path is not None else (self.path or
-                                                      default_cache_path())
+        target = self._target(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         temp = target.with_name(target.name + f".tmp{os.getpid()}")
         with open(temp, "w", encoding="utf-8") as handle:

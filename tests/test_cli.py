@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from glq import classcalc
+from glq import classcalc, matfq
 from glq.classcalc import multiply_class_sums
 from glq.cli import VERIFY_STABILITY_TRIPLES, main
-from glq.errors import InconclusiveError
+from glq.errors import InconclusiveError, InvariantError
 from glq.field import field_make
 from glq.gltype import parse_gltype
 from glq.store import ExpansionCache, make_key, parse_expansion, parse_key
@@ -158,6 +158,20 @@ def test_inconclusive_search_exits_one(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_missing_intertwiner_exits_one(capsys, monkeypatch):
+    # the conjugator's own checks run on every product, via the centralizer
+    # samples, and must hold under python -O
+    monkeypatch.setattr(matfq, "commuting_space", lambda *args: [])
+    lam = parse_gltype(F3, "1@t-2")
+    with pytest.raises(InvariantError, match="intertwiner"):
+        multiply_class_sums(lam, lam, 2, F3)
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 1 and not out
+    assert err.startswith("invariant failed:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_mul_resource_bound_exit_code(capsys):
     code, _, err = run(capsys, "mul", "--q", "3", "--n", "4", "--no-cache",
                        "--memory-bound", "10",
@@ -202,6 +216,20 @@ def test_mul_reads_cache_before_computing(tmp_path, capsys):
                        "--cache", str(path),
                        "--lambda", "1@t-2", "--mu", "1@t-2")
     assert out.strip().splitlines()[1].split() == ["∅", "12"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--q", "3", "--n", "3", "--lambda", "1@t-2", "--mu", "1@t-1"),
+    ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2"),
+])
+def test_cache_hit_prints_the_bytes_of_its_miss(tmp_path, capsys, argv):
+    path = tmp_path / "cache.tsv"
+    argv = (*argv, "--cache", str(path), "--format", "machine")
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0 and path.read_text().count("\n") == 1
+    code, hit, _ = run(capsys, *argv)
+    assert code == 0 and path.read_text().count("\n") == 1  # no new line
+    assert hit == miss != ""
 
 
 def test_cache_flag_overrides_environment(tmp_path, capsys, monkeypatch):
@@ -391,3 +419,20 @@ def test_output_is_unchanged_under_python_O(argv):
                                capture_output=True, text=True)
     assert plain.returncode == optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout != ""
+
+
+def test_cache_hit_and_miss_agree_under_python_O(tmp_path):
+    # a hit revalidates its record with explicit checks that -O keeps
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "cache.tsv"
+    command = (sys.executable, "-O", "-m", "glq.cli", "mul", "--q", "3",
+               "--n", "3", "--lambda", "1@t-2", "--mu", "1@t-1",
+               "--cache", str(path), "--format", "machine")
+    miss = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert miss.returncode == 0, miss.stderr
+    assert path.read_text().count("\n") == 1
+    hit = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert hit.returncode == 0, hit.stderr
+    assert path.read_text().count("\n") == 1  # served, not recomputed
+    assert hit.stdout == miss.stdout != ""

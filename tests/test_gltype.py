@@ -237,6 +237,18 @@ def test_reflection_length_frozen():
     assert reflection_length(F3, canonical_matrix(lift(nu, 4))) == 2
 
 
+def test_reflection_length_cross_check_is_explicit(monkeypatch):
+    # an explicit error, not an assert, so it also holds under python -O
+    J = polyalg.jordan_block(F3, polyalg.t_minus_one(F3), 2)
+    A = matfq.block_diag([J, matfq.identity(2)])
+    monkeypatch.setattr(gltype, "modified_type_of",
+                        lambda field, A: empty_type(field))
+    with pytest.raises(InvariantError, match="modified-type norm"):
+        reflection_length(F3, A)
+    # beyond n = 4 the cross-check is skipped
+    assert reflection_length(F3, matfq.block_diag([J, matfq.identity(3)])) == 1
+
+
 def test_reflection_length_subadditive():
     rng = random.Random(77)
     for _ in range(10):

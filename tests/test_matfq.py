@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from glq import matfq, polyalg
+from glq.errors import InvariantError
 from glq.field import field_make
 
 F2 = field_make(2)
@@ -400,6 +401,28 @@ def test_conjugator_scalar_versus_nonscalar():
         matfq.scalar_matrix(F5, 2, 2),
         matfq.mat_from_rows(F5, [[2, 1], [0, 2]]),
     ) is None
+
+
+def test_conjugacy_invariant_checks_its_filtration(monkeypatch):
+    # an explicit error, not an assert, so it also holds under python -O
+    J = polyalg.jordan_block(F3, polyalg.t_minus_one(F3), 2)
+    monkeypatch.setattr(matfq, "kernel_dim", lambda field, B: 1)
+    with pytest.raises(InvariantError, match="strictly grow"):
+        matfq.conjugacy_invariant(F3, J)
+
+
+def test_conjugator_without_intertwiners_raises(monkeypatch):
+    # explicit errors, not asserts, so they also hold under python -O
+    A = matfq.mat_from_rows(F3, [[1, 0], [0, 2]])
+    B = matfq.mat_from_rows(F3, [[2, 0], [0, 1]])
+    monkeypatch.setattr(matfq, "commuting_space", lambda *args: [])
+    with pytest.raises(InvariantError, match="no nonzero intertwiner"):
+        matfq.conjugator(F3, A, B)
+    monkeypatch.undo()
+    monkeypatch.setattr(matfq, "_combine",
+                        lambda field, coeffs, stack: stack[0] * 0)
+    with pytest.raises(InvariantError, match="no invertible intertwiner"):
+        matfq.conjugator(F3, A, B)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Cache keys, record serialization, revalidation on load, the load/save
-round trip, and appending records."""
+round trip, one-key lookups, and appending records."""
 
 import itertools
+import warnings
 
 import pytest
 
@@ -250,6 +251,96 @@ def test_append_creates_missing_file(tmp_path):
     ExpansionCache(path).append(key, expansion)
     fresh = ExpansionCache(path)
     assert fresh.load() == 1 and fresh.get(key).terms == expansion.terms
+
+
+# ---------------------------------------------------------------------------
+# one-key lookups
+# ---------------------------------------------------------------------------
+
+def test_lookup_later_valid_line_wins(tmp_path):
+    path = tmp_path / "cache.tsv"
+    lam = T(F3, "1@t-2")
+    key = make_key(lam, lam, 2)
+    cache = ExpansionCache(path)
+    cache.append(key, multiply_class_sums(lam, lam, 2, F3))
+    planted = multiply_class_sums(lam, lam, 2, F3)
+    planted.terms = {empty_type(F3): 12 * 12}
+    cache.append(key, planted)
+    fresh = ExpansionCache(path)
+    assert fresh.lookup(key).terms == planted.terms
+    assert fresh.get(key).terms == planted.terms
+
+
+def test_lookup_falls_back_past_a_corrupt_line_of_its_key(tmp_path):
+    path = tmp_path / "cache.tsv"
+    lam = T(F3, "1@t-2")
+    key = make_key(lam, lam, 2)
+    expansion = multiply_class_sums(lam, lam, 2, F3)
+    ExpansionCache(path).append(key, expansion)
+    good = path.read_text()
+    path.write_text(good + good.replace("∅,12|", "∅,13|"))
+    with pytest.warns(UserWarning, match="counting identity") as seen:
+        assert ExpansionCache(path).lookup(key).terms == expansion.terms
+    assert len(seen) == 1 and f"{path}:2:" in str(seen[0].message)
+
+
+def test_lookup_ignores_corrupt_lines_of_other_keys(tmp_path):
+    path = tmp_path / "cache.tsv"
+    lam, mu = T(F3, "1@t-2"), T(F3, "1@t-1")
+    key, other = make_key(lam, lam, 2), make_key(lam, mu, 2)
+    expansion = multiply_class_sums(lam, lam, 2, F3)
+    cache = ExpansionCache(path)
+    cache.put(key, expansion)
+    cache.put(other, multiply_class_sums(lam, mu, 2, F3))
+    cache.save()
+    text = path.read_text()
+    corrupt = "".join(line.replace("|", "|junk|") + "\n"
+                      for line in text.splitlines() if line.startswith(other))
+    path.write_text(text + corrupt + "no tabs at all\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ExpansionCache(path).lookup(key).terms == expansion.terms
+    with pytest.warns(UserWarning, match="skipping cache record"):
+        assert ExpansionCache(path).load() == 2  # load() still reports them
+
+
+def test_lookup_skips_a_torn_last_line(tmp_path):
+    path = tmp_path / "cache.tsv"
+    lam = T(F3, "1@t-2")
+    key = make_key(lam, lam, 2)
+    expansion = multiply_class_sums(lam, lam, 2, F3)
+    ExpansionCache(path).append(key, expansion)
+    line = path.read_text()
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line[:len(line) // 2 + 8])  # a writer died mid-line
+    with pytest.warns(UserWarning, match=":2:"):
+        assert ExpansionCache(path).lookup(key).terms == expansion.terms
+
+
+def test_lookup_agrees_with_load_then_get(tmp_path):
+    path = tmp_path / "cache.tsv"
+    lam, mu = T(F3, "1@t-2"), T(F3, "1@t-1")
+    cache = ExpansionCache(path)
+    for a, b, n in ((lam, lam, 2), (lam, mu, 2), (lam, mu, 3)):
+        cache.append(make_key(a, b, n), multiply_class_sums(a, b, n, F3))
+    text = path.read_text()
+    path.write_text(text + text.replace("v=", "v=999."))
+    keys = [make_key(lam, lam, 2), make_key(lam, mu, 3),
+            make_key(mu, mu, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loaded = ExpansionCache(path)
+        loaded.load()
+        for key in keys:
+            got = ExpansionCache(path).lookup(key)
+            want = loaded.get(key)
+            assert (got and got.terms) == (want and want.terms)
+
+
+def test_lookup_missing_file_is_none(tmp_path):
+    cache = ExpansionCache(tmp_path / "absent.tsv")
+    assert cache.lookup("q=3;n=2;lambda=∅;mu=∅") is None
+    assert len(cache) == 0
 
 
 def test_load_missing_file_is_empty(tmp_path):
