@@ -215,17 +215,12 @@ def enumerate_group(field: "Field", n: int,
 def enumerate_modified_types(field: "Field", max_norm: int, n: int) -> list:
     """All modified types ν with ‖ν‖ ≤ max_norm that have members in GL_n(q),
     sorted by (norm, canonical type order)."""
-    return list(_candidate_types(field, max_norm, n))
-
-
-@lru_cache(maxsize=64)
-def _candidate_types(field: "Field", max_norm: int, n: int) -> tuple:
     out = []
     for m in range(max_norm + 1):
         for ty in enumerate_plain_types(field, m):  # same data read as modified
             if min_rank(ty) <= n:
                 out.append(ty)
-    return tuple(sorted(out, key=lambda t: (norm(t), gltype_sort_key(t))))
+    return sorted(out, key=lambda t: (norm(t), gltype_sort_key(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +284,7 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
         prod = matfq.mat_mul(F, g, h0) if enum_on_left \
             else matfq.mat_mul(F, h0, g)
         counts[modified_type_of(F, prod)] += int(weight)
-    candidates = _candidate_types(F, norm(lam) + norm(mu), n)
+    candidates = enumerate_modified_types(F, norm(lam) + norm(mu), n)
     if not set(counts) <= set(candidates):
         raise InvariantError(
             "observed a product type outside the candidate set")

@@ -215,9 +215,9 @@ class ExpansionCache:
         """The expansion under key in the cache file, or None.
 
         Same answer as load() then get(key), but only the lines of this key
-        are parsed and revalidated, last first: the first valid one wins and
-        is kept in memory.  A skipped line of this key warns as in load();
-        lines of other keys are not examined."""
+        are parsed and revalidated, last first: the first valid one wins.
+        A skipped line of this key warns as in load(); lines of other keys
+        are not examined."""
         target = self._target()
         if not target.exists():
             return None
@@ -228,9 +228,7 @@ class ExpansionCache:
         for lineno, line in reversed(candidates):
             record = _parse_record(target, lineno, line)
             if record is not None:
-                _, expansion, meta = record
-                self._records[key] = (expansion, meta)
-                return expansion
+                return record[1]
         return None
 
     def append(self, key: str, expansion: ClassSumExpansion,

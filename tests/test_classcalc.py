@@ -140,23 +140,6 @@ def test_class_too_large():
         enumerate_class(T(F3, "1@t-2"), 2, memory_bound=10)
 
 
-def test_candidate_memo_is_not_shared_with_callers():
-    lam = T(F3, "1@t-2")
-    first = multiply_class_sums(lam, lam, 2, F3).terms
-    types = enumerate_modified_types(F3, 2, 2)
-    expected = list(types)
-    types.clear()
-    types.append(T(F3, "1@t-1"))
-    assert enumerate_modified_types(F3, 2, 2) == expected
-    assert multiply_class_sums(lam, lam, 2, F3).terms == first
-    # products sharing (F, ‖λ‖+‖μ‖, n) read one memo and stay exact
-    for a, b in (("1@t-1", "1@t-2"), ("1@t-1", "1@t-1"), ("2@t-2", "")):
-        a, b = T(F3, a), T(F3, b)
-        terms = multiply_class_sums(a, b, 2, F3).terms
-        assert terms == multiply_class_sums(a, b, 2, F3).terms
-        assert terms == multiply_oracle(a, b, 2, F3).terms
-
-
 def test_enumerate_modified_types_frozen():
     got = [format_gltype(t) for t in enumerate_modified_types(F3, 1, 2)]
     assert got == ["∅", "1@t-1", "1@t-2"]
