@@ -166,16 +166,11 @@ def enumerate_class(mu: GLType, n: int, field: "Field" = None,
         raise ClassTooLargeError(
             f"class of size {size} exceeds the memory bound {memory_bound}; "
             "raise it with --memory-bound (memory_bound in the library)")
-    if memory_bound == DEFAULT_MEMORY_BOUND:
-        return _enumerate_class_cached(mu, n)
     return _build_orbit(mu, n)
 
 
+# behind enumerate_class's bound check: never serves a class the bound refuses
 @lru_cache(maxsize=4)
-def _enumerate_class_cached(mu: GLType, n: int) -> ClassOrbit:
-    return _build_orbit(mu, n)
-
-
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     F = mu.field
     J = canonical_matrix(lift(mu, n))
@@ -284,17 +279,14 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
         prod = matfq.mat_mul(F, g, h0) if enum_on_left \
             else matfq.mat_mul(F, h0, g)
         counts[modified_type_of(F, prod)] += int(weight)
-    candidates = enumerate_modified_types(F, norm(lam) + norm(mu), n)
-    if not set(counts) <= set(candidates):
+    max_norm = norm(lam) + norm(mu)
+    if any(norm(nu) > max_norm or min_rank(nu) > n for nu in counts):
         raise InvariantError(
             "observed a product type outside the candidate set")
     other_size = size_mu if enum_on_left else size_lam
     terms = {}
     total = 0
-    for nu in candidates:
-        c = counts.get(nu, 0)
-        if not c:
-            continue
+    for nu, c in counts.items():
         size_nu = class_size(nu, n)
         a, rem = divmod(c * other_size, size_nu)
         if rem:

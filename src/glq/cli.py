@@ -4,7 +4,7 @@ verification suites.
 
 Exit codes: 0 success (conjectural mismatches are findings, still 0);
 1 proved-formula mismatch, invariant failure or inconclusive randomized
-search; 2 usage or domain error; 3 resource-bound abort.
+search; 2 usage, domain or cache-file I/O error; 3 resource-bound abort.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, polyalg
+from . import __version__, matfq, polyalg
 from .classcalc import (DEFAULT_MEMORY_BOUND, enumerate_group,
                         enumerate_modified_types, multiply_class_sums,
                         multiply_oracle, stable_product, verify_stability)
@@ -420,12 +420,12 @@ def _suite_centralizers(args, rows) -> int:
     for q in (2, 3):
         field = field_of_order(q)
         for n in (1, 2, 3):
-            group = np.stack(list(enumerate_group(field, n))).astype(np.int64)
+            group = np.stack(list(enumerate_group(field, n)))
             bad = 0
             for T in enumerate_plain_types(field, n):
-                J = canonical_matrix(T).astype(np.int64)
-                left = (group @ J) % field.p
-                right = (J @ group) % field.p
+                J = canonical_matrix(T)
+                left = matfq.mat_mul(field, group, J)
+                right = matfq.mat_mul(field, J, group)
                 commutant = int(np.all(left == right, axis=(1, 2)).sum())
                 if commutant != centralizer_order(T):
                     bad += 1
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

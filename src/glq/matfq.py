@@ -126,78 +126,17 @@ def mat_eq(A: np.ndarray, B: np.ndarray) -> bool:
 # elimination: rank, inverse, nullspace
 # ---------------------------------------------------------------------------
 
-def rank(field: Field, A: np.ndarray) -> int:
-    """Gaussian elimination with exact pivoting."""
-    rows = A.tolist()
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
+def _reduce(field: Field, rows: list, ncols: int) -> list[int]:
+    """Reduced row echelon form of the first ncols columns of rows (int lists,
+    changed in place; later columns ride along); returns the pivot columns."""
     add, mul, neg, inv = (field.add_table, field.mul_table,
                           field.neg_table, field.inv_table)
-    r = 0
+    m = len(rows)
+    pivots: list[int] = []
     for c in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][c]), -1)
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pinv = inv[prow[c]]
-        for i in range(r + 1, m):
-            a = rows[i][c]
-            if a:
-                u = mul[a][pinv]
-                ri, urow = rows[i], mul[u]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        ri[j] = add[ri[j]][neg[urow[prow[j]]]]
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    return r
-
-
-def kernel_dim(field: Field, A: np.ndarray) -> int:
-    return A.shape[1] - rank(field, A)
-
-
-def inverse(field: Field, A: np.ndarray) -> np.ndarray:
-    """Inverse by augmented elimination; singular input signals non-membership
-    in GL_n(q)."""
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("inverse requires a square matrix")
-    add, mul, neg, inv = (field.add_table, field.mul_table,
-                          field.neg_table, field.inv_table)
-    rows = [a + e for a, e in zip(A.tolist(), identity(n).tolist())]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), -1)
-        if piv < 0:
-            raise ValueError("matrix is singular over " + repr(field))
-        rows[c], rows[piv] = rows[piv], rows[c]
-        prow = rows[c]
-        pinv = inv[prow[c]]
-        if pinv != 1:
-            rows[c] = prow = [mul[pinv][v] for v in prow]
-        for i in range(n):
-            if i == c:
-                continue
-            a = rows[i][c]
-            if a:
-                ri, arow = rows[i], mul[a]
-                for j in range(c, 2 * n):
-                    if prow[j]:
-                        ri[j] = add[ri[j]][neg[arow[prow[j]]]]
-    return np.array([r[n:] for r in rows], dtype=np.uint8)
-
-
-def nullspace(field: Field, A: np.ndarray) -> list[np.ndarray]:
-    """Basis of the right kernel {v : A v = 0} as length-cols vectors."""
-    m, ncols = A.shape
-    add, mul, neg, inv = (field.add_table, field.mul_table,
-                          field.neg_table, field.inv_table)
-    rows = A.tolist()
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
         piv = next((i for i in range(r, m) if rows[i][c]), -1)
         if piv < 0:
             continue
@@ -212,13 +151,40 @@ def nullspace(field: Field, A: np.ndarray) -> list[np.ndarray]:
             a = rows[i][c]
             if a:
                 ri, arow = rows[i], mul[a]
-                for j in range(c, ncols):
+                for j in range(c, len(prow)):
                     if prow[j]:
                         ri[j] = add[ri[j]][neg[arow[prow[j]]]]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    return pivots
+
+
+def rank(field: Field, A: np.ndarray) -> int:
+    """Gaussian elimination with exact pivoting."""
+    return len(_reduce(field, A.tolist(), A.shape[1]))
+
+
+def kernel_dim(field: Field, A: np.ndarray) -> int:
+    return A.shape[1] - rank(field, A)
+
+
+def inverse(field: Field, A: np.ndarray) -> np.ndarray:
+    """Inverse by reducing [A | I]; singular input signals non-membership
+    in GL_n(q)."""
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("inverse requires a square matrix")
+    rows = [a + e for a, e in zip(A.tolist(), identity(n).tolist())]
+    if len(_reduce(field, rows, n)) < n:
+        raise ValueError("matrix is singular over " + repr(field))
+    return np.array([r[n:] for r in rows], dtype=np.uint8)
+
+
+def nullspace(field: Field, A: np.ndarray) -> list[np.ndarray]:
+    """Basis of the right kernel {v : A v = 0} as length-cols vectors."""
+    ncols = A.shape[1]
+    rows = A.tolist()
+    pivots = _reduce(field, rows, ncols)
+    neg = field.neg_table
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:

@@ -149,8 +149,9 @@ def _parse_record(target: Path, lineno: int, line: str):
 
 
 def _numbered_lines(target: Path):
-    """(line number, line without its newline) for each line of the file."""
-    with open(target, encoding="utf-8") as handle:
+    """(line number, line without its newline) for each line of the file;
+    a line torn inside a multi-byte character like ∅ decodes with U+FFFD."""
+    with open(target, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             yield lineno, line.rstrip("\n")
 

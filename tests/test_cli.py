@@ -172,6 +172,23 @@ def test_missing_intertwiner_exits_one(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stray", [
+    "1@t^3+2*t+2",  # norm 3 > ‖λ‖+‖μ‖ = 2
+    "2@t-1",        # norm 2, but no members below rank 3 > n = 2
+])
+def test_product_type_outside_candidates_exits_one(capsys, monkeypatch,
+                                                   stray):
+    monkeypatch.setattr(classcalc, "modified_type_of",
+                        lambda *args: parse_gltype(F3, stray))
+    lam = parse_gltype(F3, "1@t-2")
+    with pytest.raises(InvariantError, match="outside the candidate set"):
+        multiply_class_sums(lam, lam, 2, F3)
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 1 and not out
+    assert err.startswith("invariant failed:") and len(err.splitlines()) == 1
+
+
 def test_mul_resource_bound_exit_code(capsys):
     code, _, err = run(capsys, "mul", "--q", "3", "--n", "4", "--no-cache",
                        "--memory-bound", "10",
@@ -250,6 +267,35 @@ def test_stable_uses_stable_cache_key(tmp_path, capsys):
                      "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 0
     assert path.read_text().startswith("q=3;n=stable;")
+
+
+def test_torn_multibyte_character_skips_only_its_line(tmp_path, capsys):
+    # a writer that died inside '∅' (3 bytes in UTF-8) leaves a line that is
+    # not valid UTF-8; the hit and the miss are still served
+    path = tmp_path / "cache.tsv"
+    hit = ("mul", "--q", "3", "--n", "2", "--lambda", "1@t-2",
+           "--mu", "1@t-2", "--format", "machine")
+    miss = ("mul", "--q", "3", "--n", "2", "--lambda", "1@t-2",
+            "--mu", "1@t-1", "--format", "machine")
+    _, hit_out, _ = run(capsys, *hit, "--no-cache")
+    _, miss_out, _ = run(capsys, *miss, "--no-cache")
+    assert run(capsys, *hit, "--cache", str(path))[0] == 0
+    line = path.read_bytes()
+    path.write_bytes(line + line[:line.index("∅".encode()) + 1])
+    with pytest.warns(UserWarning, match=":2:"):
+        assert run(capsys, *hit, "--cache", str(path))[:2] == (0, hit_out)
+    assert run(capsys, *miss, "--cache", str(path))[:2] == (0, miss_out)
+    with pytest.warns(UserWarning, match="skipping cache record") as seen:
+        assert ExpansionCache(path).load() == 2
+    assert len(seen) == 1 and f"{path}:2:" in str(seen[0].message)
+
+
+def test_unusable_cache_path_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2",
+                         "--cache", str(tmp_path),  # a directory
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 _WRITER = """

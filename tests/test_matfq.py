@@ -15,6 +15,7 @@ F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
 F5 = field_make(5)
+F9 = field_make(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_conjugate_stack_matches_mat_mul(field, monkeypatch):
 # rank / kernel / inverse / nullspace
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("field", [F2, F3, F4])
+@pytest.mark.parametrize("field", [F2, F3, F4, F9])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_rank_matches_kernel_count(field, shape):
     rng = random.Random(shape[0] * 10 + shape[1])
@@ -166,7 +167,7 @@ def test_rank_matches_kernel_count(field, shape):
         assert matfq.kernel_dim(field, A) == shape[1] - r
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
 def test_rank_equals_rank_of_transpose(field):
     rng = random.Random(7)
     for _ in range(12):
@@ -186,7 +187,7 @@ def test_inverse_rejects_singular():
         matfq.inverse(F3, matfq.mat_from_rows(F3, [[1, 2], [2, 1]]))
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
 def test_inverse_round_trip_sweep(field):
     rng = random.Random(23)
     for n in (1, 2, 3, 4):
@@ -196,14 +197,27 @@ def test_inverse_round_trip_sweep(field):
         assert matfq.mat_eq(matfq.mat_mul(field, Ainv, A), matfq.identity(n))
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4])
+@pytest.mark.parametrize("field", [F2, F3, F4, F9])
 def test_nullspace_spans_kernel(field):
     rng = random.Random(31)
-    for _ in range(8):
-        A = np.array(
+    wide = [
+        np.array(
             [[rng.randrange(field.q) for _ in range(4)] for _ in range(2)],
             dtype=np.uint8,
         )
+        for _ in range(8)
+    ]
+    # 3x3 and 4x3 products of (rows x 2)(2 x 3) factors: rank at most 2, so
+    # square singular and tall matrices that always have a kernel
+    thin = [
+        matfq.mat_mul(field,
+                      np.array([[rng.randrange(field.q) for _ in range(2)]
+                                for _ in range(rows)], dtype=np.uint8),
+                      np.array([[rng.randrange(field.q) for _ in range(3)]
+                                for _ in range(2)], dtype=np.uint8))
+        for rows in (3, 4) for _ in range(8)
+    ]
+    for A in wide + thin:
         basis = matfq.nullspace(field, A)
         assert len(basis) == matfq.kernel_dim(field, A)
         for v in basis:
