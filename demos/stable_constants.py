@@ -4,6 +4,8 @@ normal form that explains why."""
 
 import random
 
+import numpy as np
+
 from glq.classcalc import (normalize_triple, stable_product, verify_stability)
 from glq.field import field_make
 from glq.gltype import (min_rank, modified_type_of, parse_gltype)
@@ -40,9 +42,9 @@ assert agree == len(reports)
 print("\nthe mechanism: any length-additive pair is conjugate to a pair of")
 print("matrices supported on a common top-left corner —")
 rng = random.Random(5)
-g = matfq.block_diag([matfq.scalar_matrix(F3, 2, 1), matfq.identity(3)])
-h = matfq.block_diag([matfq.identity(1), matfq.scalar_matrix(F3, 2, 1),
-                      matfq.identity(2)])
+two = np.array([[2]], dtype=np.uint8)  # the 1×1 block diag(2)
+g = matfq.block_diag([two, matfq.identity(3)])
+h = matfq.block_diag([matfq.identity(1), two, matfq.identity(2)])
 form = normalize_triple(F3, g, h, rng=rng)
 k = form.gbar.shape[0]
 print(f"  corner size {k} = minimal size for the product type "

@@ -25,12 +25,11 @@ from .field import field_make, field_of_order
 from .gltype import (canonical_matrix, centralizer_order, class_size,
                      enumerate_plain_types, format_gltype, gl_order, lift,
                      min_rank, modify, norm, parse_gltype, type_of)
-from .stablecenter import (check_case, sweep_merge_irreducible,
-                           sweep_two_reflections, sweep_union_distinct,
-                           sweep_union_equal, fit_polynomial_in_n,
-                           fit_polynomial_in_q)
-from .store import (ExpansionCache, default_cache_path, make_key,
-                    serialize_expansion)
+from .stablecenter import (CASES, check_case, fit_polynomial_in_n,
+                           fit_polynomial_in_q, parse_case_params,
+                           sweep_merge_irreducible, sweep_two_reflections,
+                           sweep_union_distinct, sweep_union_equal)
+from .store import ExpansionCache, default_cache_path, format_record, make_key
 
 __all__ = ["main", "build_parser", "VERIFY_STABILITY_TRIPLES"]
 
@@ -39,15 +38,20 @@ __all__ = ["main", "build_parser", "VERIFY_STABILITY_TRIPLES"]
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_options(p: argparse.ArgumentParser, bound: bool = False,
+                 cache: bool = False) -> None:
+    """--format everywhere; --memory-bound where classes are enumerated;
+    --seed and the cache options where expansions are cached."""
     p.add_argument("--format", choices=("table", "csv", "machine"),
                    default="table")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--memory-bound", dest="memory_bound", type=int,
-                   default=DEFAULT_MEMORY_BOUND)
-    p.add_argument("--cache", default=None,
-                   help="cache file (overrides GLQ_CACHE)")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true")
+    if bound:
+        p.add_argument("--memory-bound", dest="memory_bound", type=int,
+                       default=DEFAULT_MEMORY_BOUND)
+    if cache:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--cache", default=None,
+                       help="cache file (overrides GLQ_CACHE)")
+        p.add_argument("--no-cache", dest="no_cache", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,19 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--e", type=int, default=1)
     p.add_argument("--dmax", type=int, required=True)
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(handler=_cmd_irr)
 
     p = sub.add_parser("classes", help="conjugacy-class table of GL_n(q)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(handler=_cmd_classes)
 
     p = sub.add_parser("type", help="types of one matrix (rows 'a,b;c,d')")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--matrix", required=True)
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(handler=_cmd_type)
 
     p = sub.add_parser("mul", help="full class-sum product at one rank")
@@ -83,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    _add_common(p)
+    _add_options(p, bound=True, cache=True)
     p.set_defaults(handler=_cmd_mul)
 
     p = sub.add_parser("stable", help="top-degree stable expansion")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    _add_common(p)
+    _add_options(p, bound=True, cache=True)
     p.set_defaults(handler=_cmd_stable)
 
     p = sub.add_parser("fit", help="exact polynomial interpolation")
@@ -101,25 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu")
     p.add_argument("--nu")
     p.add_argument("--ns", help="n fits: ranks 'n1,n2,...'")
-    _add_common(p)
+    _add_options(p, bound=True)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("--suite", required=True,
                    choices=("stability", "oracle", "centralizers", "formulas"))
-    _add_common(p)
+    _add_options(p, bound=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("check", help="one predictor-vs-computation case")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--case", required=True,
-                   choices=("two-reflections", "union-distinct", "union-equal",
-                            "union-mixed", "union-poly", "union-poly-mixed",
-                            "merge-irreducible"))
+    p.add_argument("--case", required=True, choices=CASES)
     p.add_argument("--params", default="",
                    help="semicolon-joined key=value pairs, e.g. 'xi=2;c=1;d=1'")
     p.add_argument("--nu", help="target type for two-reflections")
-    _add_common(p)
+    _add_options(p, bound=True)
     p.set_defaults(handler=_cmd_check)
 
     return ap
@@ -148,30 +149,6 @@ def _parse_points(text: str) -> list:
             raise ValueError(f"point {item!r} is not 'abscissa:value'")
         points.append((int(a), int(v)))
     return points
-
-
-def _parse_case_params(field, text: str) -> dict:
-    params = {}
-    for item in (text.split(";") if text else []):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"parameter {item!r} is not 'key=value'")
-        key = key.strip()
-        if key in ("f", "fprime"):
-            params[key] = polyalg.parse_poly(field, value)
-        elif key == "factors":
-            pairs = []
-            for chunk in value.split(","):
-                poly_txt, sep2, count = chunk.partition(":")
-                if not sep2:
-                    raise ValueError(f"factor {chunk!r} is not 'poly:columns'")
-                pairs.append((polyalg.parse_poly(field, poly_txt), int(count)))
-            params[key] = tuple(pairs)
-        elif key in ("xs", "cs"):
-            params[key] = tuple(int(x) for x in value.split(","))
-        else:
-            params[key] = int(value)
-    return params
 
 
 def _emit(header, rows, fmt) -> None:
@@ -221,15 +198,9 @@ def _cached(args, key: str, compute):
     return expansion
 
 
-def _meta_text(seed) -> str:
-    # deterministic variant of the cache metadata for stdout round-trips
-    return f"v={__version__};ts=0;seed={'-' if seed is None else seed}"
-
-
 def _print_expansion(expansion, args) -> None:
     if args.format == "machine":
-        key = make_key(expansion.lam, expansion.mu, expansion.n)
-        print(f"{key}\t{serialize_expansion(expansion)}\t{_meta_text(args.seed)}")
+        print(format_record(expansion, args.seed))
         return
     rows = [(format_gltype(nu), coeff)
             for nu, coeff in expansion.items_sorted()]
@@ -348,10 +319,16 @@ def _cmd_fit(args) -> int:
 
 def _cmd_check(args) -> int:
     field = field_of_order(args.q)
-    params = _parse_case_params(field, args.params)
+    texts = {}
+    for item in (args.params.split(";") if args.params else []):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"parameter {item!r} is not 'key=value'")
+        texts[key.strip()] = value
     if args.nu is not None:
-        params["nu"] = parse_gltype(field, args.nu)
-    report = check_case(field, args.case, **params)
+        texts["nu"] = args.nu
+    report = check_case(field, args.case,
+                        **parse_case_params(field, args.case, texts))
     _emit(("case", "params", "computed", "predicted", "status", "match"),
           [(report.case, report.params, report.computed,
             report.predicted.value, report.predicted.status,

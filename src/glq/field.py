@@ -223,9 +223,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0 in " + repr(self))
         return self.inv_table[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul_table[a][self.inv(b)]
-
     def pow(self, a: int, k: int) -> int:
         """Square-and-multiply; negative k inverts first."""
         if k < 0:

@@ -23,11 +23,9 @@ if TYPE_CHECKING:
     from .field import Field
 
 __all__ = [
-    "mat_from_rows", "identity", "scalar_matrix", "mat_mul", "mat_add",
-    "mat_sub", "mat_neg", "block_diag", "transpose", "mat_eq", "rank",
+    "identity", "mat_mul", "mat_sub", "block_diag", "mat_eq", "rank",
     "kernel_dim", "inverse", "nullspace", "char_poly", "poly_at_matrix",
     "conjugacy_invariant", "commuting_space", "conjugator", "conjugate_stack",
-    "format_matrix", "parse_matrix",
 ]
 
 CONJUGATOR_RETRIES = 64
@@ -39,23 +37,8 @@ CONJUGATE_CHUNK = 4096
 # construction and ring operations
 # ---------------------------------------------------------------------------
 
-def mat_from_rows(field: Field, rows) -> np.ndarray:
-    A = np.array(rows, dtype=np.uint8)
-    if A.ndim != 2:
-        raise ValueError("matrix rows must form a rectangular grid")
-    if A.size and A.max() >= field.q:
-        raise ValueError(f"entry out of range for {field!r}")
-    return A
-
-
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
-
-
-def scalar_matrix(field: Field, c: int, n: int) -> np.ndarray:
-    M = np.zeros((n, n), dtype=np.uint8)
-    np.fill_diagonal(M, c)
-    return M
 
 
 def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -84,16 +67,6 @@ def conjugate_stack(field: Field, c: np.ndarray,
     return out
 
 
-def mat_add(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch {A.shape} + {B.shape}")
-    return field.add_np[A, B]
-
-
-def mat_neg(field: Field, A: np.ndarray) -> np.ndarray:
-    return field.neg_np[A]
-
-
 def mat_sub(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} - {B.shape}")
@@ -112,10 +85,6 @@ def block_diag(blocks) -> np.ndarray:
         M[at:at + s, at:at + s] = b
         at += s
     return M
-
-
-def transpose(A: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(A.T)
 
 
 def mat_eq(A: np.ndarray, B: np.ndarray) -> bool:
@@ -337,15 +306,13 @@ def _combine(field: Field, coeffs, basis_stack: np.ndarray) -> np.ndarray:
 
 
 def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
-               rng: random.Random | None = None,
-               retries: int = CONJUGATOR_RETRIES,
-               exhaustive_limit: int = CONJUGATOR_EXHAUSTIVE_LIMIT) -> np.ndarray | None:
+               rng: random.Random | None = None) -> np.ndarray | None:
     """Invertible X with X A X^-1 = B, or None if A and B are not conjugate.
 
     Non-conjugacy is decided definitively by comparing complete conjugacy
     invariants.  For conjugate pairs, random elements of the solution space of
-    X A = B X are sampled up to `retries`, then the space is scanned
-    exhaustively when small enough; InconclusiveError is raised rather than
+    X A = B X are sampled CONJUGATOR_RETRIES times, then the space is scanned
+    exhaustively when it has at most CONJUGATOR_EXHAUSTIVE_LIMIT elements; InconclusiveError is raised rather than
     ever returning a false None.
     """
     n = A.shape[0]
@@ -361,12 +328,12 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
     s = len(basis)
     rng = rng if rng is not None else random.Random(0)
     q = field.q
-    for _ in range(retries):
+    for _ in range(CONJUGATOR_RETRIES):
         coeffs = [rng.randrange(q) for _ in range(s)]
         X = _combine(field, coeffs, stack)
         if X.any() and rank(field, X) == n:
             return X
-    if q ** s <= exhaustive_limit:
+    if q ** s <= CONJUGATOR_EXHAUSTIVE_LIMIT:
         for coeffs in itertools.product(range(q), repeat=s):
             X = _combine(field, coeffs, stack)
             if X.any() and rank(field, X) == n:
@@ -374,26 +341,6 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
         raise InvariantError(
             "matching invariants but no invertible intertwiner: invariant bug")
     raise InconclusiveError(
-        f"no invertible intertwiner found in {retries} samples from a space "
-        f"of size {q}^{s}; re-seed and retry")
+        f"no invertible intertwiner found in {CONJUGATOR_RETRIES} samples "
+        f"from a space of size {q}^{s}; re-seed and retry")
 
-
-# ---------------------------------------------------------------------------
-# text form
-# ---------------------------------------------------------------------------
-
-def format_matrix(field: Field, A: np.ndarray) -> str:
-    """Rows separated by ';', entries by ',', e.g. "2,0;0,1"."""
-    return ";".join(
-        ",".join(field.format_element(int(v)) for v in row) for row in A
-    )
-
-
-def parse_matrix(field: Field, s: str) -> np.ndarray:
-    rows = [
-        [field.parse_element(entry) for entry in row.split(",")]
-        for row in s.strip().split(";")
-    ]
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("ragged matrix text")
-    return np.array(rows, dtype=np.uint8)

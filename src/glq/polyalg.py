@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 __all__ = [
     "poly_trim", "poly_degree", "poly_add", "poly_neg", "poly_sub",
     "poly_scale", "poly_mul", "poly_divmod", "poly_mod", "poly_make_monic",
-    "poly_gcd", "poly_pow", "poly_pow_mod", "poly_eval", "poly_t", "t_minus",
+    "poly_gcd", "poly_pow_mod", "poly_eval", "poly_t", "t_minus",
     "t_minus_one", "poly_key", "is_irreducible", "enumerate_phi",
     "factor_monic", "companion", "jordan_block", "format_poly", "parse_poly",
 ]
@@ -139,20 +139,6 @@ def poly_gcd(field: Field, f, g) -> tuple[int, ...]:
     while g:
         f, g = g, poly_mod(field, f, g)
     return poly_make_monic(field, f)
-
-
-def poly_pow(field: Field, f, k: int) -> tuple[int, ...]:
-    """f**k by square-and-multiply."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = (1,)
-    base = poly_trim(f)
-    while k:
-        if k & 1:
-            result = poly_mul(field, result, base)
-        base = poly_mul(field, base, base)
-        k >>= 1
-    return result
 
 
 def poly_pow_mod(field: Field, f, k: int, m) -> tuple[int, ...]:

@@ -12,26 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import polyalg
 from .classcalc import stable_constant, structure_constant_at
 from .errors import ClassEmptyError, InvariantError
 from .field import field_of_order
 from .gltype import (GLType, det_of_type, enumerate_plain_types, gltype_make,
-                     min_rank, norm, q_binomial, q_int)
+                     min_rank, norm, parse_gltype, q_binomial, q_int)
 
 if TYPE_CHECKING:
     from .field import Field
 
 __all__ = [
     "Prediction", "FitResult", "CheckReport",
-    "predict_reflection_product", "predict_union", "check_case",
+    "predict_reflection_product", "predict_union", "check_case", "CASES",
+    "parse_case_params",
     "sweep_two_reflections", "sweep_union_distinct", "sweep_union_equal",
     "sweep_merge_irreducible",
     "fit_polynomial_in_q", "fit_polynomial_in_n",
     "FIT_FAMILIES", "fit_family_in_q",
-    "UNION_CASES",
 ]
 
 PROVED = "proved"
@@ -161,28 +161,42 @@ def predict_reflection_product(field: "Field", xi: int, eta: int,
 
 
 # ---------------------------------------------------------------------------
-# union and merge predictors
+# the check cases: each builder validates its parameters and returns
+# (λ, μ, ν, prediction); ν is λ ∪ μ except for the two-reflection and merge
+# cases, whose target is a parameter
 # ---------------------------------------------------------------------------
 
-def _predict_union_distinct(field: "Field", xs) -> Prediction:
+def _joined(lam: GLType, mu: GLType, predicted: Prediction) -> tuple:
+    return lam, mu, _union(lam, mu), predicted
+
+
+def _two_reflections(field: "Field", xi: int, eta: int, nu: GLType) -> tuple:
+    predicted = predict_reflection_product(field, xi, eta, nu)
+    return _reflection(field, xi), _reflection(field, eta), nu, predicted
+
+
+def _union_distinct(field: "Field", xs) -> tuple:
     xs = tuple(xs)
     if len(set(xs)) != len(xs) or any(x not in field.units() for x in xs):
         raise ValueError("eigenvalues must be distinct units")
-    return Prediction((2 * field.q - 1) ** (len(xs) - 1), PROVED,
-                      "union of distinct eigenvalue columns")
+    mu = _column_type(field, [(polyalg.t_minus(field, x), 1) for x in xs[1:]])
+    return _joined(_reflection(field, xs[0]), mu, Prediction(
+        (2 * field.q - 1) ** (len(xs) - 1), PROVED,
+        "union of distinct eigenvalue columns"))
 
 
-def _predict_union_equal(field: "Field", xi: int, c: int, d: int) -> Prediction:
+def _union_equal(field: "Field", xi: int, c: int, d: int) -> tuple:
     if xi in (0, 1):
         raise ValueError("the column-merge formula needs an eigenvalue ≠ 0, 1")
     if c < 1 or d < 1:
         raise ValueError("column heights must be positive")
-    q = field.q
-    return Prediction(q ** (c * d) * q_binomial(q, c + d, c), PROVED,
-                      "equal-eigenvalue column merge")
+    q, f = field.q, polyalg.t_minus(field, xi)
+    return _joined(_column_type(field, [(f, c)]), _column_type(field, [(f, d)]),
+                   Prediction(q ** (c * d) * q_binomial(q, c + d, c), PROVED,
+                              "equal-eigenvalue column merge"))
 
 
-def _predict_union_mixed(field: "Field", xs, cs) -> Prediction:
+def _union_mixed(field: "Field", xs, cs) -> tuple:
     xs, cs = tuple(xs), tuple(cs)
     if len(xs) != len(cs):
         raise ValueError("one column height per eigenvalue")
@@ -194,10 +208,13 @@ def _predict_union_mixed(field: "Field", xs, cs) -> Prediction:
     value = q ** cs[0] * q_int(q, cs[0] + 1)
     for c in cs[1:]:
         value *= 2 * q ** c - 1
-    return Prediction(value, CONJECTURAL, "mixed union with a repeated eigenvalue")
+    mu = _column_type(field, [(polyalg.t_minus(field, x), c)
+                              for x, c in zip(xs, cs)])
+    return _joined(_reflection(field, xs[0]), mu, Prediction(
+        value, CONJECTURAL, "mixed union with a repeated eigenvalue"))
 
 
-def _predict_union_poly(field: "Field", xi: int, f) -> Prediction:
+def _union_poly(field: "Field", xi: int, f) -> tuple:
     f = tuple(f)
     if xi not in field.units():
         raise ValueError("the reflection eigenvalue must be a unit")
@@ -205,33 +222,35 @@ def _predict_union_poly(field: "Field", xi: int, f) -> Prediction:
         raise ValueError("the factor must differ from the reflection's own")
     if not polyalg.is_irreducible(field, f) or f[0] == 0:
         raise ValueError("the factor must be irreducible and prime to t")
-    return Prediction(2 * field.q ** (len(f) - 1) - 1, CONJECTURAL,
-                      "reflection joined to an irreducible factor")
+    return _joined(_reflection(field, xi), _column_type(field, [(f, 1)]),
+                   Prediction(2 * field.q ** (len(f) - 1) - 1, CONJECTURAL,
+                              "reflection joined to an irreducible factor"))
 
 
-def _predict_union_poly_mixed(field: "Field", xi: int, c1: int,
-                              factors) -> Prediction:
+def _union_poly_mixed(field: "Field", xi: int, c1: int, factors) -> tuple:
     if xi not in field.units():
         raise ValueError("the reflection eigenvalue must be a unit")
     if c1 < 0:
         raise ValueError("the repeated column height may not be negative")
     q = field.q
     value = q ** c1 * q_int(q, c1 + 1)
-    seen = set()
+    entries = [(polyalg.t_minus(field, xi), c1)]
     for f, c in factors:
         f = tuple(f)
-        if f == polyalg.t_minus(field, xi) or f in seen:
+        if any(f == g for g, _ in entries):
             raise ValueError("factors must be distinct and differ from the "
                              "reflection's own")
         if not polyalg.is_irreducible(field, f) or f[0] == 0 or c < 1:
             raise ValueError("factors must be irreducible, prime to t, with "
                              "positive column heights")
-        seen.add(f)
+        entries.append((f, c))
         value *= 2 * q ** ((len(f) - 1) * c) - 1
-    return Prediction(value, CONJECTURAL, "mixed union with irreducible factors")
+    return _joined(_reflection(field, xi), _column_type(field, entries),
+                   Prediction(value, CONJECTURAL,
+                              "mixed union with irreducible factors"))
 
 
-def _predict_merge_irreducible(field: "Field", xi: int, fprime, f) -> Prediction:
+def _merge_irreducible(field: "Field", xi: int, fprime, f) -> tuple:
     """Coefficient of a single irreducible factor one degree up: the q-integer
     [d] when the constant terms are compatible, zero by grading otherwise."""
     fprime, f = tuple(fprime), tuple(f)
@@ -246,109 +265,107 @@ def _predict_merge_irreducible(field: "Field", xi: int, fprime, f) -> Prediction
     if d < 3:
         raise ValueError("the merge formula applies from degree 3 up")
     if f[0] != field.neg(field.mul(xi, fprime[0])):
-        return Prediction(0, ZERO_BY_GRADING, "determinant grading")
-    return Prediction(q_int(field.q, d), CONJECTURAL,
-                      "reflection merging into one irreducible factor")
+        predicted = Prediction(0, ZERO_BY_GRADING, "determinant grading")
+    else:
+        predicted = Prediction(q_int(field.q, d), CONJECTURAL,
+                               "reflection merging into one irreducible factor")
+    return (_reflection(field, xi), _column_type(field, [(fprime, 1)]),
+            _column_type(field, [(f, 1)]), predicted)
 
 
-UNION_CASES = {
-    "union-distinct": _predict_union_distinct,
-    "union-equal": _predict_union_equal,
-    "union-mixed": _predict_union_mixed,
-    "union-poly": _predict_union_poly,
-    "union-poly-mixed": _predict_union_poly_mixed,
-    "merge-irreducible": _predict_merge_irreducible,
+def _parse_factors(field: "Field", text: str) -> tuple:
+    pairs = []
+    for chunk in text.split(","):
+        poly_txt, sep, count = chunk.partition(":")
+        if not sep:
+            raise ValueError(f"factor {chunk!r} is not 'poly:columns'")
+        pairs.append((polyalg.parse_poly(field, poly_txt), int(count)))
+    return tuple(pairs)
+
+
+def _show_factors(field: "Field", factors) -> str:
+    return "(" + ",".join(f"{polyalg.format_poly(field, tuple(f))}^{c}"
+                          for f, c in factors) + ")"
+
+
+class ParamKind(NamedTuple):
+    """How a case parameter is read from text and shown in a report."""
+
+    parse: Callable  # (field, text) -> value
+    show: Callable   # (field, value) -> text
+
+
+INT = ParamKind(lambda field, text: int(text), lambda field, v: str(v))
+INTS = ParamKind(lambda field, text: tuple(int(x) for x in text.split(",")),
+                 lambda field, v: str(v))
+POLY = ParamKind(lambda field, text: polyalg.parse_poly(field, text),
+                 lambda field, f: polyalg.format_poly(field, tuple(f)))
+FACTORS = ParamKind(_parse_factors, _show_factors)
+TYPE = ParamKind(lambda field, text: parse_gltype(field, text),
+                 lambda field, T: str(T))
+
+#: case name → (builder, {parameter: kind}); the parameters in report order
+CASES = {
+    "two-reflections": (_two_reflections, {"xi": INT, "eta": INT, "nu": TYPE}),
+    "union-distinct": (_union_distinct, {"xs": INTS}),
+    "union-equal": (_union_equal, {"xi": INT, "c": INT, "d": INT}),
+    "union-mixed": (_union_mixed, {"xs": INTS, "cs": INTS}),
+    "union-poly": (_union_poly, {"xi": INT, "f": POLY}),
+    "union-poly-mixed": (_union_poly_mixed,
+                         {"xi": INT, "c1": INT, "factors": FACTORS}),
+    "merge-irreducible": (_merge_irreducible,
+                          {"xi": INT, "fprime": POLY, "f": POLY}),
 }
 
 
-def predict_union(field: "Field", case: str, **params) -> Prediction:
-    """Dispatch to one closed-form union/merge predictor by case name."""
+def _kinds(case: str, keys) -> dict:
+    """The declared parameters of a case; an unknown case or a key it does
+    not declare raises a ValueError that names it."""
     try:
-        fn = UNION_CASES[case]
+        kinds = CASES[case][1]
     except KeyError:
         raise ValueError(
-            f"unknown case {case!r}; choose from {sorted(UNION_CASES)}") from None
-    return fn(field, **params)
+            f"unknown case {case!r}; choose from {sorted(CASES)}") from None
+    for key in keys:
+        if key not in kinds:
+            raise ValueError(f"case {case!r} takes no parameter {key}; "
+                             f"it takes {', '.join(kinds)}")
+    return kinds
+
+
+def _build(field: "Field", case: str, params: dict) -> tuple:
+    for key in _kinds(case, params):
+        if key not in params:
+            raise ValueError(f"case {case!r} needs the parameter {key}")
+    return CASES[case][0](field, **params)
+
+
+def parse_case_params(field: "Field", case: str, texts: dict) -> dict:
+    """Parameter texts {name: text} read as the kinds the case declares."""
+    kinds = _kinds(case, texts)
+    return {key: kinds[key].parse(field, text) for key, text in texts.items()}
+
+
+def predict_union(field: "Field", case: str, **params) -> Prediction:
+    """The closed-form prediction of one case, by name."""
+    return _build(field, case, params)[3]
 
 
 # ---------------------------------------------------------------------------
 # prediction-versus-computation checks
 # ---------------------------------------------------------------------------
 
-def _case_triple(field: "Field", case: str, params: dict):
-    """The (λ, μ, ν) triple a case describes; ν is always λ ∪ μ except for
-    the merge case, whose target is the given irreducible factor."""
-    if case == "two-reflections":
-        lam = _reflection(field, params["xi"])
-        mu = _reflection(field, params["eta"])
-        return lam, mu, params["nu"]
-    if case == "union-distinct":
-        xs = tuple(params["xs"])
-        lam = _reflection(field, xs[0])
-        mu = _column_type(field, [(polyalg.t_minus(field, x), 1)
-                                  for x in xs[1:]])
-        return lam, mu, _union(lam, mu)
-    if case == "union-equal":
-        lam = _column_type(
-            field, [(polyalg.t_minus(field, params["xi"]), params["c"])])
-        mu = _column_type(
-            field, [(polyalg.t_minus(field, params["xi"]), params["d"])])
-        return lam, mu, _union(lam, mu)
-    if case == "union-mixed":
-        xs, cs = tuple(params["xs"]), tuple(params["cs"])
-        lam = _reflection(field, xs[0])
-        mu = _column_type(field, [(polyalg.t_minus(field, x), c)
-                                  for x, c in zip(xs, cs)])
-        return lam, mu, _union(lam, mu)
-    if case == "union-poly":
-        lam = _reflection(field, params["xi"])
-        mu = _column_type(field, [(tuple(params["f"]), 1)])
-        return lam, mu, _union(lam, mu)
-    if case == "union-poly-mixed":
-        lam = _reflection(field, params["xi"])
-        entries = [(polyalg.t_minus(field, params["xi"]), params["c1"])]
-        entries += [(tuple(f), c) for f, c in params["factors"]]
-        mu = _column_type(field, entries)
-        return lam, mu, _union(lam, mu)
-    if case == "merge-irreducible":
-        lam = _reflection(field, params["xi"])
-        mu = _column_type(field, [(tuple(params["fprime"]), 1)])
-        nu = _column_type(field, [(tuple(params["f"]), 1)])
-        return lam, mu, nu
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _render_params(field: "Field", params: dict) -> str:
-    def show(key, value):
-        if key in ("f", "fprime"):
-            return polyalg.format_poly(field, tuple(value))
-        if key == "factors":
-            return "(" + ",".join(
-                f"{polyalg.format_poly(field, tuple(f))}^{c}"
-                for f, c in value) + ")"
-        return str(value)
-
-    return " ".join(f"{k}={show(k, v)}" for k, v in params.items())
-
-
 def check_case(field: "Field", case: str, **params) -> CheckReport:
     """Compute the stable coefficient directly and compare it with the
     matching closed form; the prediction is never trusted."""
-    try:
-        lam, mu, nu = _case_triple(field, case, params)
-    except KeyError as exc:
-        raise ValueError(
-            f"case {case!r} needs the parameter {exc.args[0]}") from None
-    if case == "two-reflections":
-        predicted = predict_reflection_product(
-            field, params["xi"], params["eta"], nu)
-    else:
-        predicted = predict_union(
-            field, case, **{k: v for k, v in params.items() if k != "nu"})
+    lam, mu, nu, predicted = _build(field, case, params)
+    kinds = CASES[case][1]
     computed = stable_constant(lam, mu, nu, field)
-    return CheckReport(case=case, params=_render_params(field, params),
-                       lam=lam, mu=mu, nu=nu, computed=computed,
-                       predicted=predicted, match=computed == predicted.value)
+    return CheckReport(
+        case=case, lam=lam, mu=mu, nu=nu, computed=computed,
+        params=" ".join(f"{k}={kinds[k].show(field, v)}"
+                        for k, v in params.items()),
+        predicted=predicted, match=computed == predicted.value)
 
 
 def sweep_two_reflections(field: "Field") -> list:

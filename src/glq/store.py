@@ -23,7 +23,7 @@ from .field import field_of_order
 from .gltype import GLType, class_size, format_gltype, norm, parse_gltype
 
 __all__ = [
-    "ExpansionCache", "make_key", "parse_key",
+    "ExpansionCache", "make_key", "parse_key", "format_record",
     "serialize_expansion", "parse_expansion", "default_cache_path",
 ]
 
@@ -121,8 +121,21 @@ def _validate(expansion: ClassSumExpansion) -> None:
                          f"({total} pairs for key n={n})")
 
 
-def _make_meta(seed) -> str:
-    return f"v={__version__};ts={int(time.time())};seed={'-' if seed is None else seed}"
+def _make_meta(seed, ts: int | None = None) -> str:
+    ts = int(time.time()) if ts is None else ts
+    return f"v={__version__};ts={ts};seed={'-' if seed is None else seed}"
+
+
+def _record_line(key: str, expansion: ClassSumExpansion, meta: str) -> str:
+    """The one text form of a record, without its newline."""
+    return f"{key}\t{serialize_expansion(expansion)}\t{meta}"
+
+
+def format_record(expansion: ClassSumExpansion, seed=None) -> str:
+    """The record line of an expansion with ts=0, so that printing it gives
+    the same bytes on every run."""
+    return _record_line(make_key(expansion.lam, expansion.mu, expansion.n),
+                        expansion, _make_meta(seed, ts=0))
 
 
 def _check_meta(meta: str) -> None:
@@ -244,8 +257,7 @@ class ExpansionCache:
         self.put(key, expansion, seed)
         target = self._target()
         target.parent.mkdir(parents=True, exist_ok=True)
-        line = (f"{key}\t{serialize_expansion(expansion)}"
-                f"\t{self._records[key][1]}\n")
+        line = _record_line(key, *self._records[key]) + "\n"
         fd = os.open(target, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             size = os.fstat(fd).st_size
@@ -267,8 +279,6 @@ class ExpansionCache:
         temp = target.with_name(target.name + f".tmp{os.getpid()}")
         with open(temp, "w", encoding="utf-8") as handle:
             for key in sorted(self._records):
-                expansion, meta = self._records[key]
-                handle.write(f"{key}\t{serialize_expansion(expansion)}"
-                             f"\t{meta}\n")
+                handle.write(_record_line(key, *self._records[key]) + "\n")
         os.replace(temp, target)
         return target

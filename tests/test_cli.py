@@ -1,7 +1,9 @@
 """Subcommand behavior, output formats, exit codes, and cache plumbing."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -400,6 +402,42 @@ def test_check_requires_case_params(capsys):
     assert "xs" in err
 
 
+def test_check_rejects_undeclared_params(capsys):
+    code, out, err = run(capsys, "check", "--q", "3", "--case",
+                         "union-distinct", "--params", "xs=1,2;foo=3")
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "foo" in err and "Traceback" not in err
+
+
+def test_check_rejects_nu_outside_two_reflections(capsys):
+    code, out, err = run(capsys, "check", "--q", "3", "--case", "union-equal",
+                         "--params", "xi=2;c=1;d=1", "--nu", "1,1@t-2")
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "nu" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["irr", "--q", "2", "--dmax", "1"],
+    ["classes", "--q", "2", "--n", "2"],
+    ["type", "--q", "3", "--matrix", "1,0;0,1"],
+    ["fit", "--var", "q", "--points", "3:17,5:49"],
+    ["verify", "--suite", "stability"],
+    ["check", "--q", "3", "--case", "union-equal", "--params", "xi=2;c=1;d=1"],
+], ids=lambda argv: argv[0])
+def test_options_belong_to_the_commands_that_read_them(command):
+    # only mul and stable read the seed and the cache; irr, classes and type
+    # enumerate no class, so they take no memory bound either
+    extras = [["--seed", "1"], ["--no-cache"], ["--cache", "x.tsv"]]
+    if command[0] in ("irr", "classes", "type"):
+        extras.append(["--memory-bound", "1"])
+    for extra in extras:
+        with pytest.raises(SystemExit) as exc:
+            main(command + extra)
+        assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # verify suites and exit codes
 # ---------------------------------------------------------------------------
@@ -482,3 +520,17 @@ def test_cache_hit_and_miss_agree_under_python_O(tmp_path):
     assert hit.returncode == 0, hit.stderr
     assert path.read_text().count("\n") == 1  # served, not recomputed
     assert hit.stdout == miss.stdout != ""
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    import glq
+    modules = [glq] + [importlib.import_module(f"glq.{info.name}")
+                       for info in pkgutil.iter_modules(glq.__path__)]
+    assert len(modules) > 1  # the package and its modules were found
+    for module in modules:
+        stale = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not stale, f"{module.__name__}.__all__ names {stale}"
