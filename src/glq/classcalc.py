@@ -24,7 +24,7 @@ import numpy as np
 from . import matfq
 from .errors import (ClassEmptyError, ClassTooLargeError, InvariantError,
                      LengthNotAdditiveError, ResourceBoundError)
-from .gltype import (GLType, canonical_matrix, class_size,
+from .gltype import (GLType, canonical_matrix, class_size, det_of_type,
                      enumerate_plain_types, format_gltype, gl_order,
                      gltype_sort_key, lift, min_rank, modified_type_of, norm,
                      reflection_length)
@@ -53,8 +53,11 @@ CENTRALIZER_SAMPLES = 3
 
 @dataclass(frozen=True)
 class ClassOrbit:
-    """A fully enumerated conjugacy class 𝒦_μ(n): `elements` is a read-only
-    (size, n, n) stack in breadth-first order, `index` maps each element's
+    """A fully enumerated conjugacy class 𝒦_μ(n) as a read-only (size, n, n)
+    stack `elements`.  A reflection class (modified type 1@t-ξ) is built in
+    closed form: element i is I + u_i·φ_iᵀ, and `pairs` holds the u and φ
+    rows with their ascending int64 keys (see _reflection_pairs).  Every
+    other class is built breadth-first, and `index` maps each element's
     bytes to its position."""
 
     field: "Field"
@@ -62,14 +65,39 @@ class ClassOrbit:
     n: int
     rep: np.ndarray
     elements: np.ndarray
-    index: dict
     size: int
+    index: dict | None = None
+    pairs: tuple | None = None
 
     def __contains__(self, A) -> bool:
-        return A.tobytes() in self.index
+        """A linear scan; no counting path asks for membership."""
+        return A.shape == self.rep.shape and \
+            bool(np.all(self.elements == A, axis=(1, 2)).any())
 
     def __len__(self) -> int:
         return self.size
+
+    def conjugation_permutation(self, c: np.ndarray) -> np.ndarray:
+        """perm with c·elements[i]·c⁻¹ = elements[perm[i]] for every i."""
+        F = self.field
+        if self.pairs is not None:
+            u, phi, keys = self.pairs
+            images = _pair_keys(F.q, *_conjugate_pairs(F, c, u, phi))
+            perm = np.searchsorted(keys, images)
+            found = keys[np.minimum(perm, self.size - 1)] == images
+        else:
+            step = self.n * self.n
+            raw = matfq.conjugate_stack(F, c, self.elements).tobytes()
+            look = self.index.get
+            perm = np.fromiter(
+                (look(raw[at:at + step], -1) for at in range(0, len(raw), step)),
+                dtype=np.int64, count=self.size)
+            found = perm >= 0
+        if not found.all():
+            raise InvariantError(
+                f"a conjugate of an element of {format_gltype(self.mu)} "
+                "is not in its class")
+        return perm
 
 
 @dataclass
@@ -155,6 +183,68 @@ def _bfs_orbit(field: "Field", J: np.ndarray, expected: int):
     return elements, index
 
 
+def _reflection_eigenvalue(mu: GLType) -> int | None:
+    """ξ when μ is 1@t-ξ, the modified type of a reflection; else None."""
+    if len(mu.entries) != 1:
+        return None
+    (f, parts), = mu.entries
+    return mu.field.neg(f[0]) if len(f) == 2 and parts == (1,) else None
+
+
+def _all_vectors(q: int, m: int) -> np.ndarray:
+    """Every vector of F_q^m as a row, in ascending order of its code."""
+    weights = q ** np.arange(m - 1, -1, -1)
+    return (np.arange(q ** m)[:, None] // weights % q).astype(np.uint8)
+
+
+def _pair_keys(q: int, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """code(u)·qⁿ + code(φ), with code(v) = Σ v_j·q^{n−1−j}.  Keys stay below
+    q^{2n}, at most 2q² times the class size, so any class that fits in
+    memory has int64 keys."""
+    n = u.shape[1]
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (u @ weights) * q ** n + phi @ weights
+
+
+def _reflection_pairs(field: "Field", n: int, xi: int):
+    """The reflections g = I + u·φᵀ of eigenvalue ξ, each as its one pair
+    (u, φ) with u normalized (first nonzero entry 1), φ(u) = ξ − 1, and
+    φ ≠ 0: two (size, n) stacks and their keys, in ascending key order."""
+    target = field.sub(xi, 1)
+    free = _all_vectors(field.q, n - 1)  # φ off the leading entry of u
+    if target == 0:
+        free = free[1:]  # φ = 0 would give the identity
+    us, phis = [], []
+    for lead in range(n):
+        tails = _all_vectors(field.q, n - 1 - lead)  # u after its leading 1
+        # φ(u) = φ_lead + Σ_{j>lead} u_j·φ_j fixes φ_lead
+        dot = matfq.mat_mul(field, tails, free[:, lead:].T)
+        u = np.zeros((len(tails), len(free), n), np.uint8)
+        u[:, :, lead] = 1
+        u[:, :, lead + 1:] = tails[:, None, :]
+        phi = np.empty_like(u)
+        phi[:, :, :lead] = free[:, :lead]
+        phi[:, :, lead] = field.add_np[target, field.neg_np[dot]]
+        phi[:, :, lead + 1:] = free[:, lead:]
+        us.append(u.reshape(-1, n))
+        phis.append(phi.reshape(-1, n))
+    u, phi = np.concatenate(us), np.concatenate(phis)
+    keys = _pair_keys(field.q, u, phi)
+    order = np.argsort(keys)
+    return u[order], phi[order], keys[order]
+
+
+def _conjugate_pairs(field: "Field", c: np.ndarray, u: np.ndarray,
+                     phi: np.ndarray):
+    """The pairs of c·g·c⁻¹ = I + (c·u)·(φᵀ·c⁻¹), renormalized: with a the
+    first nonzero entry of c·u, the pair is (c·u/a, a·φᵀ·c⁻¹)."""
+    cu = matfq.mat_mul(field, u, c.T)
+    phic = matfq.mat_mul(field, phi, matfq.inverse(field, c))
+    a = cu[np.arange(len(cu)), np.argmax(cu != 0, axis=1)][:, None]
+    inv = np.array(field.inv_table, dtype=np.uint8)
+    return field.mul_np[cu, inv[a]], field.mul_np[phic, a]
+
+
 def enumerate_class(mu: GLType, n: int, field: "Field" = None,
                     memory_bound: int = DEFAULT_MEMORY_BOUND) -> ClassOrbit:
     """All members of the modified-type-μ class in GL_n(q)."""
@@ -174,9 +264,22 @@ def enumerate_class(mu: GLType, n: int, field: "Field" = None,
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     F = mu.field
     J = canonical_matrix(lift(mu, n))
-    elements, index = _bfs_orbit(F, J, class_size(mu, n))
+    size = class_size(mu, n)
+    xi = _reflection_eigenvalue(mu)
+    if xi is None:
+        elements, index = _bfs_orbit(F, J, size)
+        return ClassOrbit(field=F, mu=mu, n=n, rep=J, elements=elements,
+                          size=size, index=index)
+    u, phi, keys = _reflection_pairs(F, n, xi)
+    if len(keys) != size:
+        raise InvariantError(
+            f"{len(keys)} reflection pairs != class size {size}")
+    elements = F.mul_np[u[:, :, None], phi[:, None, :]]
+    d = np.arange(n)
+    elements[:, d, d] = F.add_np[elements[:, d, d], 1]
+    elements.flags.writeable = False
     return ClassOrbit(field=F, mu=mu, n=n, rep=J, elements=elements,
-                      index=index, size=len(elements))
+                      size=size, pairs=(u, phi, keys))
 
 
 def enumerate_group(field: "Field", n: int,
@@ -228,7 +331,6 @@ def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
     conjugation.  Any such group will do: conjugating g by c ∈ C(h₀)
     conjugates g·h₀ and h₀·g, so their types are constant on each orbit."""
     rng = random.Random(0)
-    step = orbit.n * orbit.n
     perms = []
     samples = CENTRALIZER_SAMPLES if orbit.size > 1 else 0  # nothing to merge
     for _ in range(samples):
@@ -237,10 +339,7 @@ def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
                             matfq.mat_mul(field, h0, c)):
             raise InvariantError("a sampled conjugator does not commute "
                                  "with the fixed class representative")
-        raw = matfq.conjugate_stack(field, c, orbit.elements).tobytes()
-        perms.append(np.fromiter(
-            (orbit.index[raw[at:at + step]] for at in range(0, len(raw), step)),
-            dtype=np.int64, count=orbit.size))
+        perms.append(orbit.conjugation_permutation(c))
     # connected components: propagate the least index along every edge
     # i → perm[i] both ways, with pointer jumping, until nothing moves
     label = np.arange(orbit.size)
@@ -283,6 +382,12 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     if any(norm(nu) > max_norm or min_rank(nu) > n for nu in counts):
         raise InvariantError(
             "observed a product type outside the candidate set")
+    det = F.mul(det_of_type(lam), det_of_type(mu))
+    for nu in counts:
+        if det_of_type(nu) != det:
+            raise InvariantError(
+                f"observed product type {format_gltype(nu)} has determinant "
+                f"{det_of_type(nu)}, not det λ·det μ = {det}")
     other_size = size_mu if enum_on_left else size_lam
     terms = {}
     total = 0
@@ -342,7 +447,8 @@ def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
 # ---------------------------------------------------------------------------
 
 def stable_constant(lam: GLType, mu: GLType, nu: GLType,
-                    field: "Field" = None) -> int:
+                    field: "Field" = None,
+                    memory_bound: int = DEFAULT_MEMORY_BOUND) -> int:
     """The n-independent top-degree coefficient a^ν_λμ, computed once at the
     smallest rank where 𝒦_ν is nonempty."""
     if norm(nu) != norm(lam) + norm(mu):
@@ -352,11 +458,12 @@ def stable_constant(lam: GLType, mu: GLType, nu: GLType,
     k = min_rank(nu)
     if min_rank(lam) > k or min_rank(mu) > k:
         return 0  # a factor class is empty at rank k, hence at every n >= k
-    return structure_constant_at(lam, mu, nu, k, field)
+    return structure_constant_at(lam, mu, nu, k, field, memory_bound)
 
 
-def stable_product(lam: GLType, mu: GLType,
-                   field: "Field" = None) -> ClassSumExpansion:
+def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
+                   memory_bound: int = DEFAULT_MEMORY_BOUND,
+                   ) -> ClassSumExpansion:
     """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖,
     each read at its own minimal rank k from one full product per k."""
     F = field if field is not None else lam.field
@@ -367,7 +474,7 @@ def stable_product(lam: GLType, mu: GLType,
         if min_rank(lam) > k or min_rank(mu) > k:
             continue  # as in stable_constant
         if k not in products:
-            products[k] = multiply_class_sums(lam, mu, k, F)
+            products[k] = multiply_class_sums(lam, mu, k, F, memory_bound)
         a = products[k].get(nu)
         if a:
             terms[nu] = a

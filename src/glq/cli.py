@@ -268,7 +268,8 @@ def _cmd_stable(args) -> int:
     lam = parse_gltype(field, args.lam)
     mu = parse_gltype(field, args.mu)
     expansion = _cached(args, make_key(lam, mu, None),
-                        lambda: stable_product(lam, mu, field))
+                        lambda: stable_product(
+                            lam, mu, field, memory_bound=args.memory_bound))
     _print_expansion(expansion, args)
     return 0
 
@@ -313,7 +314,8 @@ def _cmd_fit(args) -> int:
     fit = fit_polynomial_in_n(
         parse_gltype(field, args.lam), parse_gltype(field, args.mu),
         parse_gltype(field, args.nu), field,
-        n_list=tuple(int(x) for x in args.ns.split(",")))
+        n_list=tuple(int(x) for x in args.ns.split(",")),
+        memory_bound=args.memory_bound)
     return _print_fit(fit, args)
 
 
@@ -327,7 +329,7 @@ def _cmd_check(args) -> int:
         texts[key.strip()] = value
     if args.nu is not None:
         texts["nu"] = args.nu
-    report = check_case(field, args.case,
+    report = check_case(field, args.case, memory_bound=args.memory_bound,
                         **parse_case_params(field, args.case, texts))
     _emit(("case", "params", "computed", "predicted", "status", "match"),
           [(report.case, report.params, report.computed,

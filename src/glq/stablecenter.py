@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import polyalg
-from .classcalc import stable_constant, structure_constant_at
+from .classcalc import (DEFAULT_MEMORY_BOUND, stable_constant,
+                        structure_constant_at)
 from .errors import ClassEmptyError, InvariantError
 from .field import field_of_order
 from .gltype import (GLType, det_of_type, enumerate_plain_types, gltype_make,
@@ -177,6 +178,8 @@ def _two_reflections(field: "Field", xi: int, eta: int, nu: GLType) -> tuple:
 
 def _union_distinct(field: "Field", xs) -> tuple:
     xs = tuple(xs)
+    if not xs:
+        raise ValueError("the union needs at least one eigenvalue")
     if len(set(xs)) != len(xs) or any(x not in field.units() for x in xs):
         raise ValueError("eigenvalues must be distinct units")
     mu = _column_type(field, [(polyalg.t_minus(field, x), 1) for x in xs[1:]])
@@ -355,12 +358,14 @@ def predict_union(field: "Field", case: str, **params) -> Prediction:
 # prediction-versus-computation checks
 # ---------------------------------------------------------------------------
 
-def check_case(field: "Field", case: str, **params) -> CheckReport:
+def check_case(field: "Field", case: str, *,
+               memory_bound: int = DEFAULT_MEMORY_BOUND,
+               **params) -> CheckReport:
     """Compute the stable coefficient directly and compare it with the
     matching closed form; the prediction is never trusted."""
     lam, mu, nu, predicted = _build(field, case, params)
     kinds = CASES[case][1]
-    computed = stable_constant(lam, mu, nu, field)
+    computed = stable_constant(lam, mu, nu, field, memory_bound)
     return CheckReport(
         case=case, lam=lam, mu=mu, nu=nu, computed=computed,
         params=" ".join(f"{k}={kinds[k].show(field, v)}"
@@ -380,7 +385,7 @@ def sweep_two_reflections(field: "Field") -> list:
 
 
 def sweep_union_distinct(field: "Field", d: int) -> list:
-    """All ordered tuples of d distinct unit eigenvalues (possibly none)."""
+    """All ordered tuples of d distinct unit eigenvalues."""
     import itertools
     return [check_case(field, "union-distinct", xs=xs)
             for xs in itertools.permutations(field.units(), d)]
@@ -481,7 +486,8 @@ def fit_polynomial_in_q(points) -> FitResult:
 
 
 def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
-                        field: "Field" = None, n_list=(None,)) -> FitResult:
+                        field: "Field" = None, n_list=(None,),
+                        memory_bound: int = DEFAULT_MEMORY_BOUND) -> FitResult:
     """Interpolate a^ν_λμ(n) in the variable x = [n]_q over the given ranks."""
     F = field if field is not None else lam.field
     ns = tuple(n_list)
@@ -493,7 +499,7 @@ def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
     pts = []
     for n in ns:
         try:
-            a = structure_constant_at(lam, mu, nu, n, F)
+            a = structure_constant_at(lam, mu, nu, n, F, memory_bound)
         except ClassEmptyError:
             a = 0
         pts.append((q_int(F.q, n), a))

@@ -16,7 +16,7 @@ from glq.classcalc import (
 )
 from glq.errors import (ClassTooLargeError, InvariantError,
                         LengthNotAdditiveError, ResourceBoundError)
-from glq.field import field_make
+from glq.field import field_make, field_of_order
 from glq.gltype import (
     canonical_matrix, class_size, det_of_type, empty_type, format_gltype,
     gl_order, lift, min_rank, modified_type_of, norm, parse_gltype,
@@ -104,7 +104,9 @@ def test_enumerate_class_frozen_q3():
     for g in orbit.elements:
         assert matfq.char_poly(F3, g) == cp
     assert orbit.rep in orbit
-    assert orbit.index[orbit.elements[5].tobytes()] == 5
+    assert matfq.identity(2) not in orbit and orbit.rep[:1] not in orbit
+    # element 5 sits at position 5
+    assert orbit.conjugation_permutation(matfq.identity(2))[5] == 5
 
 
 def test_enumerate_class_frozen_q2_transvections():
@@ -133,6 +135,77 @@ def test_orbit_sizes_match_class_sizes(field, n):
     for ty in enumerate_modified_types(field, 2, n):
         orbit = enumerate_class(ty, n)
         assert orbit.size == class_size(ty, n)
+
+
+def _reflection_classes(field, n):
+    return [ty for ty in enumerate_modified_types(field, 1, n)
+            if classcalc._reflection_eigenvalue(ty) is not None]
+
+
+def _bfs_set(ty, n):
+    J = canonical_matrix(lift(ty, n))
+    _, index = classcalc._bfs_orbit(ty.field, J, class_size(ty, n))
+    return set(index)
+
+
+def test_reflection_closed_form_matches_bfs():
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_of_order(q)
+        for n in range(1, 5 if q <= 7 else 4):
+            for ty in _reflection_classes(F, n):
+                orbit = enumerate_class(ty, n)
+                assert orbit.pairs is not None and orbit.index is None
+                got = {g.tobytes() for g in orbit.elements}
+                assert len(got) == orbit.size
+                assert got == _bfs_set(ty, n), (q, n, format_gltype(ty))
+                checked += 1
+    assert checked == 102
+
+
+@pytest.mark.parametrize("text,size", [("1@t-2", 88_452), ("1@t-1", 88_088)])
+def test_reflection_closed_form_matches_bfs_q3_n6(text, size):
+    ty = T(F3, text)
+    orbit = enumerate_class(ty, 6)
+    assert orbit.size == size
+    assert {g.tobytes() for g in orbit.elements} == _bfs_set(ty, 6)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (4, 3), (9, 3)])
+def test_pair_permutation_matches_conjugate_stack(q, n):
+    F = field_of_order(q)
+    rng = random.Random(q * 10 + n)
+    for ty in _reflection_classes(F, n):
+        orbit = enumerate_class(ty, n)
+        position = {g.tobytes(): i for i, g in enumerate(orbit.elements)}
+        for _ in range(3):
+            c = _random_invertible(F, n, rng)
+            conj = matfq.conjugate_stack(F, c, orbit.elements)
+            want = [position[X.tobytes()] for X in conj]
+            assert orbit.conjugation_permutation(c).tolist() == want
+
+
+def test_reflection_pair_count_is_checked(monkeypatch):
+    real = classcalc.class_size
+    monkeypatch.setattr(classcalc, "class_size",
+                        lambda *args: real(*args) + 1)
+    classcalc._build_orbit.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="reflection pairs"):
+            enumerate_class(T(F5, "1@t-3"), 3)
+    finally:
+        classcalc._build_orbit.cache_clear()
+
+
+@pytest.mark.parametrize("text", ["1@t-2", "1,1@t-2"])
+def test_conjugate_outside_the_class_is_checked(monkeypatch, text):
+    # a wrong inverse makes c·g·c⁻¹ a product that leaves the class; the
+    # reflection class takes the (u, φ) path, the other the bytes index
+    orbit = enumerate_class(T(F3, text), 3)
+    c = M([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    monkeypatch.setattr(matfq, "inverse", lambda field, A: A)
+    with pytest.raises(InvariantError, match="not in its class"):
+        orbit.conjugation_permutation(c)
 
 
 def test_class_too_large():

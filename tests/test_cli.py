@@ -174,21 +174,26 @@ def test_missing_intertwiner_exits_one(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("stray", [
-    "1@t^3+2*t+2",  # norm 3 > ‖λ‖+‖μ‖ = 2
-    "2@t-1",        # norm 2, but no members below rank 3 > n = 2
+@pytest.mark.parametrize("stray,why", [
+    # norm 3 > ‖λ‖+‖μ‖ = 2
+    pytest.param("1@t^3+2*t+2", "outside the candidate set", id="1@t^3+2*t+2"),
+    # norm 2, but no members below rank 3 > n = 2
+    pytest.param("2@t-1", "outside the candidate set", id="2@t-1"),
+    # norm and rank allowed, but det = 2 while det λ·det μ = 2·2 = 1
+    pytest.param("1@t-2", "determinant", id="1@t-2"),
 ])
 def test_product_type_outside_candidates_exits_one(capsys, monkeypatch,
-                                                   stray):
+                                                   stray, why):
     monkeypatch.setattr(classcalc, "modified_type_of",
                         lambda *args: parse_gltype(F3, stray))
     lam = parse_gltype(F3, "1@t-2")
-    with pytest.raises(InvariantError, match="outside the candidate set"):
+    with pytest.raises(InvariantError, match=why):
         multiply_class_sums(lam, lam, 2, F3)
     code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
                          "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 1 and not out
     assert err.startswith("invariant failed:") and len(err.splitlines()) == 1
+    assert why in err and "Traceback" not in err
 
 
 def test_mul_resource_bound_exit_code(capsys):
@@ -196,6 +201,18 @@ def test_mul_resource_bound_exit_code(capsys):
                        "--memory-bound", "10",
                        "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 3 and "resource bound exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2", "--no-cache"),
+    ("fit", "--var", "n", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2",
+     "--nu", "1,1@t-2", "--ns", "2,3"),
+    ("check", "--q", "3", "--case", "union-distinct", "--params", "xs=1,2"),
+], ids=lambda argv: argv[0])
+def test_memory_bound_reaches_every_enumerating_command(capsys, argv):
+    code, out, err = run(capsys, *argv, "--memory-bound", "1")
+    assert code == 3 and not out
+    assert err.startswith("resource bound exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +508,9 @@ def test_domain_errors_exit_two(capsys):
 @pytest.mark.parametrize("argv", [
     ("mul", "--q", "3", "--n", "3", "--lambda", "1@t-2", "--mu", "1@t-1"),
     ("stable", "--q", "2", "--lambda", "1@t-1", "--mu", "1@t-1"),
+    # criterion 2: the enumerated side is a reflection class in closed form
+    ("mul", "--q", "3", "--n", "6", "--lambda", "1@t-2",
+     "--mu", "1,1@t-1;1@t-2"),
 ])
 def test_output_is_unchanged_under_python_O(argv):
     # the exactness checks are explicit errors, not asserts that -O strips

@@ -160,6 +160,14 @@ def test_union_distinct_three_eigenvalues():
     assert r.match
 
 
+def test_union_distinct_needs_an_eigenvalue():
+    for call in (lambda: check_case(F3, "union-distinct", xs=()),
+                 lambda: predict_union(F3, "union-distinct", xs=()),
+                 lambda: sweep_union_distinct(F3, 0)):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            call()
+
+
 def test_union_equal_sweep_q3():
     reports = sweep_union_equal(F3)  # ξ = 2 only at q = 3
     assert [r.computed for r in reports] == [12, 117, 117]
