@@ -330,11 +330,11 @@ def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
     CENTRALIZER_SAMPLES random elements of C(h₀) generate, acting by
     conjugation.  Any such group will do: conjugating g by c ∈ C(h₀)
     conjugates g·h₀ and h₀·g, so their types are constant on each orbit."""
-    rng = random.Random(0)
+    samples = matfq.centralizer_samples(
+        field, h0, CENTRALIZER_SAMPLES, random.Random(0)) \
+        if orbit.size > 1 else []  # one element: nothing to merge
     perms = []
-    samples = CENTRALIZER_SAMPLES if orbit.size > 1 else 0  # nothing to merge
-    for _ in range(samples):
-        c = matfq.conjugator(field, h0, h0, rng=rng)
+    for c in samples:
         if not matfq.mat_eq(matfq.mat_mul(field, c, h0),
                             matfq.mat_mul(field, h0, c)):
             raise InvariantError("a sampled conjugator does not commute "
@@ -354,6 +354,12 @@ def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
         label = new
     reps = np.flatnonzero(label == np.arange(orbit.size))
     return reps, np.bincount(label)[reps]
+
+
+def _product_det(field: "Field", lam: GLType, mu: GLType) -> int:
+    """det λ·det μ: the determinant of every product of an element of 𝒦_λ
+    and one of 𝒦_μ, so a^ν_λμ(n) = 0 at every n unless det ν equals it."""
+    return field.mul(det_of_type(lam), det_of_type(mu))
 
 
 def multiply_class_sums(lam: GLType, mu: GLType, n: int,
@@ -382,7 +388,7 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     if any(norm(nu) > max_norm or min_rank(nu) > n for nu in counts):
         raise InvariantError(
             "observed a product type outside the candidate set")
-    det = F.mul(det_of_type(lam), det_of_type(mu))
+    det = _product_det(F, lam, mu)
     for nu in counts:
         if det_of_type(nu) != det:
             raise InvariantError(
@@ -450,11 +456,15 @@ def stable_constant(lam: GLType, mu: GLType, nu: GLType,
                     field: "Field" = None,
                     memory_bound: int = DEFAULT_MEMORY_BOUND) -> int:
     """The n-independent top-degree coefficient a^ν_λμ, computed once at the
-    smallest rank where 𝒦_ν is nonempty."""
+    smallest rank where 𝒦_ν is nonempty; 0 without computing when det ν is
+    not det λ·det μ."""
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError(
             "stable constants exist only in top degree: "
             f"‖ν‖ = {norm(nu)} but ‖λ‖+‖μ‖ = {norm(lam) + norm(mu)}")
+    F = field if field is not None else lam.field
+    if det_of_type(nu) != _product_det(F, lam, mu):
+        return 0
     k = min_rank(nu)
     if min_rank(lam) > k or min_rank(mu) > k:
         return 0  # a factor class is empty at rank k, hence at every n >= k
@@ -464,15 +474,17 @@ def stable_constant(lam: GLType, mu: GLType, nu: GLType,
 def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
                    memory_bound: int = DEFAULT_MEMORY_BOUND,
                    ) -> ClassSumExpansion:
-    """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖,
-    each read at its own minimal rank k from one full product per k."""
+    """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖
+    and det ν = det λ·det μ, each read at its own minimal rank k from one
+    full product per k; a rank with no such candidate is never computed."""
     F = field if field is not None else lam.field
+    det = _product_det(F, lam, mu)
     products = {}
     terms = {}
     for nu in enumerate_plain_types(F, norm(lam) + norm(mu)):  # as modified
         k = min_rank(nu)
-        if min_rank(lam) > k or min_rank(mu) > k:
-            continue  # as in stable_constant
+        if min_rank(lam) > k or min_rank(mu) > k or det_of_type(nu) != det:
+            continue  # a^ν = 0 at every n, as in stable_constant
         if k not in products:
             products[k] = multiply_class_sums(lam, mu, k, F, memory_bound)
         a = products[k].get(nu)
@@ -482,8 +494,11 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
 
 
 def verify_stability(lam: GLType, mu: GLType, nu: GLType,
-                     field: "Field" = None, n_list=None) -> StabilityReport:
-    """Recompute a^ν_λμ(n) at several n and check the values agree."""
+                     field: "Field" = None, n_list=None, *,
+                     memory_bound: int = DEFAULT_MEMORY_BOUND,
+                     ) -> StabilityReport:
+    """Recompute a^ν_λμ(n) at several n and check the values agree; no
+    determinant pruning, so it checks the pruned stable values."""
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError("stability applies to top-degree coefficients only")
     k = min_rank(nu)
@@ -493,7 +508,7 @@ def verify_stability(lam: GLType, mu: GLType, nu: GLType,
     values = []
     for n in ns:
         try:
-            a = structure_constant_at(lam, mu, nu, n, field)
+            a = structure_constant_at(lam, mu, nu, n, field, memory_bound)
         except ClassEmptyError:
             a = 0
         values.append((n, a))

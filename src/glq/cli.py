@@ -365,7 +365,7 @@ def _suite_stability(args, rows) -> int:
         report = verify_stability(parse_gltype(field, lam_txt),
                                   parse_gltype(field, mu_txt),
                                   parse_gltype(field, nu_txt),
-                                  field)
+                                  field, memory_bound=args.memory_bound)
         values = " ".join(f"a({n})={a}" for n, a in report.values)
         rows.append(("ok" if report.passed else "FAIL",
                      f"q={q} {lam_txt} * {mu_txt} -> {nu_txt}", values))
@@ -434,14 +434,16 @@ def _suite_centralizers(args, rows) -> int:
 
 
 def _suite_formulas(args, rows) -> int:
+    bound = {"memory_bound": args.memory_bound}
     reports = []
     for q in (2, 3):
-        reports += sweep_two_reflections(field_of_order(q))
-    reports += sweep_union_distinct(field_of_order(3), 2)
-    reports += sweep_union_distinct(field_of_order(5), 2)
-    reports += sweep_union_equal(field_of_order(3))
-    reports += sweep_merge_irreducible(field_of_order(3), 2, (2, 1, 1))
-    reports += sweep_merge_irreducible(field_of_order(5), 2, (2, 4, 1))
+        reports += sweep_two_reflections(field_of_order(q), **bound)
+    reports += sweep_union_distinct(field_of_order(3), 2, **bound)
+    reports += sweep_union_distinct(field_of_order(5), 2, **bound)
+    reports += sweep_union_equal(field_of_order(3), **bound)
+    for q, fprime in ((3, (2, 1, 1)), (5, (2, 4, 1))):
+        reports += sweep_merge_irreducible(field_of_order(q), 2, fprime,
+                                           **bound)
     failures = 0
     for r in reports:
         if r.match:

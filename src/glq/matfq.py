@@ -25,7 +25,8 @@ if TYPE_CHECKING:
 __all__ = [
     "identity", "mat_mul", "mat_sub", "block_diag", "mat_eq", "rank",
     "kernel_dim", "inverse", "nullspace", "char_poly", "poly_at_matrix",
-    "conjugacy_invariant", "commuting_space", "conjugator", "conjugate_stack",
+    "conjugacy_invariant", "commuting_space", "conjugator",
+    "centralizer_samples", "conjugate_stack",
 ]
 
 CONJUGATOR_RETRIES = 64
@@ -310,23 +311,41 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
     """Invertible X with X A X^-1 = B, or None if A and B are not conjugate.
 
     Non-conjugacy is decided definitively by comparing complete conjugacy
-    invariants.  For conjugate pairs, random elements of the solution space of
-    X A = B X are sampled CONJUGATOR_RETRIES times, then the space is scanned
-    exhaustively when it has at most CONJUGATOR_EXHAUSTIVE_LIMIT elements; InconclusiveError is raised rather than
-    ever returning a false None.
+    invariants.  For conjugate pairs, an invertible element of the solution
+    space of X A = B X is drawn as _invertible_in_span draws it, which
+    raises InconclusiveError rather than ever returning a false None.
     """
     n = A.shape[0]
     if A.shape != B.shape or A.shape != (n, n):
         raise ValueError("conjugator requires equal square shapes")
     if conjugacy_invariant(field, A) != conjugacy_invariant(field, B):
         return None
-    basis = commuting_space(field, A, B)
+    rng = rng if rng is not None else random.Random(0)
+    return _invertible_in_span(field, commuting_space(field, A, B), rng)
+
+
+def centralizer_samples(field: Field, A: np.ndarray, count: int,
+                        rng: random.Random | None = None) -> list[np.ndarray]:
+    """`count` invertible elements of the centralizer C(A), drawn from one
+    basis of {X : X A = A X}; with the same rng they are the elements that
+    `count` successive conjugator(field, A, A, rng) calls would return."""
+    basis = commuting_space(field, A, A)
+    rng = rng if rng is not None else random.Random(0)
+    return [_invertible_in_span(field, basis, rng) for _ in range(count)]
+
+
+def _invertible_in_span(field: Field, basis: list[np.ndarray],
+                        rng: random.Random) -> np.ndarray:
+    """An invertible element of the span of `basis`, a list of n x n
+    matrices spanning intertwiners of two matrices with matching invariants.
+    Random combinations are sampled CONJUGATOR_RETRIES times, then the span
+    is scanned exhaustively when it has at most CONJUGATOR_EXHAUSTIVE_LIMIT
+    elements; otherwise InconclusiveError is raised."""
     if not basis:
         raise InvariantError(
             "matching invariants but no nonzero intertwiner: invariant bug")
     stack = np.stack(basis)
-    s = len(basis)
-    rng = rng if rng is not None else random.Random(0)
+    s, n = len(basis), stack.shape[1]
     q = field.q
     for _ in range(CONJUGATOR_RETRIES):
         coeffs = [rng.randrange(q) for _ in range(s)]
@@ -343,4 +362,3 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
     raise InconclusiveError(
         f"no invertible intertwiner found in {CONJUGATOR_RETRIES} samples "
         f"from a space of size {q}^{s}; re-seed and retry")
-

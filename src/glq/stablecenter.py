@@ -373,42 +373,52 @@ def check_case(field: "Field", case: str, *,
         predicted=predicted, match=computed == predicted.value)
 
 
-def sweep_two_reflections(field: "Field") -> list:
+def sweep_two_reflections(field: "Field", *,
+                          memory_bound: int = DEFAULT_MEMORY_BOUND,
+                          ) -> list:
     """Every (ξ, η, ν) with ‖ν‖ = 2 — the table's entire domain at this q."""
     reports = []
     for xi in field.units():
         for eta in field.units():
             for nu in enumerate_plain_types(field, 2):  # read as modified
                 reports.append(check_case(field, "two-reflections",
+                                          memory_bound=memory_bound,
                                           xi=xi, eta=eta, nu=nu))
     return reports
 
 
-def sweep_union_distinct(field: "Field", d: int) -> list:
+def sweep_union_distinct(field: "Field", d: int, *,
+                         memory_bound: int = DEFAULT_MEMORY_BOUND) -> list:
     """All ordered tuples of d distinct unit eigenvalues."""
     import itertools
-    return [check_case(field, "union-distinct", xs=xs)
+    return [check_case(field, "union-distinct", memory_bound=memory_bound,
+                       xs=xs)
             for xs in itertools.permutations(field.units(), d)]
 
 
 def sweep_union_equal(field: "Field",
-                      pairs=((1, 1), (1, 2), (2, 1))) -> list:
+                      pairs=((1, 1), (1, 2), (2, 1)), *,
+                      memory_bound: int = DEFAULT_MEMORY_BOUND) -> list:
     reports = []
     for xi in field.units():
         if xi == 1:
             continue
         for c, d in pairs:
-            reports.append(check_case(field, "union-equal", xi=xi, c=c, d=d))
+            reports.append(check_case(field, "union-equal",
+                                      memory_bound=memory_bound,
+                                      xi=xi, c=c, d=d))
     return reports
 
 
-def sweep_merge_irreducible(field: "Field", xi: int, fprime) -> list:
+def sweep_merge_irreducible(field: "Field", xi: int, fprime, *,
+                            memory_bound: int = DEFAULT_MEMORY_BOUND) -> list:
     """One report per monic irreducible target one degree above f′ — both the
     compatible constant terms (predicted [d]) and the graded zeros."""
     fprime = tuple(fprime)
     d = len(fprime)  # degree of the targets = deg f′ + 1
     targets = [f for f in polyalg.enumerate_phi(field, d) if len(f) == d + 1]
-    return [check_case(field, "merge-irreducible", xi=xi, fprime=fprime, f=f)
+    return [check_case(field, "merge-irreducible", memory_bound=memory_bound,
+                       xi=xi, fprime=fprime, f=f)
             for f in targets]
 
 

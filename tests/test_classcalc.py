@@ -1,11 +1,15 @@
 """Class orbits, class-sum products, structure constants, stable values, and
 the block normal form for length-additive factorizations."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from glq import classcalc, matfq, polyalg
 from glq.classcalc import (
@@ -14,13 +18,14 @@ from glq.classcalc import (
     multiply_oracle, normalize_triple, stable_constant, stable_product,
     structure_constant_at, verify_stability,
 )
+from glq.cli import VERIFY_STABILITY_TRIPLES
 from glq.errors import (ClassTooLargeError, InvariantError,
                         LengthNotAdditiveError, ResourceBoundError)
 from glq.field import field_make, field_of_order
 from glq.gltype import (
-    canonical_matrix, class_size, det_of_type, empty_type, format_gltype,
-    gl_order, lift, min_rank, modified_type_of, norm, parse_gltype,
-    reflection_length,
+    canonical_matrix, class_size, det_of_type, empty_type,
+    enumerate_plain_types, format_gltype, gl_order, gltype_make, lift,
+    min_rank, modified_type_of, norm, parse_gltype, reflection_length,
 )
 
 F2 = field_make(2)
@@ -316,6 +321,59 @@ def test_counting_identity_failure_raises(monkeypatch):
         multiply_class_sums(T(F3, "1@t-2"), T(F3, "1@t-2"), 2)
 
 
+@pytest.mark.parametrize("lam,mu,n", [
+    ("1@t-2", "1@t-2", 3),               # reflection class enumerated
+    ("1,1@t-2", "1@t-1;1@t-2", 3),       # BFS class enumerated
+])
+def test_one_centralizer_basis_per_product(monkeypatch, lam, mu, n):
+    lam, mu = T(F3, lam), T(F3, mu)
+    other = mu if class_size(lam, n) <= class_size(mu, n) else lam
+    h0 = canonical_matrix(lift(other, n))
+    bases, invariants = [], []
+    real_space = matfq.commuting_space
+    real_invariant = matfq.conjugacy_invariant
+
+    def space(field, A, B):
+        bases.append((A, B))
+        return real_space(field, A, B)
+
+    def invariant(field, A):
+        invariants.append(A)
+        return real_invariant(field, A)
+
+    monkeypatch.setattr(matfq, "commuting_space", space)
+    monkeypatch.setattr(matfq, "conjugacy_invariant", invariant)
+    multiply_class_sums(lam, mu, n, F3)
+    assert len(bases) == 1
+    assert all(np.array_equal(A, h0) for A in bases[0])
+    assert invariants and not any(np.array_equal(A, h0) for A in invariants)
+
+
+@st.composite
+def small_products(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    n = draw(st.integers(1, 3))
+    types = enumerate_modified_types(field_of_order(q), 2, n)
+    return draw(st.sampled_from(types)), draw(st.sampled_from(types)), n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_products())
+def test_terms_do_not_depend_on_centralizer_samples(case):
+    # 0 samples classifies every element of the enumerated class
+    lam, mu, n = case
+    sizes = class_size(lam, n), class_size(mu, n)
+    assume(min(sizes) <= 1000)
+    terms = []
+    for samples in (0, 1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
+            terms.append(multiply_class_sums(lam, mu, n).terms)
+    assert terms[0] == terms[1] == terms[2]
+    if sizes[0] * sizes[1] <= 2000:
+        assert multiply_oracle(lam, mu, n).terms == terms[0]
+
+
 def test_oracle_pair_bound():
     with pytest.raises(ResourceBoundError, match="oracle bound"):
         multiply_oracle(T(F3, "1@t-2"), T(F3, "1@t-2"), 2, pair_bound=1)
@@ -394,6 +452,84 @@ def test_stable_product_two_unipotent_reflections_q3():
 def test_stable_product_unit():
     mu = T(F3, "1@t-1;1@t-2")
     assert stable_product(empty_type(F3), mu).terms == {mu: 1}
+
+
+# ---------------------------------------------------------------------------
+# determinant pruning, checked against unpruned products
+# ---------------------------------------------------------------------------
+
+def unpruned_stable_product(lam, mu, field):
+    """Every top-degree ν read at its minimal rank k from one full product
+    per distinct k, with no determinant test."""
+    top = norm(lam) + norm(mu)
+    lo = max(min_rank(lam), min_rank(mu))
+    ranks = {min_rank(nu) for nu in enumerate_plain_types(field, top)}
+    terms = {}
+    for k in sorted(r for r in ranks if r >= lo):
+        for nu, a in multiply_class_sums(lam, mu, k, field).terms.items():
+            if norm(nu) == top and min_rank(nu) == k:
+                terms[nu] = a
+    return terms
+
+
+def _workload_stable_pairs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.STABLE_PRODUCTS
+
+
+STABLE_PAIRS = sorted(set(_workload_stable_pairs())
+                      | {(q, lam, mu)
+                         for q, lam, mu, _ in VERIFY_STABILITY_TRIPLES})
+
+
+@pytest.mark.parametrize("q,lam,mu", STABLE_PAIRS,
+                         ids=[f"q{q}-{lam}*{mu}" for q, lam, mu in STABLE_PAIRS])
+def test_pruned_stable_product_equals_unpruned(q, lam, mu):
+    F = field_of_order(q)
+    lam, mu = T(F, lam), T(F, mu)
+    assert stable_product(lam, mu, F).terms == \
+        unpruned_stable_product(lam, mu, F)
+
+
+def test_stable_product_skips_ranks_without_a_candidate(monkeypatch):
+    # every top-degree type of rank 6 has the wrong determinant here
+    ranks = []
+    real = classcalc.multiply_class_sums
+
+    def spy(lam, mu, n, *args):
+        ranks.append(n)
+        return real(lam, mu, n, *args)
+
+    monkeypatch.setattr(classcalc, "multiply_class_sums", spy)
+    stable_product(T(F3, "1@t-2"), T(F3, "1,1@t-2"))
+    assert sorted(ranks) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("field", [F3, F4, F5], ids=lambda F: f"q{F.q}")
+def test_stable_constant_equals_product_at_min_rank(field):
+    refl = {x: gltype_make(field, {polyalg.t_minus(field, x): (1,)})
+            for x in field.units()}
+    products = {}
+    for (xi, lam), (eta, mu) in itertools.product(refl.items(), repeat=2):
+        for nu in enumerate_plain_types(field, 2):  # read as modified
+            k = min_rank(nu)
+            if (xi, eta, k) not in products:
+                products[xi, eta, k] = multiply_class_sums(lam, mu, k, field)
+            assert stable_constant(lam, mu, nu, field) == \
+                products[xi, eta, k].get(nu), format_gltype(nu)
+
+
+def test_stable_constant_wrong_determinant_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_class called")
+
+    monkeypatch.setattr(classcalc, "enumerate_class", refuse)
+    lam, mu, nu = T(F3, "1@t-2"), T(F3, "1,1@t-2"), T(F3, "1,1,1@t-1")
+    assert det_of_type(nu) != F3.mul(det_of_type(lam), det_of_type(mu))
+    assert stable_constant(lam, mu, nu, F3) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_inconclusive_search_exits_one(capsys, monkeypatch):
     def no_verdict(*args, **kwargs):
         raise InconclusiveError("no invertible intertwiner found")
 
-    monkeypatch.setattr(classcalc.matfq, "conjugator", no_verdict)
+    monkeypatch.setattr(classcalc.matfq, "centralizer_samples", no_verdict)
     code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
                          "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 1 and not out
@@ -213,6 +213,15 @@ def test_memory_bound_reaches_every_enumerating_command(capsys, argv):
     code, out, err = run(capsys, *argv, "--memory-bound", "1")
     assert code == 3 and not out
     assert err.startswith("resource bound exceeded")
+
+
+@pytest.mark.parametrize("suite", ["stability", "formulas"])
+def test_memory_bound_reaches_the_verify_suites(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite,
+                         "--memory-bound", "1")
+    assert code == 3 and not out
+    assert err.startswith("resource bound exceeded")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +520,8 @@ def test_domain_errors_exit_two(capsys):
     # criterion 2: the enumerated side is a reflection class in closed form
     ("mul", "--q", "3", "--n", "6", "--lambda", "1@t-2",
      "--mu", "1,1@t-1;1@t-2"),
+    # determinant pruning drops the top rank of this pair
+    ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1,1@t-2"),
 ])
 def test_output_is_unchanged_under_python_O(argv):
     # the exactness checks are explicit errors, not asserts that -O strips

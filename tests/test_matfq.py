@@ -10,6 +10,7 @@ import pytest
 from glq import matfq, polyalg
 from glq.errors import InvariantError
 from glq.field import field_make
+from glq.gltype import canonical_matrix, lift, parse_gltype
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -436,3 +437,24 @@ def test_conjugator_without_intertwiners_raises(monkeypatch):
     with pytest.raises(InvariantError, match="no invertible intertwiner"):
         matfq.conjugator(F3, A, B)
 
+
+# ---------------------------------------------------------------------------
+# centralizer samples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,text", [
+    (F3, "1@t-2"), (F3, "1,1@t-2"),   # a reflection class, a BFS class
+    (F4, "1@t-x"), (F4, "2@t-x"),
+], ids=lambda v: v if isinstance(v, str) else f"q{v.q}")
+def test_centralizer_samples_are_invertible_and_commute(field, text):
+    h0 = canonical_matrix(lift(parse_gltype(field, text), 3))
+    samples = matfq.centralizer_samples(field, h0, 3, random.Random(0))
+    assert len(samples) == 3
+    for c in samples:
+        assert matfq.rank(field, c) == 3
+        assert matfq.mat_eq(matfq.mat_mul(field, c, h0),
+                            matfq.mat_mul(field, h0, c))
+    # the draws of successive conjugator calls on one seeded rng
+    rng = random.Random(0)
+    for c in samples:
+        assert matfq.mat_eq(c, matfq.conjugator(field, h0, h0, rng=rng))
