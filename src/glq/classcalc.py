@@ -16,8 +16,8 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,21 +53,46 @@ CENTRALIZER_SAMPLES = 3
 
 @dataclass(frozen=True)
 class ClassOrbit:
-    """A fully enumerated conjugacy class 𝒦_μ(n) as a read-only (size, n, n)
-    stack `elements`.  A reflection class (modified type 1@t-ξ) is built in
-    closed form: element i is I + u_i·φ_iᵀ, and `pairs` holds the u and φ
-    rows with their ascending int64 keys (see _reflection_pairs).  Every
-    other class is built breadth-first, and `index` maps each element's
-    bytes to its position."""
+    """A fully enumerated conjugacy class 𝒦_μ(n).  A reflection class
+    (modified type 1@t-ξ) is built in closed form: element i is
+    I + u_i·φ_iᵀ, and `pairs` holds the codes of u and φ (see
+    ReflectionPairs), so a pair's position is arithmetic in its codes.
+    Every other class is built breadth-first, and `index` maps each
+    element's bytes to its position."""
 
     field: "Field"
     mu: GLType
     n: int
     rep: np.ndarray
-    elements: np.ndarray
     size: int
     index: dict | None = None
-    pairs: tuple | None = None
+    pairs: ReflectionPairs | None = None
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """The class as a read-only (size, n, n) uint8 stack; a reflection
+        class builds it on first read."""
+        if self.pairs is None:
+            return np.frombuffer(b"".join(self.index), np.uint8).reshape(
+                -1, self.n, self.n)
+        stack = self.members(np.arange(self.size))
+        stack.flags.writeable = False
+        return stack
+
+    def members(self, positions: np.ndarray) -> np.ndarray:
+        """The elements at `positions` as a stack; a reflection class
+        builds I + u·φᵀ for these positions only."""
+        if self.pairs is None:
+            return self.elements[positions]
+        F, n = self.field, self.n
+        vectors = _vector_tables(F, n).vectors
+        rows, cols = np.divmod(positions, self.pairs.phi.shape[1])
+        u = vectors[self.pairs.u[rows]]
+        phi = vectors[self.pairs.phi[rows, cols]]
+        stack = F.mul_np[u[:, :, None], phi[:, None, :]]
+        d = np.arange(n)
+        stack[:, d, d] = F.add_np[stack[:, d, d], 1]
+        return stack
 
     def __contains__(self, A) -> bool:
         """A linear scan; no counting path asks for membership."""
@@ -81,10 +106,7 @@ class ClassOrbit:
         """perm with c·elements[i]·c⁻¹ = elements[perm[i]] for every i."""
         F = self.field
         if self.pairs is not None:
-            u, phi, keys = self.pairs
-            images = _pair_keys(F.q, *_conjugate_pairs(F, c, u, phi))
-            perm = np.searchsorted(keys, images)
-            found = keys[np.minimum(perm, self.size - 1)] == images
+            perm, found = _permute_pairs(F, self.n, self.pairs, c)
         else:
             step = self.n * self.n
             raw = matfq.conjugate_stack(F, c, self.elements).tobytes()
@@ -157,9 +179,10 @@ def generators(field: "Field", n: int) -> list:
     return [D, P, T]
 
 
-def _bfs_orbit(field: "Field", J: np.ndarray, expected: int):
+def _bfs_orbit(field: "Field", J: np.ndarray, expected: int) -> dict:
     """Closure of J under conjugation by the generators, one breadth-first
-    level per step; the order is that of a first-in first-out queue."""
+    level per step, as {element bytes: position}; the order is that of a
+    first-in first-out queue."""
     n = J.shape[0]
     step = n * n
     gens = generators(field, n)
@@ -179,8 +202,7 @@ def _bfs_orbit(field: "Field", J: np.ndarray, expected: int):
     if len(index) != expected:
         raise InvariantError(
             f"orbit size {len(index)} != class size {expected}")
-    elements = np.frombuffer(b"".join(index), np.uint8).reshape(-1, n, n)
-    return elements, index
+    return index
 
 
 def _reflection_eigenvalue(mu: GLType) -> int | None:
@@ -192,57 +214,124 @@ def _reflection_eigenvalue(mu: GLType) -> int | None:
 
 
 def _all_vectors(q: int, m: int) -> np.ndarray:
-    """Every vector of F_q^m as a row, in ascending order of its code."""
+    """Every vector of F_q^m as a row, in ascending order of its code
+    code(v) = Σ v_j·q^{m−1−j}."""
     weights = q ** np.arange(m - 1, -1, -1)
     return (np.arange(q ** m)[:, None] // weights % q).astype(np.uint8)
 
 
-def _pair_keys(q: int, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """code(u)·qⁿ + code(φ), with code(v) = Σ v_j·q^{n−1−j}.  Keys stay below
-    q^{2n}, at most 2q² times the class size, so any class that fits in
-    memory has int64 keys."""
-    n = u.shape[1]
+class VectorTables(NamedTuple):
+    """Look-up tables over the codes of all qⁿ vectors v of F_q^n.  `scaled`
+    and `dropped` are flat: entry a·qⁿ + code(v) is code(a·v), and entry
+    j·qⁿ + code(v) the code of v without coordinate j.  `position` is the
+    place of a normalized u (first nonzero entry 1) when they are ordered
+    by the index of that entry, then by the code of what follows it."""
+
+    vectors: np.ndarray     # (qⁿ, n) uint8, row code(v) is v
+    weights: np.ndarray     # q^{n−1−j}: code(v) = v @ weights
+    lead: np.ndarray        # index of the first nonzero entry (0 for v = 0)
+    lead_value: np.ndarray  # that entry (0 for v = 0)
+    normal: np.ndarray      # code(v / lead_value)
+    scaled: np.ndarray
+    position: np.ndarray
+    dropped: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _vector_tables(field: "Field", n: int) -> VectorTables:
+    """The tables of F_q^n, built once per (field, n) for every class and
+    every sample: their size is qⁿ, not the class size."""
+    q, size = field.q, field.q ** n
+    vectors = _all_vectors(q, n)
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (u @ weights) * q ** n + phi @ weights
+    codes = np.arange(size)
+    lead = np.argmax(vectors != 0, axis=1)
+    lead_value = vectors[codes, lead].astype(np.intp)
+    scaled = np.stack([field.mul_np[a, vectors] @ weights for a in range(q)])
+    inv = np.array(field.inv_table, dtype=np.intp)
+    normal = scaled[inv[lead_value], codes]
+    block = q ** (n - 1 - lead)  # codes of the normalized u with this lead
+    position = (size - q * block) // (q - 1) + codes - block
+    position[0] = 0  # v = 0 has no place; keep it in range
+    dropped = np.stack([codes // (q * q ** (n - 1 - j)) * q ** (n - 1 - j)
+                        + codes % q ** (n - 1 - j) for j in range(n)])
+    tables = VectorTables(vectors, weights, lead, lead_value, normal,
+                          scaled.ravel(), position, dropped.ravel())
+    for table in tables:
+        table.flags.writeable = False  # shared by every class of this (q, n)
+    return tables
 
 
-def _reflection_pairs(field: "Field", n: int, xi: int):
+def _pair_keys(q: int, n: int, ucode: np.ndarray,
+               phicode: np.ndarray) -> np.ndarray:
+    """code(u)·qⁿ + code(φ), one int64 per pair.  Keys stay below q^{2n}, at
+    most 2q² times the class size, so any class that fits in memory has
+    int64 keys."""
+    return ucode * q ** n + phicode
+
+
+class ReflectionPairs(NamedTuple):
+    """A reflection class as a grid of its pairs (u, φ): row r holds the
+    normalized u of position r, column k its φ with code k + shift once the
+    lead coordinate of u is deleted, so pair r·#φ + k is in row r, column k.
+    `shift` is 1 when ξ = 1 excludes φ = 0, else 0."""
+
+    u: np.ndarray     # (rows,) codes of u
+    phi: np.ndarray   # (rows, #φ) codes of φ
+    keys: np.ndarray  # (rows·#φ,) int64 keys of the pairs, by position
+    shift: int
+
+
+def _reflection_pairs(field: "Field", n: int, xi: int) -> ReflectionPairs:
     """The reflections g = I + u·φᵀ of eigenvalue ξ, each as its one pair
-    (u, φ) with u normalized (first nonzero entry 1), φ(u) = ξ − 1, and
-    φ ≠ 0: two (size, n) stacks and their keys, in ascending key order."""
+    (u, φ) with u normalized (first nonzero entry 1), φ(u) = ξ − 1 and
+    φ ≠ 0.  The rows run by the lead index of u, then by the tail of u
+    after its leading 1: the order of VectorTables.position."""
+    q = field.q
     target = field.sub(xi, 1)
-    free = _all_vectors(field.q, n - 1)  # φ off the leading entry of u
-    if target == 0:
-        free = free[1:]  # φ = 0 would give the identity
+    shift = int(target == 0)  # φ = 0 would give the identity
+    free = _all_vectors(q, n - 1)[shift:]  # φ off the leading entry of u
+    fcode = np.arange(shift, q ** (n - 1))
     us, phis = [], []
     for lead in range(n):
-        tails = _all_vectors(field.q, n - 1 - lead)  # u after its leading 1
+        w = q ** (n - 1 - lead)
+        tails = _all_vectors(q, n - 1 - lead)  # u after its leading 1
         # φ(u) = φ_lead + Σ_{j>lead} u_j·φ_j fixes φ_lead
         dot = matfq.mat_mul(field, tails, free[:, lead:].T)
-        u = np.zeros((len(tails), len(free), n), np.uint8)
-        u[:, :, lead] = 1
-        u[:, :, lead + 1:] = tails[:, None, :]
-        phi = np.empty_like(u)
-        phi[:, :, :lead] = free[:, :lead]
-        phi[:, :, lead] = field.add_np[target, field.neg_np[dot]]
-        phi[:, :, lead + 1:] = free[:, lead:]
-        us.append(u.reshape(-1, n))
-        phis.append(phi.reshape(-1, n))
+        phi_lead = field.add_np[target, field.neg_np[dot]].astype(np.int64)
+        us.append(w + np.arange(w))
+        phis.append(fcode // w * q * w + fcode % w + phi_lead * w)
     u, phi = np.concatenate(us), np.concatenate(phis)
-    keys = _pair_keys(field.q, u, phi)
-    order = np.argsort(keys)
-    return u[order], phi[order], keys[order]
+    return ReflectionPairs(u, phi, _pair_keys(q, n, u[:, None], phi).ravel(),
+                           shift)
 
 
-def _conjugate_pairs(field: "Field", c: np.ndarray, u: np.ndarray,
-                     phi: np.ndarray):
-    """The pairs of c·g·c⁻¹ = I + (c·u)·(φᵀ·c⁻¹), renormalized: with a the
-    first nonzero entry of c·u, the pair is (c·u/a, a·φᵀ·c⁻¹)."""
-    cu = matfq.mat_mul(field, u, c.T)
-    phic = matfq.mat_mul(field, phi, matfq.inverse(field, c))
-    a = cu[np.arange(len(cu)), np.argmax(cu != 0, axis=1)][:, None]
-    inv = np.array(field.inv_table, dtype=np.uint8)
-    return field.mul_np[cu, inv[a]], field.mul_np[phic, a]
+def _permute_pairs(field: "Field", n: int, pairs: ReflectionPairs,
+                   c: np.ndarray):
+    """Where c sends each reflection pair, and whether the pair stored there
+    is its image.  c·(I + u·φᵀ)·c⁻¹ = I + (c·u)·(φᵀ·c⁻¹), which with a the
+    lead value of c·u is the pair (c·u/a, a·φᵀ·c⁻¹).  One product runs over
+    the rows' u and one over all qⁿ vectors φ; each pair then costs a few
+    integer gathers."""
+    u, phi, keys, shift = pairs
+    tab = _vector_tables(field, n)
+    size = len(tab.vectors)
+    cu = matfq.mat_mul(field, tab.vectors[u], c.T) @ tab.weights
+    phic = matfq.mat_mul(field, tab.vectors,
+                         matfq.inverse(field, c)) @ tab.weights
+    # per row, for u' = c·u/a: the code of u', the position of its row's
+    # first pair, and the rows of a and of lead(u') in the flat tables
+    image_u = tab.normal[cu]
+    start = tab.position[image_u] * phi.shape[1] - shift
+    scale_row = tab.lead_value[cu] * size
+    drop_row = tab.lead[image_u] * size
+    image_phi = tab.scaled[scale_row[:, None] + phic[phi]]
+    perm = (start[:, None] + tab.dropped[drop_row[:, None] + image_phi]).ravel()
+    # the image is found where its key is, and never out of range
+    found = keys.take(perm, mode="clip") == \
+        _pair_keys(field.q, n, image_u[:, None], image_phi).ravel()
+    found &= (perm >= 0) & (perm < len(keys))
+    return perm, found
 
 
 def enumerate_class(mu: GLType, n: int, field: "Field" = None,
@@ -267,19 +356,13 @@ def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     size = class_size(mu, n)
     xi = _reflection_eigenvalue(mu)
     if xi is None:
-        elements, index = _bfs_orbit(F, J, size)
-        return ClassOrbit(field=F, mu=mu, n=n, rep=J, elements=elements,
-                          size=size, index=index)
-    u, phi, keys = _reflection_pairs(F, n, xi)
-    if len(keys) != size:
+        return ClassOrbit(field=F, mu=mu, n=n, rep=J, size=size,
+                          index=_bfs_orbit(F, J, size))
+    pairs = _reflection_pairs(F, n, xi)
+    if len(pairs.keys) != size:
         raise InvariantError(
-            f"{len(keys)} reflection pairs != class size {size}")
-    elements = F.mul_np[u[:, :, None], phi[:, None, :]]
-    d = np.arange(n)
-    elements[:, d, d] = F.add_np[elements[:, d, d], 1]
-    elements.flags.writeable = False
-    return ClassOrbit(field=F, mu=mu, n=n, rep=J, elements=elements,
-                      size=size, pairs=(u, phi, keys))
+            f"{len(pairs.keys)} reflection pairs != class size {size}")
+    return ClassOrbit(field=F, mu=mu, n=n, rep=J, size=size, pairs=pairs)
 
 
 def enumerate_group(field: "Field", n: int,
@@ -379,8 +462,8 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     orbit = enumerate_class(small, n, F, memory_bound)
     h0 = canonical_matrix(lift(other, n))
     counts: Counter = Counter()
-    for i, weight in zip(*_centralizer_orbits(F, orbit, h0)):
-        g = orbit.elements[i]
+    reps, weights = _centralizer_orbits(F, orbit, h0)
+    for g, weight in zip(orbit.members(reps), weights):
         prod = matfq.mat_mul(F, g, h0) if enum_on_left \
             else matfq.mat_mul(F, h0, g)
         counts[modified_type_of(F, prod)] += int(weight)

@@ -328,23 +328,24 @@ def enumerate_plain_types(field: "Field", n: int) -> list[GLType]:
     """All plain types of norm exactly n, sorted canonically."""
     if n < 0:
         raise ValueError("norm must be nonnegative")
-    polys = polyalg.enumerate_phi(field, n) if n else []
+    polys = sorted(polyalg.enumerate_phi(field, n) if n else [], key=len)
     out: list[GLType] = []
 
-    def rec(i: int, remaining: int, acc: list):
+    def rec(start: int, remaining: int, acc: list):
+        # each level takes one more polynomial, so the depth is at most n
         if remaining == 0:
             out.append(gltype_make(field, list(acc)))
             return
-        if i == len(polys):
-            return
-        f = polys[i]
-        d = len(f) - 1
-        rec(i + 1, remaining, acc)
-        for m in range(1, remaining // d + 1):
-            for parts in enumerate_partitions(m):
-                acc.append((f, parts))
-                rec(i + 1, remaining - m * d, acc)
-                acc.pop()
+        for i in range(start, len(polys)):
+            f = polys[i]
+            d = len(f) - 1
+            if d > remaining:
+                break  # polys run by degree
+            for m in range(1, remaining // d + 1):
+                for parts in enumerate_partitions(m):
+                    acc.append((f, parts))
+                    rec(i + 1, remaining - m * d, acc)
+                    acc.pop()
 
     rec(0, n, [])
     return sorted(out, key=gltype_sort_key)

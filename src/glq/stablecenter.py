@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import polyalg
 from .classcalc import (DEFAULT_MEMORY_BOUND, stable_constant,
-                        structure_constant_at)
+                        stable_product, structure_constant_at)
 from .errors import ClassEmptyError, InvariantError
 from .field import field_of_order
 from .gltype import (GLType, det_of_type, enumerate_plain_types, gltype_make,
@@ -363,9 +363,15 @@ def check_case(field: "Field", case: str, *,
                **params) -> CheckReport:
     """Compute the stable coefficient directly and compare it with the
     matching closed form; the prediction is never trusted."""
-    lam, mu, nu, predicted = _build(field, case, params)
+    lam, mu, nu, predicted = built = _build(field, case, params)
+    return _report(field, case, params, built,
+                   stable_constant(lam, mu, nu, field, memory_bound))
+
+
+def _report(field: "Field", case: str, params: dict, built: tuple,
+            computed: int) -> CheckReport:
+    lam, mu, nu, predicted = built
     kinds = CASES[case][1]
-    computed = stable_constant(lam, mu, nu, field, memory_bound)
     return CheckReport(
         case=case, lam=lam, mu=mu, nu=nu, computed=computed,
         params=" ".join(f"{k}={kinds[k].show(field, v)}"
@@ -376,14 +382,19 @@ def check_case(field: "Field", case: str, *,
 def sweep_two_reflections(field: "Field", *,
                           memory_bound: int = DEFAULT_MEMORY_BOUND,
                           ) -> list:
-    """Every (ξ, η, ν) with ‖ν‖ = 2 — the table's entire domain at this q."""
+    """Every (ξ, η, ν) with ‖ν‖ = 2 — the table's entire domain at this q.
+    Each (ξ, η) makes one stable product, and every ν is read from it."""
     reports = []
     for xi in field.units():
         for eta in field.units():
+            product = stable_product(_reflection(field, xi),
+                                     _reflection(field, eta), field,
+                                     memory_bound)
             for nu in enumerate_plain_types(field, 2):  # read as modified
-                reports.append(check_case(field, "two-reflections",
-                                          memory_bound=memory_bound,
-                                          xi=xi, eta=eta, nu=nu))
+                params = {"xi": xi, "eta": eta, "nu": nu}
+                reports.append(_report(
+                    field, "two-reflections", params,
+                    _build(field, "two-reflections", params), product.get(nu)))
     return reports
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from glq import classcalc, matfq, polyalg
@@ -133,6 +133,23 @@ def test_enumerate_class_matches_brute_partition(field, n):
     assert not by_type  # every class was covered exactly once
 
 
+# every q <= 25 with n <= 4, where enumerating the types takes at most about
+# a second (qⁿ <= 10⁴; q = 25 has 390,600 types at n = 4)
+TYPE_RANKS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+              for n in (1, 2, 3, 4) if q ** n <= 10 ** 4]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(TYPE_RANKS))
+@example((16, 3))  # 1,495 key polynomials: deeper than the recursion limit
+def test_class_sizes_sum_to_the_group_order(rank):
+    q, n = rank
+    F = field_of_order(q)
+    types = enumerate_modified_types(F, n, n)
+    assert len(set(types)) == len(types)
+    assert sum(class_size(ty, n) for ty in types) == gl_order(F, n)
+
+
 @pytest.mark.parametrize("field", [F2, F3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_sizes_match_class_sizes(field, n):
@@ -149,8 +166,7 @@ def _reflection_classes(field, n):
 
 def _bfs_set(ty, n):
     J = canonical_matrix(lift(ty, n))
-    _, index = classcalc._bfs_orbit(ty.field, J, class_size(ty, n))
-    return set(index)
+    return set(classcalc._bfs_orbit(ty.field, J, class_size(ty, n)))
 
 
 def test_reflection_closed_form_matches_bfs():
@@ -176,18 +192,84 @@ def test_reflection_closed_form_matches_bfs_q3_n6(text, size):
     assert {g.tobytes() for g in orbit.elements} == _bfs_set(ty, 6)
 
 
-@pytest.mark.parametrize("q,n", [(3, 4), (4, 3), (9, 3)])
+REFLECTION_RANKS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3, 4)
+                    if n <= 3 or q <= 5]
+
+
+def _conjugate_positions(orbit, c):
+    """Positions of c·g·c⁻¹ found by bytes, independently of the pairs."""
+    step = orbit.n * orbit.n
+    position = {g.tobytes(): i for i, g in enumerate(orbit.elements)}
+    raw = matfq.conjugate_stack(orbit.field, c, orbit.elements).tobytes()
+    return [position[raw[at:at + step]] for at in range(0, len(raw), step)]
+
+
+@pytest.mark.parametrize("q,n", REFLECTION_RANKS)
 def test_pair_permutation_matches_conjugate_stack(q, n):
+    # every reflection class, so ξ = 1 (φ = 0 excluded, every position
+    # shifted by one) and n = 1 (nothing left after deleting the lead
+    # coordinate) are among them; the identity pins each stored position
     F = field_of_order(q)
     rng = random.Random(q * 10 + n)
     for ty in _reflection_classes(F, n):
         orbit = enumerate_class(ty, n)
-        position = {g.tobytes(): i for i, g in enumerate(orbit.elements)}
+        identity = orbit.conjugation_permutation(matfq.identity(n))
+        assert identity.tolist() == list(range(orbit.size))
         for _ in range(3):
             c = _random_invertible(F, n, rng)
-            conj = matfq.conjugate_stack(F, c, orbit.elements)
-            want = [position[X.tobytes()] for X in conj]
-            assert orbit.conjugation_permutation(c).tolist() == want
+            assert orbit.conjugation_permutation(c).tolist() == \
+                _conjugate_positions(orbit, c)
+
+
+@pytest.mark.parametrize("text", ["1@t-2", "1@t-1"])
+def test_pair_permutation_matches_conjugate_stack_q3_n6(text):
+    # the centralizer samples of criterion 2's fixed representative h₀
+    orbit = enumerate_class(T(F3, text), 6)
+    h0 = canonical_matrix(lift(T(F3, "1,1@t-1;1@t-2"), 6))
+    for c in matfq.centralizer_samples(F3, h0, classcalc.CENTRALIZER_SAMPLES,
+                                       random.Random(0)):
+        assert orbit.conjugation_permutation(c).tolist() == \
+            _conjugate_positions(orbit, c)
+
+
+@st.composite
+def reflection_conjugations(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    n = draw(st.integers(2 if q == 2 else 1, 4))  # GL_1(2) has no reflection
+    F = field_of_order(q)
+    ty = draw(st.sampled_from(_reflection_classes(F, n)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return ty, n, _random_invertible(F, n, rng), _random_invertible(F, n, rng)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(reflection_conjugations())
+def test_pair_permutations_are_a_group_action(case):
+    ty, n, c1, c2 = case
+    orbit = enumerate_class(ty, n)
+    p1 = orbit.conjugation_permutation(c1)
+    p2 = orbit.conjugation_permutation(c2)
+    assert np.array_equal(np.sort(p1), np.arange(orbit.size))
+    p12 = orbit.conjugation_permutation(matfq.mat_mul(ty.field, c1, c2))
+    assert np.array_equal(p12, p1[p2])
+
+
+@pytest.mark.parametrize("corrupt", ["swap", "shift"])
+def test_corrupt_position_table_is_checked(monkeypatch, corrupt):
+    # swapping the blocks of u = (1,0,0) and u = (0,0,1) sends their pairs
+    # to positions that hold other pairs; shifting every block by one sends
+    # the last block's pairs past the end
+    orbit = enumerate_class(T(F3, "1@t-2"), 3)
+    real = classcalc._vector_tables(F3, 3)
+    position = real.position.copy()
+    if corrupt == "swap":
+        position[[9, 1]] = position[[1, 9]]
+    else:
+        position += 1
+    monkeypatch.setattr(classcalc, "_vector_tables",
+                        lambda field, n: real._replace(position=position))
+    with pytest.raises(InvariantError, match="not in its class"):
+        orbit.conjugation_permutation(matfq.identity(3))
 
 
 def test_reflection_pair_count_is_checked(monkeypatch):

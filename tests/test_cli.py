@@ -522,6 +522,8 @@ def test_domain_errors_exit_two(capsys):
      "--mu", "1,1@t-1;1@t-2"),
     # determinant pruning drops the top rank of this pair
     ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1,1@t-2"),
+    # the code tables of a reflection class over an extension field
+    ("mul", "--q", "4", "--n", "4", "--lambda", "1@t-x", "--mu", "1@t-(x+1)"),
 ])
 def test_output_is_unchanged_under_python_O(argv):
     # the exactness checks are explicit errors, not asserts that -O strips

@@ -6,10 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glq import gltype, matfq, polyalg
 from glq.errors import ClassEmptyError, InvariantError
-from glq.field import field_make
+from glq.field import field_make, field_of_order
 from glq.gltype import (
     GLType, a_partition, canonical_matrix, centralizer_order, class_size,
     conjugate_partition, det_of_type, empty_type, enumerate_partitions,
@@ -169,6 +171,19 @@ def test_modified_type_invariant_under_conjugation():
             x = random_invertible(F3, n, rng)
             gx = matfq.mat_mul(F3, matfq.mat_mul(F3, x, g), matfq.inverse(F3, x))
             assert modified_type_of(F3, gx) == mu
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9)), st.integers(1, 4),
+       st.integers(0, 2 ** 32))
+def test_type_of_invariant_under_random_conjugation(q, n, seed):
+    field = field_of_order(q)
+    rng = random.Random(seed)
+    g = random_invertible(field, n, rng)
+    x = random_invertible(field, n, rng)
+    gx = matfq.mat_mul(field, matfq.mat_mul(field, x, g),
+                       matfq.inverse(field, x))
+    assert type_of(field, gx) == type_of(field, g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from glq import classcalc
 from glq.field import field_make
 from glq.gltype import empty_type, parse_gltype
 from glq.stablecenter import (FIT_FAMILIES, CheckReport, Prediction,
@@ -72,6 +73,21 @@ def test_reflection_sweep_matches_computation(field, cases):
     assert len(reports) == cases
     assert all(r.match for r in reports)
     assert not any(r.is_failure for r in reports)
+
+
+def test_reflection_sweep_reads_one_stable_product_per_pair(monkeypatch):
+    # four (ξ, η) at q = 3; one constant per ν would make 16 products
+    calls = []
+    real = classcalc.multiply_class_sums
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classcalc, "multiply_class_sums", spy)
+    reports = sweep_two_reflections(F3)
+    assert len(reports) == 32 and all(r.match for r in reports)
+    assert len(calls) <= 10
 
 
 def test_reflection_spot_checks_q5():
