@@ -334,21 +334,28 @@ def _permute_pairs(field: "Field", n: int, pairs: ReflectionPairs,
     return perm, found
 
 
-def enumerate_class(mu: GLType, n: int, field: "Field" = None,
-                    memory_bound: int = DEFAULT_MEMORY_BOUND) -> ClassOrbit:
-    """All members of the modified-type-μ class in GL_n(q)."""
-    F = field if field is not None else mu.field
-    if F != mu.field:
+def _check_enumerable(mu: GLType, n: int, field: "Field",
+                      memory_bound: int) -> None:
+    """The checks made before the class 𝒦_μ(n) is built or a product that
+    enumerates it is read: the field, then the memory bound."""
+    if field != mu.field:
         raise ValueError("field mismatch")
     size = class_size(mu, n)
     if size > memory_bound:
         raise ClassTooLargeError(
             f"class of size {size} exceeds the memory bound {memory_bound}; "
             "raise it with --memory-bound (memory_bound in the library)")
+
+
+def enumerate_class(mu: GLType, n: int, field: "Field" = None,
+                    memory_bound: int = DEFAULT_MEMORY_BOUND) -> ClassOrbit:
+    """All members of the modified-type-μ class in GL_n(q)."""
+    _check_enumerable(mu, n, field if field is not None else mu.field,
+                      memory_bound)
     return _build_orbit(mu, n)
 
 
-# behind enumerate_class's bound check: never serves a class the bound refuses
+# behind _check_enumerable: never serves a class the bound refuses
 @lru_cache(maxsize=4)
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     F = mu.field
@@ -453,13 +460,27 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     with h₀ fixed in the other class, #{g : g·h₀ ∈ 𝒦_ν} is independent of
     the choice of h₀, so a^ν = |other class|·#/|𝒦_ν|.  One g per orbit of
     sampled centralizer elements of h₀ is classified, weighted by the orbit
-    size (see _centralizer_orbits)."""
+    size (see _centralizer_orbits).  Each (λ, μ, n) is computed once per
+    process, and every call first checks the field and the memory bound."""
     F = field if field is not None else lam.field
+    small = lam if class_size(lam, n) <= class_size(mu, n) else mu
+    _check_enumerable(small, n, F, memory_bound)
+    return ClassSumExpansion(field=F, n=n, lam=lam, mu=mu,
+                             terms=dict(_product_terms(lam, mu, n)))
+
+
+# read only behind multiply_class_sums's checks; exact and pure in
+# (λ, μ, n), since the field is that of the enumerated class.  Exceptions
+# are not memoized, and callers get a copy of the terms.
+@lru_cache(maxsize=1024)
+def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
     size_lam = class_size(lam, n)
     size_mu = class_size(mu, n)
     enum_on_left = size_lam <= size_mu
     small, other = (lam, mu) if enum_on_left else (mu, lam)
-    orbit = enumerate_class(small, n, F, memory_bound)
+    F = small.field
+    # the caller has checked the memory bound, and no class exceeds its size
+    orbit = enumerate_class(small, n, F, min(size_lam, size_mu))
     h0 = canonical_matrix(lift(other, n))
     counts: Counter = Counter()
     reps, weights = _centralizer_orbits(F, orbit, h0)
@@ -491,7 +512,7 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     if total != size_lam * size_mu:
         raise InvariantError(
             "counting identity Σ a^ν|𝒦_ν| = |𝒦_λ||𝒦_μ| failed")
-    return ClassSumExpansion(field=F, n=n, lam=lam, mu=mu, terms=terms)
+    return terms
 
 
 def structure_constant_at(lam: GLType, mu: GLType, nu: GLType, n: int,

@@ -77,7 +77,8 @@ def parse_term(term: str, var: str) -> tuple[str | None, int]:
     """Parse one product term into (coefficient text or None, power of var).
 
     Recognized forms: ``c``, ``c*v^k``, ``c*v``, ``v^k``, ``v`` where the
-    coefficient text may be parenthesized.
+    coefficient text may be parenthesized; a ``c`` with a ``*`` but no ``v``
+    after it, like ``2*x`` with v = t, is one coefficient.
     """
     if term == var:
         return None, 1
@@ -89,7 +90,10 @@ def parse_term(term: str, var: str) -> tuple[str | None, int]:
             return coeff, 1
         if vpart.startswith(var + "^"):
             return coeff, _parse_power(vpart[len(var) + 1:], term)
-        raise ValueError(f"expected a power of {var!r} after '*' in {term!r}")
+        if var in vpart:
+            raise ValueError(
+                f"expected a power of {var!r} after '*' in {term!r}")
+        # a constant written as a product, as format_poly prints 2*x in F_9
     return term, 0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -275,19 +274,25 @@ def q_binomial(q: int, m: int, b: int) -> int:
 
 
 def a_partition(parts: Partition, Q: int) -> int:
-    """Centralizer-order factor a_λ(Q) = Q^{|λ|+2n(λ)} ∏_i ∏_{j≤m_i} (1−Q^{−j})."""
+    """Centralizer-order factor a_λ(Q) = Q^{|λ|+2n(λ)} ∏_i ∏_{j≤m_i} (1−Q^{−j}),
+    in integers: Q^e ∏_i ∏_{j≤m_i} (Q^j − 1) with
+    e = |λ| + 2n(λ) − Σ_i m_i(m_i+1)/2."""
     if Q < 2:
         raise ValueError("a_partition needs Q >= 2")
     if not is_partition(parts):
         raise ValueError(f"bad partition {parts}")
     n_stat = sum(i * p for i, p in enumerate(parts))
-    total = Fraction(Q) ** (sum(parts) + 2 * n_stat)
-    for m in Counter(parts).values():
+    multiplicities = Counter(parts).values()
+    e = sum(parts) + 2 * n_stat - sum(m * (m + 1) // 2 for m in multiplicities)
+    if e < 0:
+        raise InvariantError("a_λ(Q) must have a nonnegative power of Q")
+    total = Q ** e
+    for m in multiplicities:
         for j in range(1, m + 1):
-            total *= 1 - Fraction(1, Q) ** j
-    if total.denominator != 1 or total <= 0:
+            total *= Q ** j - 1
+    if total <= 0:
         raise InvariantError("a_λ(Q) must be a positive integer")
-    return int(total)
+    return total
 
 
 def centralizer_order(T: GLType) -> int:
@@ -313,8 +318,15 @@ def class_size(T: GLType, n: int, field: "Field" = None) -> int:
     F = field if field is not None else T.field
     if F != T.field:
         raise ValueError("field mismatch")
+    return _class_size(T, n)
+
+
+# exact and pure in (T, n), so computed once per process; exceptions
+# (ClassEmptyError, InvariantError) are not memoized
+@lru_cache(maxsize=4096)
+def _class_size(T: GLType, n: int) -> int:
     plain = lift(T, n)
-    out, rem = divmod(gl_order(F, n), centralizer_order(plain))
+    out, rem = divmod(gl_order(T.field, n), centralizer_order(plain))
     if rem:
         raise InvariantError("centralizer order must divide the group order")
     return out

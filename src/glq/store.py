@@ -31,18 +31,13 @@ _STABLE = "stable"  # the n field of records holding top-degree products
 
 
 # A cache file repeats a few dozen type texts across its records, so loads
-# memoize parsing and class sizes.  The lookups of parse_gltype and
-# class_size happen at call time, not import time, so the functions can be
-# replaced or wrapped from outside; exceptions are not memoized.
+# memoize parsing.  The lookup of parse_gltype happens at call time, not
+# import time, so the function can be replaced or wrapped from outside;
+# exceptions are not memoized.
 
 @lru_cache(maxsize=4096)
 def _parse_type(field, text: str) -> GLType:
     return parse_gltype(field, text)
-
-
-@lru_cache(maxsize=4096)
-def _class_size(T: GLType, n: int) -> int:
-    return class_size(T, n)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +109,9 @@ def _validate(expansion: ClassSumExpansion) -> None:
         if any(norm(nu) != top for nu in expansion.terms):
             raise ValueError("stable record holds a non-top-degree term")
         return
-    total = sum(coeff * _class_size(nu, n)
+    total = sum(coeff * class_size(nu, n)
                 for nu, coeff in expansion.terms.items())
-    if total != _class_size(lam, n) * _class_size(mu, n):
+    if total != class_size(lam, n) * class_size(mu, n):
         raise ValueError("counting identity failed "
                          f"({total} pairs for key n={n})")
 

@@ -337,7 +337,9 @@ def test_structure_constant_frozen_values():
 
 def test_structure_constant_deterministic():
     args = (T(F3, "1@t-2"), T(F3, "1@t-2"), T(F3, "1,1@t-2"), 2)
-    assert structure_constant_at(*args) == structure_constant_at(*args) == 12
+    first = structure_constant_at(*args)
+    classcalc._product_terms.cache_clear()  # computed again, not served
+    assert structure_constant_at(*args) == first == 12
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +389,47 @@ def test_multiply_matches_oracle(field, n):
 
 def test_multiply_deterministic():
     lam, mu = T(F3, "1@t-1"), T(F3, "1@t-2")
-    assert multiply_class_sums(lam, mu, 3).terms == \
-        multiply_class_sums(lam, mu, 3).terms
+    first = multiply_class_sums(lam, mu, 3).terms
+    classcalc._product_terms.cache_clear()  # computed again, not served
+    assert multiply_class_sums(lam, mu, 3).terms == first
+
+
+def test_memo_hit_still_checks_the_memory_bound():
+    lam = T(F3, "1@t-2")
+    multiply_class_sums(lam, lam, 3)  # 𝒦_λ(3) has 117 elements
+    assert classcalc._product_terms.cache_info().currsize == 1
+    with pytest.raises(ClassTooLargeError, match="memory bound 116"):
+        multiply_class_sums(lam, lam, 3, memory_bound=116)
+    with pytest.raises(ValueError, match="field mismatch"):
+        multiply_class_sums(lam, lam, 3, F5)
+
+
+def test_changing_returned_terms_leaves_the_memo_intact():
+    lam, mu = T(F3, "1@t-1"), T(F3, "1@t-2")
+    first = multiply_class_sums(lam, mu, 3)
+    want = dict(first.terms)
+    first.terms[empty_type(F3)] = 99
+    first.terms.clear()
+    assert multiply_class_sums(lam, mu, 3).terms == want
+    assert classcalc._product_terms.cache_info().hits == 1
+
+
+def test_each_product_is_computed_once(monkeypatch):
+    computed = []
+    real = classcalc._centralizer_orbits
+
+    def spy(*args):
+        computed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classcalc, "_centralizer_orbits", spy)
+    lam, mu = T(F3, "1@t-1"), T(F3, "1@t-2")
+    for _ in range(3):
+        assert multiply_class_sums(lam, mu, 3).get(T(F3, "1@t-1;1@t-2")) > 0
+    assert len(computed) == 1
+    multiply_class_sums(mu, lam, 3)  # the key is ordered
+    multiply_class_sums(lam, mu, 4)
+    assert len(computed) == 3
 
 
 def test_counting_identity_failure_raises(monkeypatch):
@@ -448,6 +489,7 @@ def test_terms_do_not_depend_on_centralizer_samples(case):
     assume(min(sizes) <= 1000)
     terms = []
     for samples in (0, 1, 3):
+        classcalc._product_terms.cache_clear()  # computed with these samples
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(lam, mu, n).terms)

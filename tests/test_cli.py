@@ -203,6 +203,36 @@ def test_mul_resource_bound_exit_code(capsys):
     assert code == 3 and "resource bound exceeded" in err
 
 
+def test_memo_hit_honours_the_memory_bound(capsys):
+    argv = ("mul", "--q", "3", "--n", "3", "--no-cache",
+            "--lambda", "1@t-2", "--mu", "1@t-2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert classcalc._product_terms.cache_info().currsize == 1
+    code, out, err = run(capsys, *argv, "--memory-bound", "116")  # |𝒦| = 117
+    assert code == 3 and not out
+    assert err.startswith("resource bound exceeded")
+
+
+@pytest.mark.parametrize("suite,computed", [("stability", 20),
+                                            ("formulas", 29)])
+def test_verify_computes_each_product_once(capsys, monkeypatch, suite,
+                                           computed):
+    # one centralizer merge per product computed
+    merges = []
+    real = classcalc._centralizer_orbits
+
+    def spy(*args):
+        merges.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classcalc, "_centralizer_orbits", spy)
+    code, _, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert len(merges) == classcalc._product_terms.cache_info().misses == \
+        computed
+
+
 @pytest.mark.parametrize("argv", [
     ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2", "--no-cache"),
     ("fit", "--var", "n", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2",
@@ -266,6 +296,8 @@ def test_mul_reads_cache_before_computing(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("mul", "--q", "3", "--n", "3", "--lambda", "1@t-2", "--mu", "1@t-1"),
     ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2"),
+    # its record holds the term 1@t-2*x, a type text with a '*' in its key
+    ("mul", "--q", "9", "--n", "2", "--lambda", "1@t-x", "--mu", "1@t-2"),
 ])
 def test_cache_hit_prints_the_bytes_of_its_miss(tmp_path, capsys, argv):
     path = tmp_path / "cache.tsv"

@@ -3,6 +3,8 @@ and the exact counting formulas."""
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -319,6 +321,30 @@ def test_q_binomial_counts_subspaces(q):
     # each line contributes q-1 nonzero vectors
     assert (q ** m - 1) // (q - 1) == q_binomial(q, m, b)
     assert len(lines) == (q ** m - 1)
+
+
+def a_partition_fraction(parts, Q):
+    """a_λ(Q) = Q^{|λ|+2n(λ)} ∏_i ∏_{j≤m_i} (1−Q^{−j}) in Fractions."""
+    n_stat = sum(i * p for i, p in enumerate(parts))
+    total = Fraction(Q) ** (sum(parts) + 2 * n_stat)
+    for m in Counter(parts).values():
+        for j in range(1, m + 1):
+            total *= 1 - Fraction(1, Q) ** j
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_a_partition_matches_the_fraction_form():
+    # Q = q for every field of order at most 25, and Q = 25², with every
+    # partition of size 1 to 10: 15 × 138 = 2,070 cases
+    Qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 625)
+    cases = 0
+    for Q in Qs:
+        for size in range(1, 11):
+            for parts in enumerate_partitions(size):
+                assert a_partition(parts, Q) == a_partition_fraction(parts, Q)
+                cases += 1
+    assert cases == 2070
 
 
 def test_a_partition_frozen():
