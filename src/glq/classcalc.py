@@ -74,7 +74,7 @@ class ClassOrbit:
         class builds it on first read."""
         if self.pairs is None:
             return np.frombuffer(b"".join(self.index), np.uint8).reshape(
-                -1, self.n, self.n)
+                self.size, self.n, self.n)
         stack = self.members(np.arange(self.size))
         stack.flags.writeable = False
         return stack
@@ -165,7 +165,10 @@ class StabilityReport:
 
 def generators(field: "Field", n: int) -> list:
     """A standard generating set of GL_n(q): diag(γ,1,…), the n-cycle, and
-    the transvection I + E_{12} (the first alone for n = 1)."""
+    the transvection I + E_{12} (the first alone for n = 1, none for the
+    trivial group GL_0(q))."""
+    if n == 0:
+        return []
     gamma = field.multiplicative_generator()
     D = matfq.identity(n)
     D[0, 0] = gamma
@@ -187,7 +190,7 @@ def _bfs_orbit(field: "Field", J: np.ndarray, expected: int) -> dict:
     step = n * n
     gens = generators(field, n)
     index = {J.tobytes(): 0}
-    frontier = [J.tobytes()]
+    frontier = [J.tobytes()] if gens else []  # GL_0(q): J is its own class
     while frontier:
         level = np.frombuffer(b"".join(frontier), np.uint8).reshape(-1, n, n)
         images = [matfq.conjugate_stack(field, s, level).tobytes()

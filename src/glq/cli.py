@@ -31,99 +31,7 @@ from .stablecenter import (CASES, check_case, fit_polynomial_in_n,
                            sweep_union_distinct, sweep_union_equal)
 from .store import ExpansionCache, default_cache_path, format_record, make_key
 
-__all__ = ["main", "build_parser", "VERIFY_STABILITY_TRIPLES"]
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
-def _add_options(p: argparse.ArgumentParser, bound: bool = False,
-                 cache: bool = False) -> None:
-    """--format everywhere; --memory-bound where classes are enumerated;
-    --seed and the cache options where expansions are cached."""
-    p.add_argument("--format", choices=("table", "csv", "machine"),
-                   default="table")
-    if bound:
-        p.add_argument("--memory-bound", dest="memory_bound", type=int,
-                       default=DEFAULT_MEMORY_BOUND)
-    if cache:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cache", default=None,
-                       help="cache file (overrides GLQ_CACHE)")
-        p.add_argument("--no-cache", dest="no_cache", action="store_true")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="glq",
-        description="Exact conjugacy-class calculus for GL_n(q) at desk scale.")
-    ap.add_argument("--version", action="version",
-                    version=f"%(prog)s {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("irr", help="list monic irreducibles (t excluded)")
-    p.add_argument("--q", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--dmax", type=int, required=True)
-    _add_options(p)
-    p.set_defaults(handler=_cmd_irr)
-
-    p = sub.add_parser("classes", help="conjugacy-class table of GL_n(q)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_options(p)
-    p.set_defaults(handler=_cmd_classes)
-
-    p = sub.add_parser("type", help="types of one matrix (rows 'a,b;c,d')")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    _add_options(p)
-    p.set_defaults(handler=_cmd_type)
-
-    p = sub.add_parser("mul", help="full class-sum product at one rank")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    _add_options(p, bound=True, cache=True)
-    p.set_defaults(handler=_cmd_mul)
-
-    p = sub.add_parser("stable", help="top-degree stable expansion")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    _add_options(p, bound=True, cache=True)
-    p.set_defaults(handler=_cmd_stable)
-
-    p = sub.add_parser("fit", help="exact polynomial interpolation")
-    p.add_argument("--var", choices=("q", "n"), required=True)
-    p.add_argument("--points", help="q fits: 'q1:v1,q2:v2,...'")
-    p.add_argument("--q", type=int)
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--mu")
-    p.add_argument("--nu")
-    p.add_argument("--ns", help="n fits: ranks 'n1,n2,...'")
-    _add_options(p, bound=True)
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("stability", "oracle", "centralizers", "formulas"))
-    _add_options(p, bound=True)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("check", help="one predictor-vs-computation case")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--case", required=True, choices=CASES)
-    p.add_argument("--params", default="",
-                   help="semicolon-joined key=value pairs, e.g. 'xi=2;c=1;d=1'")
-    p.add_argument("--nu", help="target type for two-reflections")
-    _add_options(p, bound=True)
-    p.set_defaults(handler=_cmd_check)
-
-    return ap
+__all__ = ["main", "VERIFY_STABILITY_TRIPLES"]
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +43,9 @@ def _parse_matrix(field, text: str) -> np.ndarray:
             for row in text.split(";") if row.strip()]
     if any(not 0 <= x < field.q for row in rows for x in row):
         raise ValueError(f"entries must be field codes 0..{field.q - 1}")
-    A = np.array(rows, dtype=np.uint8)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square: rows 'a,b;c,d'")
-    return A
+    return np.array(rows, dtype=np.uint8)
 
 
 def _parse_points(text: str) -> list:
@@ -471,12 +378,93 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+_Q = ("--q", {"type": int, "required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True})
+_MU = ("--mu", {"required": True})
+
+#: name -> (help line, handler, own options, which shared options it takes)
+_COMMANDS = {
+    "irr": ("list monic irreducibles (t excluded)", _cmd_irr, (
+        ("--q", {"type": int}), ("--p", {"type": int}),
+        ("--e", {"type": int, "default": 1}),
+        ("--dmax", {"type": int, "required": True})), {}),
+    "classes": ("conjugacy-class table of GL_n(q)", _cmd_classes, (
+        _Q, ("--n", {"type": int, "required": True})), {}),
+    "type": ("types of one matrix (rows 'a,b;c,d')", _cmd_type, (
+        _Q, ("--matrix", {"required": True})), {}),
+    "mul": ("full class-sum product at one rank", _cmd_mul, (
+        _Q, ("--n", {"type": int, "required": True}), _LAMBDA, _MU),
+        {"bound": True, "cache": True}),
+    "stable": ("top-degree stable expansion", _cmd_stable, (
+        _Q, _LAMBDA, _MU), {"bound": True, "cache": True}),
+    "fit": ("exact polynomial interpolation", _cmd_fit, (
+        ("--var", {"choices": ("q", "n"), "required": True}),
+        ("--points", {"help": "q fits: 'q1:v1,q2:v2,...'"}),
+        ("--q", {"type": int}), ("--lambda", {"dest": "lam"}), ("--mu", {}),
+        ("--nu", {}), ("--ns", {"help": "n fits: ranks 'n1,n2,...'"})),
+        {"bound": True}),
+    "verify": ("run one verification suite", _cmd_verify, (
+        ("--suite", {"required": True, "choices": (
+            "stability", "oracle", "centralizers", "formulas")}),),
+        {"bound": True}),
+    "check": ("one predictor-vs-computation case", _cmd_check, (
+        _Q, ("--case", {"required": True, "choices": CASES}),
+        ("--params", {"default": "", "help": "semicolon-joined key=value "
+                      "pairs, e.g. 'xi=2;c=1;d=1'"}),
+        ("--nu", {"help": "target type for two-reflections"})),
+        {"bound": True}),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, bound: bool = False,
+                 cache: bool = False) -> None:
+    """--format everywhere; --memory-bound where classes are enumerated;
+    --seed and the cache options where expansions are cached."""
+    p.add_argument("--format", choices=("table", "csv", "machine"),
+                   default="table")
+    if bound:
+        p.add_argument("--memory-bound", dest="memory_bound", type=int,
+                       default=DEFAULT_MEMORY_BOUND)
+    if cache:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--cache", default=None,
+                       help="cache file (overrides GLQ_CACHE)")
+        p.add_argument("--no-cache", dest="no_cache", action="store_true")
+
+
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """Every subcommand is registered with its help line, so help, usage
+    and errors read the same; but only the one argv names (its first token
+    not starting with '-') gets its options and -h, because adding all of
+    them costs more than a cache hit.  argparse never parses with, or
+    prints the help of, a subcommand that argv does not name."""
+    ap = argparse.ArgumentParser(
+        prog="glq",
+        description="Exact conjugacy-class calculus for GL_n(q) at desk scale.")
+    ap.add_argument("--version", action="version",
+                    version=f"%(prog)s {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_text, handler, options, shared) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, add_help=name == invoked)
+        if name == invoked:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            _add_options(p, **shared)
+            p.set_defaults(handler=handler)
+    return ap
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except ResourceBoundError as exc:

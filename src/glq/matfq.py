@@ -175,8 +175,8 @@ def char_poly(field: Field, A: np.ndarray) -> tuple[int, ...]:
     leading-principal-minor recurrence.  O(n^3) field operations, no zero-pivot
     trouble, and valid for any q (interpolation would need q > n)."""
     n = A.shape[0]
-    if A.shape != (n, n) or n < 1:
-        raise ValueError("char_poly requires a square matrix, n >= 1")
+    if A.shape != (n, n):
+        raise ValueError("char_poly requires a square matrix")
     add, mul, neg, inv = (field.add_table, field.mul_table,
                           field.neg_table, field.inv_table)
     H = A.tolist()

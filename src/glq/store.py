@@ -156,12 +156,33 @@ def _parse_record(target: Path, lineno: int, line: str):
     return key, expansion, meta
 
 
-def _numbered_lines(target: Path):
-    """(line number, line without its newline) for each line of the file;
-    a line torn inside a multi-byte character like ∅ decodes with U+FFFD."""
-    with open(target, encoding="utf-8", errors="replace") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            yield lineno, line.rstrip("\n")
+def _numbered_lines(target: Path, key: str | None = None):
+    """(line number, line without its line end) for each line of the file
+    that begins with key and a tab, or for every line when key is None.
+
+    As in text mode, \\r\\n and a lone \\r end a line as \\n does.  The
+    key's lines are found by one search over the file's bytes, and only
+    they are decoded; a line torn inside a multi-byte character like ∅
+    decodes with U+FFFD."""
+    data = target.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    prefix = b"" if key is None else key.encode("utf-8") + b"\t"
+    needle = b"\n" + prefix
+    starts = [0] if data.startswith(prefix) else []
+    at = data.find(needle)
+    while at >= 0:
+        starts.append(at + 1)
+        at = data.find(needle, at + 1)
+    lineno, counted = 1, 0
+    for start in starts:
+        if start == len(data):  # past the last line end: no line starts here
+            break
+        lineno += data.count(b"\n", counted, start)
+        counted = start
+        end = data.find(b"\n", start)
+        line = data[start:end] if end >= 0 else data[start:]
+        yield lineno, line.decode("utf-8", errors="replace")
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +247,12 @@ class ExpansionCache:
         Same answer as load() then get(key), but only the lines of this key
         are parsed and revalidated, last first: the first valid one wins.
         A skipped line of this key warns as in load(); lines of other keys
-        are not examined."""
+        are neither decoded nor parsed.  The file is read once and searched
+        once, so the cost is linear in its bytes."""
         target = self._target()
         if not target.exists():
             return None
-        prefix = key + "\t"
-        candidates = [(lineno, line)
-                      for lineno, line in _numbered_lines(target)
-                      if line.startswith(prefix)]
-        for lineno, line in reversed(candidates):
+        for lineno, line in reversed(list(_numbered_lines(target, key))):
             record = _parse_record(target, lineno, line)
             if record is not None:
                 return record[1]

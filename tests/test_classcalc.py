@@ -87,6 +87,22 @@ def test_enumerate_group_counts():
     assert sum(1 for _ in enumerate_group(F3, 2)) == 48
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda F: f"q{F.q}")
+def test_rank_zero_is_the_trivial_group(field):
+    # GL_0(q) has one element, the empty matrix, so K_∅·K_∅ = K_∅ at n = 0
+    # as at n = 1
+    unit = empty_type(field)
+    assert generators(field, 0) == []
+    assert modified_type_of(field, np.zeros((0, 0), np.uint8)) == unit
+    assert enumerate_class(unit, 0).elements.shape == (1, 0, 0)
+    for product in (multiply_class_sums(unit, unit, 0),
+                    multiply_oracle(unit, unit, 0), stable_product(unit, unit)):
+        assert product.terms == {unit: 1}
+    assert stable_constant(unit, unit, unit) == 1
+    assert structure_constant_at(unit, unit, unit, 0) == 1
+    assert verify_stability(unit, unit, unit).values == ((0, 1), (1, 1), (2, 1))
+
+
 def test_enumerate_group_bound():
     with pytest.raises(ResourceBoundError, match="exceeds the bound"):
         list(enumerate_group(F3, 3, bound=10))

@@ -71,6 +71,12 @@ def test_type_rejects_singular_matrix(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_type_rejects_a_ragged_matrix(capsys):
+    code, out, err = run(capsys, "type", "--q", "3", "--matrix", "1,0;0")
+    assert (code, out) == (2, "")
+    assert err == "error: matrix must be square: rows 'a,b;c,d'\n"
+
+
 def test_type_rejects_entry_beyond_a_byte(capsys):
     code, out, err = run(capsys, "type", "--q", "3", "--matrix", "300,0;0,1")
     assert code == 2 and not out
@@ -104,6 +110,16 @@ def test_stable_matches_reflection_pair_table(capsys):
     body = [tuple(line.split()) for line in out.strip().splitlines()[1:]]
     assert body == [("1@t-1;1@t-2", "5"), ("1@t^2+t+2", "4"),
                     ("1@t^2+2*t+2", "4")]
+
+
+@pytest.mark.parametrize("argv", [("mul", "--q", "3", "--n", "0"),
+                                  ("stable", "--q", "3")],
+                         ids=lambda argv: argv[0])
+def test_rank_zero_product_is_the_unit(capsys, argv):
+    code, out, err = run(capsys, *argv, "--lambda", "∅", "--mu", "∅",
+                         "--no-cache", "--format", "machine")
+    assert (code, err) == (0, "")
+    assert out.split("\t")[1] == "∅,1"
 
 
 def test_machine_output_round_trips(capsys):
@@ -298,6 +314,7 @@ def test_mul_reads_cache_before_computing(tmp_path, capsys):
     ("stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2"),
     # its record holds the term 1@t-2*x, a type text with a '*' in its key
     ("mul", "--q", "9", "--n", "2", "--lambda", "1@t-x", "--mu", "1@t-2"),
+    ("mul", "--q", "3", "--n", "0", "--lambda", "∅", "--mu", "∅"),
 ])
 def test_cache_hit_prints_the_bytes_of_its_miss(tmp_path, capsys, argv):
     path = tmp_path / "cache.tsv"

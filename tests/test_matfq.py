@@ -235,6 +235,12 @@ def test_char_poly_frozen():
     assert matfq.char_poly(F3, J) == (1, 1, 1)  # (t-1)^2 = t^2 + t + 1 over F_3
 
 
+def test_char_poly_of_the_empty_matrix_is_one():
+    assert matfq.char_poly(F3, np.zeros((0, 0), dtype=np.uint8)) == (1,)
+    with pytest.raises(ValueError, match="square"):
+        matfq.char_poly(F3, np.zeros((2, 3), dtype=np.uint8))
+
+
 @pytest.mark.parametrize("field", [F2, F3])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_char_poly_of_companion(field, d):

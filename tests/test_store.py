@@ -1,16 +1,23 @@
 """Cache keys, record serialization, revalidation on load, the load/save
 round trip, one-key lookups, and appending records."""
 
+import functools
 import itertools
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glq.classcalc import multiply_class_sums, stable_product
 from glq.field import field_make
 from glq.gltype import empty_type, enumerate_plain_types, parse_gltype
-from glq.store import (ExpansionCache, default_cache_path, make_key,
-                       parse_expansion, parse_key, serialize_expansion)
+from glq.store import (ExpansionCache, _numbered_lines, default_cache_path,
+                       format_record, make_key, parse_expansion, parse_key,
+                       serialize_expansion)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -334,6 +341,102 @@ def test_lookup_agrees_with_load_then_get(tmp_path):
             got = ExpansionCache(path).lookup(key)
             want = loaded.get(key)
             assert (got and got.terms) == (want and want.terms)
+
+
+@functools.lru_cache(maxsize=1)
+def _record_lines() -> tuple:
+    """Valid record lines: one key whose type text is a prefix of another
+    key's, a rank-0 and a stable record, and a second valid record, with
+    other terms, for the first key."""
+    one, two = T(F3, "1@t-2"), T(F3, "1@t-1")
+    unit = empty_type(F3)
+    products = [multiply_class_sums(one, one, 2, F3),
+                multiply_class_sums(one, two, 2, F3),
+                multiply_class_sums(unit, two, 3, F3),
+                multiply_class_sums(unit, T(F3, "1@t-1;1@t-2"), 3, F3),
+                multiply_class_sums(unit, unit, 0, F3),
+                stable_product(one, one, F3)]
+    planted = multiply_class_sums(one, one, 2, F3)
+    planted.terms = {unit: 12 * 12}
+    return tuple(format_record(e) for e in products + [planted])
+
+
+def _corrupt(line: str, kind: str) -> str:
+    """The corrupt kinds of the benchmark's cache fixture."""
+    key, value, meta = line.split("\t")
+    if kind == "truncated":
+        return f"{key}\t{value}"
+    if kind == "version":
+        return f"{key}\t{value}\tv=0.0.0;ts=0;seed=-"
+    if kind == "key":
+        q_part, _, rest = key.partition(";")
+        return f"{q_part};n=?;{rest.partition(';')[2]}\t{value}\t{meta}"
+    head, _, coeff = value.rpartition(",")
+    return f"{key}\t{head},{int(coeff) + 1}\t{meta}"
+
+
+def _torn(line: str) -> bytes:
+    """The line as a writer that died inside its first ∅ leaves it."""
+    data = line.encode()
+    return data[:data.index("∅".encode()) + 1]
+
+
+@st.composite
+def cache_files(draw) -> bytes:
+    lines = _record_lines()
+    piece = st.one_of(
+        st.sampled_from(lines).map(str.encode),
+        st.tuples(st.sampled_from(lines),
+                  st.sampled_from(("truncated", "version", "key",
+                                   "coefficient")))
+        .map(lambda pair: _corrupt(*pair).encode()),
+        st.sampled_from([line for line in lines if "∅" in line]).map(_torn),
+        st.sampled_from((b"", b"# a comment", b"no tabs at all")))
+    pieces = draw(st.lists(st.tuples(piece, st.sampled_from(
+        (b"\n", b"\n", b"\r\n", b"\r"))), max_size=10))
+    data = b"".join(text + end for text, end in pieces)
+    if pieces and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")  # no final line end
+    return data
+
+
+def _skipped_lines(caught) -> list:
+    return [int(re.search(r":(\d+): ", str(w.message)).group(1))
+            for w in caught]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cache_files())
+def test_lookup_equals_load_then_get(data):
+    keys = sorted({line.split("\t")[0] for line in _record_lines()})
+    keys.append(make_key(empty_type(F3), empty_type(F3), 2))  # never stored
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "cache.tsv"
+        path.write_bytes(data)
+        # the lines as text mode reads them: \r\n and a lone \r end a line
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            text_lines = [(lineno, line.rstrip("\n"))
+                          for lineno, line in enumerate(handle, start=1)]
+        assert list(_numbered_lines(path)) == text_lines
+        loaded = ExpansionCache(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded.load()
+        skipped = set(_skipped_lines(caught))
+        for key in keys:
+            mine = [lineno for lineno, line in text_lines
+                    if line.startswith(key + "\t")]
+            assert [lineno for lineno, _ in _numbered_lines(path, key)] \
+                == mine
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = ExpansionCache(path).lookup(key)
+            want = loaded.get(key)
+            assert (got and got.terms) == (want and want.terms)
+            # lookup tries this key's lines last first, up to a valid one
+            served = max((n for n in mine if n not in skipped), default=0)
+            assert _skipped_lines(caught) == [n for n in reversed(mine)
+                                              if n > served]
 
 
 def test_lookup_missing_file_is_none(tmp_path):
