@@ -28,6 +28,7 @@ from .gltype import (GLType, canonical_matrix, class_size, det_of_type,
                      enumerate_plain_types, format_gltype, gl_order,
                      gltype_sort_key, lift, min_rank, modified_type_of, norm,
                      reflection_length)
+from .polyalg import _all_vectors
 
 if TYPE_CHECKING:
     from .field import Field
@@ -93,11 +94,6 @@ class ClassOrbit:
         d = np.arange(n)
         stack[:, d, d] = F.add_np[stack[:, d, d], 1]
         return stack
-
-    def __contains__(self, A) -> bool:
-        """A linear scan; no counting path asks for membership."""
-        return A.shape == self.rep.shape and \
-            bool(np.all(self.elements == A, axis=(1, 2)).any())
 
     def __len__(self) -> int:
         return self.size
@@ -214,13 +210,6 @@ def _reflection_eigenvalue(mu: GLType) -> int | None:
         return None
     (f, parts), = mu.entries
     return mu.field.neg(f[0]) if len(f) == 2 and parts == (1,) else None
-
-
-def _all_vectors(q: int, m: int) -> np.ndarray:
-    """Every vector of F_q^m as a row, in ascending order of its code
-    code(v) = Σ v_j·q^{m−1−j}."""
-    weights = q ** np.arange(m - 1, -1, -1)
-    return (np.arange(q ** m)[:, None] // weights % q).astype(np.uint8)
 
 
 class VectorTables(NamedTuple):

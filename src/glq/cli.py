@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,12 +94,16 @@ def _poly_text(coefficients, var: str) -> str:
 
 def _cached(args, key: str, compute):
     """The cached expansion under key; on a miss, compute() it and append
-    the record to the cache file."""
+    the record to the cache file.  A skipped record of the key is reported
+    as one `warning: ...` line on stderr, subject to the warning filters."""
     if args.no_cache:
         return compute()
     cache = ExpansionCache(Path(args.cache) if args.cache
                            else default_cache_path())
-    expansion = cache.lookup(key)
+    with warnings.catch_warnings(record=True) as skipped:
+        expansion = cache.lookup(key)
+    for warning in skipped:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if expansion is None:
         expansion = compute()
         cache.append(key, expansion, seed=args.seed)

@@ -178,26 +178,13 @@ class Field:
 
     @staticmethod
     def _find_modulus(p: int, e: int) -> tuple[int, ...]:
-        """First monic irreducible of degree e over F_p by ascending encoding.
-
-        Candidates t^e + a_{e-1} t^{e-1} + ... + a_0 are scanned in ascending
-        order of sum(a_i * p**i); the winner is deterministic across runs.
-        """
+        """First monic irreducible of degree e over F_p by ascending encoding
+        sum(a_i * p**i) of t^e + a_{e-1} t^{e-1} + ... + a_0; the winner is
+        deterministic across runs."""
         from . import polyalg
 
-        prime = field_make(p, 1)
-        for enc in range(p ** e):
-            if enc % p == 0:  # constant term 0 => divisible by t
-                continue
-            coeffs = []
-            m = enc
-            for _ in range(e):
-                coeffs.append(m % p)
-                m //= p
-            f = (*coeffs, 1)
-            if polyalg.is_irreducible(prime, f):
-                return f
-        raise AssertionError("no irreducible modulus found")  # unreachable
+        phi = polyalg.enumerate_phi(field_make(p, 1), e)
+        return next(f for f in phi if len(f) == e + 1)
 
     def _poly_mul_mod(self, da: tuple[int, ...], db: tuple[int, ...]) -> int:
         """Product of two digit tuples reduced mod the modulus (table build)."""

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import InvariantError
 from .field import format_terms, parse_term, split_terms
 
 if TYPE_CHECKING:
@@ -21,10 +22,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "poly_trim", "poly_degree", "poly_add", "poly_neg", "poly_sub",
-    "poly_scale", "poly_mul", "poly_divmod", "poly_mod", "poly_make_monic",
-    "poly_gcd", "poly_pow_mod", "poly_eval", "poly_t", "t_minus",
-    "t_minus_one", "poly_key", "is_irreducible", "enumerate_phi",
-    "factor_monic", "companion", "jordan_block", "format_poly", "parse_poly",
+    "poly_scale", "poly_mul", "poly_divmod", "poly_mod", "poly_eval",
+    "poly_t", "t_minus", "t_minus_one", "poly_key", "is_irreducible",
+    "enumerate_phi", "factor_monic", "companion", "jordan_block",
+    "format_poly", "parse_poly",
 ]
 
 
@@ -125,36 +126,6 @@ def poly_mod(field: Field, f, g) -> tuple[int, ...]:
     return poly_divmod(field, f, g)[1]
 
 
-def poly_make_monic(field: Field, f) -> tuple[int, ...]:
-    if not f:
-        return ()
-    if f[-1] == 1:
-        return poly_trim(f)
-    return poly_scale(field, field.inv(f[-1]), f)
-
-
-def poly_gcd(field: Field, f, g) -> tuple[int, ...]:
-    """Monic-normalized greatest common divisor."""
-    f, g = poly_trim(f), poly_trim(g)
-    while g:
-        f, g = g, poly_mod(field, f, g)
-    return poly_make_monic(field, f)
-
-
-def poly_pow_mod(field: Field, f, k: int, m) -> tuple[int, ...]:
-    """f**k reduced mod m, by square-and-multiply."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = poly_mod(field, (1,), m)
-    base = poly_mod(field, f, m)
-    while k:
-        if k & 1:
-            result = poly_mod(field, poly_mul(field, result, base), m)
-        base = poly_mod(field, poly_mul(field, base, base), m)
-        k >>= 1
-    return result
-
-
 def poly_eval(field: Field, f, a: int) -> int:
     """Horner evaluation at a field element."""
     add, mul = field.add_table, field.mul_table
@@ -165,7 +136,7 @@ def poly_eval(field: Field, f, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# canonical ordering, irreducibility, Phi
+# canonical ordering, Phi, factoring
 # ---------------------------------------------------------------------------
 
 def poly_key(field: Field, f) -> tuple[int, int]:
@@ -179,59 +150,57 @@ def poly_key(field: Field, f) -> tuple[int, int]:
     return (d, enc)
 
 
-def _prime_factors(d: int) -> list[int]:
-    out = []
-    r = 2
-    while r * r <= d:
-        if d % r == 0:
-            out.append(r)
-            while d % r == 0:
-                d //= r
-        r += 1
-    if d > 1:
-        out.append(d)
-    return out
+def _all_vectors(q: int, m: int) -> np.ndarray:
+    """Every vector of F_q^m as a row, in ascending order of its code
+    code(v) = Σ v_j·q^{m−1−j}."""
+    weights = q ** np.arange(m - 1, -1, -1)
+    return (np.arange(q ** m)[:, None] // weights % q).astype(np.uint8)
 
 
-def is_irreducible(field: Field, f) -> bool:
-    """Rabin's criterion: t^{q^d} = t mod f and gcd(t^{q^{d/r}} - t, f) = 1
-    for each prime r dividing d."""
-    d = poly_degree(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = field.q
-    t = poly_t()
-    t_red = poly_mod(field, t, f)
-    if poly_pow_mod(field, t, q ** d, f) != t_red:
-        return False
-    for r in _prime_factors(d):
-        y = poly_pow_mod(field, t, q ** (d // r), f)
-        if poly_gcd(field, poly_sub(field, y, t_red), f) != (1,):
-            return False
-    return True
+def _gauss_count(q: int, d: int) -> int:
+    """Gauss's count (1/d)·Σ_{e|d} μ(d/e)·q^e of the monic irreducibles of
+    degree d over F_q, through its inverse q^d = Σ_{e|d} e·count(e)."""
+    return (q ** d - sum(e * _gauss_count(q, e)
+                         for e in range(1, d) if d % e == 0)) // d
 
 
 @lru_cache(maxsize=None)
 def _phi_cached(field: Field, dmax: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for d in range(1, dmax + 1):
-        found = []
-        for enc in range(field.q ** d):
-            if enc % field.q == 0:  # constant term 0: divisible by t
-                continue
-            coeffs = []
-            m = enc
-            for _ in range(d):
-                coeffs.append(m % field.q)
-                m //= field.q
-            f = (*coeffs, 1)
-            if d == 1 or is_irreducible(field, f):
-                found.append(f)
-        found.sort(key=lambda g: poly_key(field, g))
-        out.extend(found)
-    return tuple(out)
+    """Phi up to degree dmax by a sieve: at each degree d, the products of
+    every known irreducible of degree a <= d/2 with every monic of degree
+    d - a, and the multiples of t, are marked by their code
+    Σ_{i<d} f_i·q^i; the unmarked codes are the irreducibles of degree d,
+    and their count must be Gauss's."""
+    if dmax < 1:
+        return ()
+    known = _phi_cached(field, dmax - 1)
+    q, d = field.q, dmax
+    weights = q ** np.arange(d)
+    reducible = np.zeros(q ** d, dtype=bool)
+    reducible[::q] = True  # constant term 0: divisible by t
+    for g in known:
+        a = len(g) - 1
+        if 2 * a > d:
+            break
+        # every monic h of degree d - a, one per row
+        h = np.ones((q ** (d - a), d - a + 1), dtype=np.uint8)
+        h[:, :-1] = _all_vectors(q, d - a)
+        prod = np.zeros((len(h), d + 1), dtype=np.uint8)
+        for i, c in enumerate(g):
+            if c:
+                window = prod[:, i:i + d - a + 1]
+                window[:] = field.add_np[window, field.mul_np[c, h]]
+        reducible[prod[:, :d] @ weights] = True
+    codes = np.flatnonzero(~reducible)
+    expected = _gauss_count(q, d) - (d == 1)  # t is not in Phi
+    if len(codes) != expected:
+        raise InvariantError(
+            f"the sieve left {len(codes)} irreducibles of degree {d} over "
+            f"{field!r}, but Gauss's count gives {expected}")
+    digits = codes[:, None] // weights % q  # f_0, ..., f_{d-1} by row
+    found = [(*coeffs, 1) for coeffs in digits.tolist()]
+    found.sort(key=lambda g: poly_key(field, g))
+    return known + tuple(found)
 
 
 def enumerate_phi(field: Field, dmax: int) -> list[tuple[int, ...]]:
@@ -239,6 +208,15 @@ def enumerate_phi(field: Field, dmax: int) -> list[tuple[int, ...]]:
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     return list(_phi_cached(field, dmax))
+
+
+def is_irreducible(field: Field, f) -> bool:
+    """Whether f, scaled to be monic, is irreducible of positive degree."""
+    f = poly_trim(f)
+    if len(f) < 3:  # constants are not irreducible, linears are
+        return len(f) == 2
+    f = poly_scale(field, field.inv(f[-1]), f)
+    return factor_monic(field, f) == ((f, 1),)
 
 
 def factor_monic(field: Field, f) -> tuple[tuple[tuple[int, ...], int], ...]:

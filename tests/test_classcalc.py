@@ -124,8 +124,6 @@ def test_enumerate_class_frozen_q3():
     cp = (2, 0, 1)  # (t-1)(t-2)
     for g in orbit.elements:
         assert matfq.char_poly(F3, g) == cp
-    assert orbit.rep in orbit
-    assert matfq.identity(2) not in orbit and orbit.rep[:1] not in orbit
     # element 5 sits at position 5
     assert orbit.conjugation_permutation(matfq.identity(2))[5] == 5
 
@@ -158,8 +156,18 @@ TYPE_RANKS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(TYPE_RANKS))
 @example((16, 3))  # 1,495 key polynomials: deeper than the recursion limit
+@example((13, 4))  # 28,548 types, about 2 s
 def test_class_sizes_sum_to_the_group_order(rank):
-    q, n = rank
+    _check_class_sizes_sum_to_the_group_order(*rank)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [16, 25])  # 65,520 and 390,600 types
+def test_class_sizes_sum_to_the_group_order_at_rank_four(q):
+    _check_class_sizes_sum_to_the_group_order(q, 4)
+
+
+def _check_class_sizes_sum_to_the_group_order(q: int, n: int) -> None:
     F = field_of_order(q)
     types = enumerate_modified_types(F, n, n)
     assert len(set(types)) == len(types)

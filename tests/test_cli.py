@@ -359,12 +359,37 @@ def test_torn_multibyte_character_skips_only_its_line(tmp_path, capsys):
     assert run(capsys, *hit, "--cache", str(path))[0] == 0
     line = path.read_bytes()
     path.write_bytes(line + line[:line.index("∅".encode()) + 1])
-    with pytest.warns(UserWarning, match=":2:"):
-        assert run(capsys, *hit, "--cache", str(path))[:2] == (0, hit_out)
+    assert run(capsys, *hit, "--cache", str(path)) == (
+        0, hit_out, f"warning: skipping cache record at {path}:2: "
+        "not enough values to unpack (expected 3, got 2)\n")
     assert run(capsys, *miss, "--cache", str(path))[:2] == (0, miss_out)
     with pytest.warns(UserWarning, match="skipping cache record") as seen:
         assert ExpansionCache(path).load() == 2
     assert len(seen) == 1 and f"{path}:2:" in str(seen[0].message)
+    key = path.read_bytes().split(b"\t")[0].decode()
+    with pytest.warns(UserWarning, match=f"{path}:2:"):
+        assert ExpansionCache(path).lookup(key) is not None
+
+
+def test_skipped_record_warning_follows_the_warning_filters(tmp_path):
+    path = tmp_path / "cache.tsv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ("-m", "glq.cli", "mul", "--q", "3", "--n", "2", "--lambda",
+            "1@t-2", "--mu", "1@t-2", "--cache", str(path))
+    subprocess.run([sys.executable, *argv], env=env, check=True,
+                   capture_output=True)
+    with path.open("a") as handle:
+        handle.write("q=3;n=2;lambda=1@t-2;mu=1@t-2\ttorn\n")
+    shown = subprocess.run([sys.executable, *argv], env=env,
+                           capture_output=True, text=True)
+    assert (shown.returncode, shown.stderr) == (
+        0, f"warning: skipping cache record at {path}:2: "
+        "not enough values to unpack (expected 3, got 2)\n")
+    ignored = subprocess.run([sys.executable, "-W", "ignore", *argv],
+                             env=env, capture_output=True, text=True)
+    assert (ignored.returncode, ignored.stdout, ignored.stderr) == (
+        0, shown.stdout, "")
 
 
 def test_unusable_cache_path_exits_two(tmp_path, capsys):
@@ -561,6 +586,15 @@ def test_domain_errors_exit_two(capsys):
     code, _, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
                        "--lambda", "1@t^2+2", "--mu", "")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("item", ["@t-1", "1,,1@t-1", "x@t-1"])
+def test_empty_or_non_integer_part_is_a_bad_partition(capsys, item):
+    code, out, err = run(capsys, "stable", "--q", "5", "--lambda", item,
+                         "--mu", "@t-1", "--no-cache")
+    head = item.partition("@")[0]
+    assert (code, out, err) == (
+        2, "", f"error: bad partition {head!r} (descending positive parts)\n")
 
 
 @pytest.mark.parametrize("argv", [

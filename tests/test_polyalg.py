@@ -1,10 +1,15 @@
 """Polynomial ring operations, irreducibility, Phi enumeration, companions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from glq.errors import InvariantError
 from glq.field import field_make, field_of_order
 from glq import polyalg as pa
+
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25]
 
 
 def mobius_irreducible_count(q: int, d: int) -> int:
@@ -43,25 +48,11 @@ def test_divmod_round_trip():
         pa.poly_divmod(F, f, ())
 
 
-def test_gcd_and_pow_mod():
-    F = field_make(3, 1)
-    f = (1, 1)  # t+1
-    assert pa.poly_gcd(F, f, f) == f
-    prod = pa.poly_mul(F, pa.poly_mul(F, f, f), (2, 1))
-    other = pa.poly_mul(F, f, (1, 0, 1))
-    assert pa.poly_gcd(F, prod, other) == f
-    for q in (2, 3, 4, 5):
-        Fq = field_of_order(q)
-        one = pa.poly_pow_mod(Fq, pa.poly_t(), q, pa.t_minus_one(Fq))
-        assert one == (1,)  # t = 1 mod t-1
-
-
 def test_eval_and_scale():
     F = field_make(5, 1)
     f = (1, 2, 1)  # (t+1)^2
     assert [pa.poly_eval(F, f, a) for a in range(5)] == [1, 4, 4, 1, 0]
     assert pa.poly_scale(F, 2, f) == (2, 4, 2)
-    assert pa.poly_make_monic(F, (2, 4, 2)) == f
 
 
 def test_is_irreducible_examples():
@@ -72,8 +63,21 @@ def test_is_irreducible_examples():
         assert pa.is_irreducible(F5, pa.t_minus(F5, xi))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_is_irreducible_on_zero_constants_and_non_monics():
+    F3, F4, F5 = field_make(3, 1), field_make(2, 2), field_make(5, 1)
+    for f in [(), (0,), (1,), (2,)]:
+        assert not pa.is_irreducible(F3, f)
+    assert pa.is_irreducible(F3, (0, 2))  # 2t
+    assert pa.is_irreducible(F3, (2, 2))  # 2t+2
+    assert pa.is_irreducible(F3, (2, 0, 2))  # 2(t^2+1)
+    assert not pa.is_irreducible(F3, (1, 0, 2))  # 2(t^2+2) = 2(t-1)(t+1)
+    assert not pa.is_irreducible(F5, (2, 0, 2))  # 2(t^2+1), 2^2+1 = 0 mod 5
+    assert pa.is_irreducible(F3, (1, 1, 0, 2))  # 2(t^3+2t+2), no root
+    assert not pa.is_irreducible(F4, (1, 0, 2))  # a square in characteristic 2
+
+
+@pytest.mark.parametrize("d,q", [(d, q) for q in PRIME_POWERS
+                                 for d in (1, 2, 3, 4) if d < 4 or q <= 16])
 def test_irreducible_counts_match_necklace_formula(q, d):
     F = field_of_order(q)
     phi = pa.enumerate_phi(F, d)
@@ -84,22 +88,34 @@ def test_irreducible_counts_match_necklace_formula(q, d):
     assert count == expected
 
 
-@pytest.mark.parametrize("q", [2, 3])
+def _monics(q: int, d: int) -> list:
+    """Every monic polynomial of degree d over F_q."""
+    return [(*coeffs, 1) for coeffs in itertools.product(range(q), repeat=d)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_phi_members_exactly_the_irreducibles(q):
+    # independent of the sieve: a monic of degree d is reducible exactly when
+    # it is a product g·h of monics of degrees a and d - a, 1 <= a <= d/2
     F = field_of_order(q)
-    phi = set(pa.enumerate_phi(F, 3))
-    for d in range(1, 4):
-        for enc in range(q ** d):
-            coeffs = []
-            m = enc
-            for _ in range(d):
-                coeffs.append(m % q)
-                m //= q
-            f = (*coeffs, 1)
-            if f in phi:
-                assert pa.is_irreducible(F, f)
-            else:
-                assert f == pa.poly_t() or not pa.is_irreducible(F, f)
+    dmax = 4 if q <= 5 else 3
+    phi = pa.enumerate_phi(F, dmax)
+    for d in range(1, dmax + 1):
+        products = {pa.poly_mul(F, g, h) for a in range(1, d // 2 + 1)
+                    for g in _monics(q, a) for h in _monics(q, d - a)}
+        irreducible = set(_monics(q, d)) - products - {pa.poly_t()}
+        assert {f for f in phi if len(f) == d + 1} == irreducible
+
+
+def test_a_count_off_gauss_is_an_invariant_error(monkeypatch):
+    F = field_of_order(7)
+    count = pa._gauss_count
+    monkeypatch.setattr(pa, "_gauss_count",
+                        lambda q, d: count(q, d) + (d == 2))
+    pa._phi_cached.cache_clear()  # list afresh, so every count is checked
+    assert len(pa.enumerate_phi(F, 1)) == 6
+    with pytest.raises(InvariantError, match="Gauss's count gives 22"):
+        pa.enumerate_phi(F, 2)
 
 
 def test_phi_frozen_orderings():
