@@ -588,6 +588,18 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("key", ["t^64+t^4+t^3+t+1", "t^3000+t+1"])
+def test_key_past_the_sieve_bound_exits_three(capsys, key):
+    # deciding either key needs the irreducibles of half its degree
+    code, out, err = run(capsys, "stable", "--q", "2", "--lambda", f"1@{key}",
+                         "--mu", "1@t-1", "--no-cache")
+    half = int(key[2:key.index("+")]) // 2
+    assert (code, out) == (3, "")
+    assert err == (f"resource bound exceeded: listing the irreducibles of "
+                   f"degree {half} over F_2 needs a sieve of 2^{half} codes, "
+                   f"above the bound of 1048576\n")
+
+
 @pytest.mark.parametrize("item", ["@t-1", "1,,1@t-1", "x@t-1"])
 def test_empty_or_non_integer_part_is_a_bad_partition(capsys, item):
     code, out, err = run(capsys, "stable", "--q", "5", "--lambda", item,

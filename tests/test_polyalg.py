@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from glq.errors import InvariantError
+from glq.errors import InvariantError, ResourceBoundError
 from glq.field import field_make, field_of_order
 from glq import polyalg as pa
 
@@ -105,6 +105,9 @@ def test_phi_members_exactly_the_irreducibles(q):
                     for g in _monics(q, a) for h in _monics(q, d - a)}
         irreducible = set(_monics(q, d)) - products - {pa.poly_t()}
         assert {f for f in phi if len(f) == d + 1} == irreducible
+        for f in _monics(q, d):
+            assert pa.is_irreducible(F, f) == (f in irreducible
+                                               or f == pa.poly_t())
 
 
 def test_a_count_off_gauss_is_an_invariant_error(monkeypatch):
@@ -116,6 +119,21 @@ def test_a_count_off_gauss_is_an_invariant_error(monkeypatch):
     assert len(pa.enumerate_phi(F, 1)) == 6
     with pytest.raises(InvariantError, match="Gauss's count gives 22"):
         pa.enumerate_phi(F, 2)
+
+
+def test_a_sieve_past_the_bound_is_refused_before_it_starts(monkeypatch):
+    F = field_of_order(3)
+    with pytest.raises(ResourceBoundError, match="2\\^21 codes"):
+        pa.enumerate_phi(field_of_order(2), 21)
+    monkeypatch.setattr(pa, "_SIEVE_BOUND", 27)
+    pa._phi_cached.cache_clear()  # list afresh, so every bound is checked
+    assert len(pa.enumerate_phi(F, 3)) == 2 + 3 + 8
+    with pytest.raises(ResourceBoundError, match="3\\^4 codes"):
+        pa.enumerate_phi(F, 4)
+    # a quartic needs Phi to degree 2 only, an octic without roots to 4
+    assert not pa.is_irreducible(F, (1, 0, 0, 0, 1))  # (t²+t+2)(t²+2t+2)
+    with pytest.raises(ResourceBoundError, match="3\\^4 codes"):
+        pa.is_irreducible(F, (1, 0, 0, 0, 0, 0, 0, 0, 1))
 
 
 def test_phi_frozen_orderings():
