@@ -1,6 +1,6 @@
 """Fit stable structure constants as exact polynomials — in q across fields
 for a fixed family, and in the q-integer [n] across matrix sizes for a fixed
-triple — using rational Lagrange interpolation with no rounding anywhere."""
+triple — using rational Newton interpolation with no rounding anywhere."""
 
 from glq.field import field_make
 from glq.gltype import parse_gltype

@@ -27,7 +27,7 @@ from .errors import (ClassEmptyError, ClassTooLargeError, InvariantError,
 from .gltype import (GLType, canonical_matrix, class_size, det_of_type,
                      enumerate_plain_types, format_gltype, gl_order,
                      gltype_sort_key, lift, min_rank, modified_type_of, norm,
-                     reflection_length)
+                     reflection_length, stable_class_size)
 from .polyalg import _all_vectors
 
 if TYPE_CHECKING:
@@ -64,7 +64,6 @@ class ClassOrbit:
     field: "Field"
     mu: GLType
     n: int
-    rep: np.ndarray
     size: int
     index: dict | None = None
     pairs: ReflectionPairs | None = None
@@ -351,17 +350,17 @@ def enumerate_class(mu: GLType, n: int, field: "Field" = None,
 @lru_cache(maxsize=4)
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     F = mu.field
-    J = canonical_matrix(lift(mu, n))
     size = class_size(mu, n)
     xi = _reflection_eigenvalue(mu)
     if xi is None:
-        return ClassOrbit(field=F, mu=mu, n=n, rep=J, size=size,
+        J = canonical_matrix(lift(mu, n))
+        return ClassOrbit(field=F, mu=mu, n=n, size=size,
                           index=_bfs_orbit(F, J, size))
     pairs = _reflection_pairs(F, n, xi)
     if len(pairs.keys) != size:
         raise InvariantError(
             f"{len(pairs.keys)} reflection pairs != class size {size}")
-    return ClassOrbit(field=F, mu=mu, n=n, rep=J, size=size, pairs=pairs)
+    return ClassOrbit(field=F, mu=mu, n=n, size=size, pairs=pairs)
 
 
 def enumerate_group(field: "Field", n: int,
@@ -572,7 +571,9 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
                    ) -> ClassSumExpansion:
     """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖
     and det ν = det λ·det μ, each read at its own minimal rank k from one
-    full product per k; a rank with no such candidate is never computed."""
+    full product per k; a rank with no such candidate is never computed.
+    The result is checked by the stable counting identity (see
+    gltype.stable_class_size)."""
     F = field if field is not None else lam.field
     det = _product_det(F, lam, mu)
     products = {}
@@ -586,6 +587,10 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
         a = products[k].get(nu)
         if a:
             terms[nu] = a
+    if sum(a * stable_class_size(nu) for nu, a in terms.items()) != \
+            stable_class_size(lam) * stable_class_size(mu):
+        raise InvariantError(
+            "stable counting identity Σ a^ν·L(ν) = L(λ)·L(μ) failed")
     return ClassSumExpansion(field=F, n=None, lam=lam, mu=mu, terms=terms)
 
 

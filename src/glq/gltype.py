@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -30,8 +31,8 @@ __all__ = [
     "norm", "type_of", "modified_type_of", "modify", "lift",
     "canonical_matrix", "reflection_length", "det_of_type",
     "q_int", "q_factorial", "q_binomial", "a_partition",
-    "centralizer_order", "gl_order", "class_size", "enumerate_plain_types",
-    "format_gltype", "parse_gltype",
+    "centralizer_order", "gl_order", "class_size", "stable_class_size",
+    "enumerate_plain_types", "format_gltype", "parse_gltype",
 ]
 
 Partition = tuple[int, ...]
@@ -330,6 +331,17 @@ def _class_size(T: GLType, n: int) -> int:
     if rem:
         raise InvariantError("centralizer order must divide the group order")
     return out
+
+
+def stable_class_size(T: GLType) -> Fraction:
+    """L(T) = lim_{n→∞} |𝒦_T(n)| / q^{2n‖T‖}, which is
+    q^{2rk−k²}·|𝒦_T(k)| / |GL_k(q)| with k = min_rank(T), r = k − ‖T‖.
+    Every top-degree product satisfies Σ_ν a^ν_λμ·L(ν) = L(λ)·L(μ): the
+    counting identity divided by q^{2n(‖λ‖+‖μ‖)}, as n grows."""
+    k = min_rank(T)
+    r = k - norm(T)
+    return (Fraction(T.field.q) ** (2 * r * k - k * k)
+            * class_size(T, k) / gl_order(T.field, k))
 
 
 # ---------------------------------------------------------------------------

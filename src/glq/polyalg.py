@@ -235,25 +235,18 @@ def is_irreducible(field: Field, f) -> bool:
 def factor_monic(field: Field, f) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Factor a monic polynomial into (irreducible, multiplicity) pairs.
 
-    Trial division: powers of t come off via the constant term, linear factors
-    via root scans, then enumerated irreducibles of degree <= deg/2; whatever
-    remains is itself irreducible.  Result sorted by poly_key (t first when
-    present, encoded as degree-1 with root 0).  Raises ResourceBoundError
-    when the remaining degree needs Phi beyond the sieve bound.
+    Trial division: linear factors, t among them, via a root scan, then
+    enumerated irreducibles of degree <= deg/2; whatever remains is itself
+    irreducible.  Result sorted by poly_key (t first when present, encoded
+    as degree-1 with root 0).  Raises ResourceBoundError when the remaining
+    degree needs Phi beyond the sieve bound.
     """
     f = poly_trim(f)
     if not f or f[-1] != 1:
         raise ValueError("factor_monic requires a monic polynomial")
     factors: list[tuple[tuple[int, ...], int]] = []
-    # powers of t
-    k = 0
-    while len(f) > 1 and f[0] == 0:
-        f = f[1:]
-        k += 1
-    if k:
-        factors.append((poly_t(), k))
-    # linear factors by root scan
-    for xi in field.units():
+    # linear factors by root scan, t itself as t - 0
+    for xi in field.elements():
         if len(f) == 1:
             break
         if poly_eval(field, f, xi) == 0:

@@ -10,7 +10,7 @@ silent assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -437,62 +437,38 @@ def sweep_merge_irreducible(field: "Field", xi: int, fprime, *,
 # exact polynomial fitting
 # ---------------------------------------------------------------------------
 
-def _poly_add(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_scale(a: list, s: Fraction) -> list:
-    return [c * s for c in a]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _trim(a: list) -> tuple:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _shift_by_one(coeffs) -> tuple:
-    """Coefficients of p(x+1) from those of p(x), by Horner in (x+1)."""
-    n = len(coeffs)
-    out = [Fraction(0)] * n
-    for c in reversed(coeffs):
-        for i in range(n - 1, 0, -1):  # out ← out·(x+1), in place
-            out[i] += out[i - 1]
+def _expand(coeffs, nodes) -> list:
+    """Coefficients, low degree first, of Σ_i c_i·∏_{j<i}(x − a_j), by
+    Horner's step out ← out·(x − a_i) + c_i from the top term down.  With
+    Newton's divided differences and their abscissae this is the
+    interpolating polynomial; with every a_i = −1 it turns the coefficients
+    of p(x) into those of p(x+1)."""
+    out = []
+    for c, a in zip(reversed(coeffs), reversed(nodes)):
+        out.insert(0, Fraction(0))  # out·x, then −a·out below
+        for i in range(len(out) - 1):
+            out[i] -= a * out[i + 1]
         out[0] += c
-    return tuple(out)
+    return out
 
 
 def fit_polynomial_in_q(points) -> FitResult:
-    """Lagrange interpolation through exact integer points (q_i, value_i)."""
+    """Newton interpolation through exact integer points (q_i, value_i)."""
     pts = [(Fraction(a), Fraction(v)) for a, v in points]
     if len(pts) < 2:
         raise ValueError("at least two points are required")
     if len({a for a, _ in pts}) != len(pts):
         raise ValueError("duplicate abscissae")
-    coeffs = [Fraction(0)]
-    for i, (xi, yi) in enumerate(pts):
-        basis = [yi]
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [-xj, Fraction(1)])
-            basis = _poly_scale(basis, Fraction(1, 1) / (xi - xj))
-        coeffs = _poly_add(coeffs, basis)
-    coefficients = _trim(coeffs)
-    shifted = _shift_by_one(coefficients)
+    xs = [a for a, _ in pts]
+    diffs = [v for _, v in pts]  # Newton's divided differences, in place
+    for j in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = _expand(diffs, xs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    coefficients = tuple(coeffs)
+    shifted = tuple(_expand(coefficients, [-1] * len(coefficients)))
     result = FitResult(
         variable="q",
         points=tuple((int(a), int(v)) for a, v in pts),
@@ -524,14 +500,9 @@ def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
         except ClassEmptyError:
             a = 0
         pts.append((q_int(F.q, n), a))
-    base = fit_polynomial_in_q(pts)
-    result = FitResult(
-        variable="x", points=base.points, coefficients=base.coefficients,
-        shifted=base.shifted, all_integer=base.all_integer,
-        all_nonnegative_shifted=base.all_nonnegative_shifted,
-        warning=f"degree is determined only up to {len(pts) - 1}; "
-                "more ranks could reveal higher terms")
-    return result
+    return replace(fit_polynomial_in_q(pts), variable="x",
+                   warning=f"degree is determined only up to {len(pts) - 1}; "
+                           "more ranks could reveal higher terms")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 One tab-separated record per line — canonical key, machine-format terms,
 metadata — so cache files are human-inspectable and diff-friendly.  The
-cache is advisory: every record read is revalidated (counting identity,
-grading of stable records) and anything corrupt or written by another
-version is skipped with a warning.  New records are appended one line at a
-time; when a key repeats, the last valid line wins.  A lookup of one key
-parses and revalidates only that key's lines.
+cache is advisory: every record read is revalidated (the counting
+identity, and for stable records the grading and the stable counting
+identity) and anything corrupt or written by another version is skipped
+with a warning.  New records are appended one line at a time; when a key
+repeats, the last valid line wins.  A lookup of one key parses and
+revalidates only that key's lines.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 from . import __version__
 from .classcalc import ClassSumExpansion
 from .field import field_of_order
-from .gltype import GLType, class_size, format_gltype, norm, parse_gltype
+from .gltype import (GLType, class_size, format_gltype, norm, parse_gltype,
+                     stable_class_size)
 
 __all__ = [
     "ExpansionCache", "make_key", "parse_key", "format_record",
@@ -98,9 +100,9 @@ def parse_expansion(field, n, lam: GLType, mu: GLType,
 
 
 def _validate(expansion: ClassSumExpansion) -> None:
-    """Positive coefficients; the counting identity at finite n; the
-    top-degree grading for stable records (which have no single n to count
-    in)."""
+    """Positive coefficients; the counting identity at finite n; for stable
+    records (which have no single n to count in) the top-degree grading and
+    the stable counting identity Σ a^ν·L(ν) = L(λ)·L(μ)."""
     lam, mu, n = expansion.lam, expansion.mu, expansion.n
     if any(coeff <= 0 for coeff in expansion.terms.values()):
         raise ValueError("expansion holds a coefficient <= 0")
@@ -108,6 +110,12 @@ def _validate(expansion: ClassSumExpansion) -> None:
         top = norm(lam) + norm(mu)
         if any(norm(nu) != top for nu in expansion.terms):
             raise ValueError("stable record holds a non-top-degree term")
+        total = sum(coeff * stable_class_size(nu)
+                    for nu, coeff in expansion.terms.items())
+        expected = stable_class_size(lam) * stable_class_size(mu)
+        if total != expected:
+            raise ValueError("stable counting identity failed "
+                             f"(Σ a^ν·L(ν) = {total}, not {expected})")
         return
     total = sum(coeff * class_size(nu, n)
                 for nu, coeff in expansion.terms.items())

@@ -1,5 +1,8 @@
 """Shared test set-up."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from glq import classcalc, gltype
@@ -13,3 +16,13 @@ def cold_memos():
     classcalc._product_terms.cache_clear()
     classcalc._build_orbit.cache_clear()
     gltype._class_size.cache_clear()
+
+
+def workload_stable_products():
+    """The benchmark's top-degree products, (q, λ text, μ text), read from
+    perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.STABLE_PRODUCTS

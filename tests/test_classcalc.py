@@ -1,16 +1,15 @@
 """Class orbits, class-sum products, structure constants, stable values, and
 the block normal form for length-additive factorizations."""
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import workload_stable_products
 from glq import classcalc, matfq, polyalg
 from glq.classcalc import (
     ClassSumExpansion, enumerate_class, enumerate_group,
@@ -619,15 +618,7 @@ def unpruned_stable_product(lam, mu, field):
     return terms
 
 
-def _workload_stable_pairs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.STABLE_PRODUCTS
-
-
-STABLE_PAIRS = sorted(set(_workload_stable_pairs())
+STABLE_PAIRS = sorted(set(workload_stable_products())
                       | {(q, lam, mu)
                          for q, lam, mu, _ in VERIFY_STABILITY_TRIPLES})
 

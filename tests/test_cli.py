@@ -346,6 +346,46 @@ def test_stable_uses_stable_cache_key(tmp_path, capsys):
     assert path.read_text().startswith("q=3;n=stable;")
 
 
+def test_stable_record_with_a_raised_coefficient_is_not_served(
+        tmp_path, capsys):
+    # the record is graded and positive, so only the stable counting
+    # identity tells that 6 is wrong
+    path = tmp_path / "F"
+    argv = ("stable", "--q", "3", "--lambda", "1@t-1", "--mu", "1@t-2",
+            "--cache", str(path))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0 and path.read_text().count("1@t-1;1@t-2,5|") == 1
+    path.write_text(path.read_text().replace("1@t-1;1@t-2,5|",
+                                             "1@t-1;1@t-2,6|"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (0, first)
+    assert out.splitlines()[1].split() == ["1@t-1;1@t-2", "5"]
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"warning: skipping cache record at {path}:1: "
+                          "stable counting identity failed")
+
+
+def test_stable_product_breaking_the_identity_exits_one(monkeypatch, capsys):
+    real = classcalc.multiply_class_sums
+    wrong = parse_gltype(F3, "1@t^2+t+2")
+
+    def raise_one(*args, **kwargs):
+        expansion = real(*args, **kwargs)
+        if wrong in expansion.terms:
+            expansion.terms[wrong] += 1
+        return expansion
+
+    monkeypatch.setattr(classcalc, "multiply_class_sums", raise_one)
+    lam, mu = parse_gltype(F3, "1@t-1"), parse_gltype(F3, "1@t-2")
+    with pytest.raises(InvariantError, match="stable counting identity"):
+        classcalc.stable_product(lam, mu, F3)
+    code, out, err = run(capsys, "stable", "--q", "3", "--lambda", "1@t-1",
+                         "--mu", "1@t-2", "--no-cache")
+    assert (code, out) == (1, "")
+    assert err.startswith("invariant failed: stable counting identity")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_torn_multibyte_character_skips_only_its_line(tmp_path, capsys):
     # a writer that died inside '∅' (3 bytes in UTF-8) leaves a line that is
     # not valid UTF-8; the hit and the miss are still served

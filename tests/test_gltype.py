@@ -19,7 +19,8 @@ from glq.gltype import (
     conjugate_partition, det_of_type, empty_type, enumerate_partitions,
     enumerate_plain_types, format_gltype, gl_order, gltype_make,
     gltype_sort_key, lift, min_rank, modified_type_of, modify, norm,
-    parse_gltype, q_binomial, q_factorial, q_int, reflection_length, type_of,
+    parse_gltype, q_binomial, q_factorial, q_int, reflection_length,
+    stable_class_size, type_of,
 )
 
 F2 = field_make(2)
@@ -432,6 +433,24 @@ def test_centralizer_factorization_under_lift(field):
             for n in (k + 1, k + 2):
                 expected = base * gl_order(field, n - k) * q ** (2 * r * (n - k))
                 assert centralizer_order(lift(mu, n)) == expected
+
+
+def test_stable_class_size_frozen():
+    assert stable_class_size(empty_type(F3)) == 1
+    assert stable_class_size(T(F3, "1@t-2")) == Fraction(1, 6)  # 1/(q(q−1))
+    assert stable_class_size(T(F3, "1,1@t-1")) == Fraction(1, 3888)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda F: f"q{F.q}")
+def test_stable_class_size_is_the_limit_of_class_shares(field):
+    """|𝒦_μ(n)| / q^{2n‖μ‖} is within a share q^{−(n−k)} of its limit."""
+    q = field.q
+    for mu in enumerate_plain_types(field, 1) + \
+            enumerate_plain_types(field, 2):  # read as modified types
+        k, limit = min_rank(mu), stable_class_size(mu)
+        for n in range(k, k + 8):
+            share = Fraction(class_size(mu, n), q ** (2 * n * norm(mu)))
+            assert abs(share / limit - 1) < Fraction(1, q ** (n - k))
 
 
 def test_enumerate_plain_types_counts():

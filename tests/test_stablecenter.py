@@ -1,9 +1,12 @@
 """Prediction tables, prediction-versus-computation sweeps, cross-q
 families, and exact polynomial fitting in q and in [n]_q."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glq import classcalc
 from glq.field import field_make
@@ -272,6 +275,18 @@ def test_fit_in_q_fractional_coefficients_are_reported():
     fit = fit_polynomial_in_q([(0, 0), (1, 0), (2, 1)])  # x(x−1)/2
     assert fit.coefficients == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
     assert not fit.all_integer
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-10**6, 10**6)),
+                min_size=2, max_size=7, unique_by=lambda point: point[0]))
+def test_fit_in_q_reproduces_points_and_shifts_by_one(points):
+    fit = fit_polynomial_in_q(points)
+    assert all(fit.evaluate(x) == v for x, v in points)
+    around = replace(fit, coefficients=fit.shifted)  # p(x+1) as a fit
+    assert len(fit.shifted) == len(fit.coefficients)
+    for x in (-7, -1, 0, 1, 2, 13):
+        assert around.evaluate(x) == fit.evaluate(x + 1)
 
 
 def test_fit_in_q_rejects_bad_points():

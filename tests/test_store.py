@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glq.classcalc import multiply_class_sums, stable_product
-from glq.field import field_make
+from conftest import workload_stable_products
+from glq.classcalc import (ClassSumExpansion, multiply_class_sums,
+                           stable_product)
+from glq.field import field_make, field_of_order
 from glq.gltype import empty_type, enumerate_plain_types, parse_gltype
 from glq.store import (ExpansionCache, _numbered_lines, default_cache_path,
                        format_record, make_key, parse_expansion, parse_key,
@@ -181,6 +183,26 @@ def test_load_rejects_non_top_degree_stable_terms(tmp_path):
     fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="top-degree"):
         assert fresh.load() == 0
+
+
+@pytest.mark.parametrize("q,lam,mu", workload_stable_products())
+def test_stable_record_with_one_coefficient_raised_is_skipped(
+        tmp_path, q, lam, mu):
+    F = field_of_order(q)
+    lam, mu = T(F, lam), T(F, mu)
+    expansion = stable_product(lam, mu, F)
+    key = make_key(lam, mu, None)
+    path = tmp_path / "cache.tsv"
+    for nu, coeff in expansion.terms.items():
+        raised = ClassSumExpansion(field=F, n=None, lam=lam, mu=mu,
+                                   terms={**expansion.terms, nu: coeff + 1})
+        path.write_text(format_record(raised) + "\n")
+        with pytest.warns(UserWarning, match="stable counting identity"):
+            assert ExpansionCache(path).load() == 0
+        with pytest.warns(UserWarning, match="stable counting identity"):
+            assert ExpansionCache(path).lookup(key) is None
+    path.write_text(format_record(expansion) + "\n")
+    assert ExpansionCache(path).lookup(key).terms == expansion.terms
 
 
 def test_load_rejects_repeated_terms(tmp_path):
