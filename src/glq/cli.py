@@ -13,6 +13,7 @@ import argparse
 import csv
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -440,26 +441,25 @@ def _add_options(p: argparse.ArgumentParser, bound: bool = False,
         p.add_argument("--no-cache", dest="no_cache", action="store_true")
 
 
-def _build_parser(argv: list) -> argparse.ArgumentParser:
-    """Every subcommand is registered with its help line, so help, usage
-    and errors read the same; but only the one argv names (its first token
-    not starting with '-') gets its options and -h, because adding all of
-    them costs more than a cache hit.  argparse never parses with, or
-    prints the help of, a subcommand that argv does not name."""
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The whole command line, built on first use and reused by every later
+    call in the process.  Reuse is safe because argparse keeps no state
+    between parse_args calls, the help formatter reads COLUMNS when it
+    formats, and every default in _COMMANDS and _add_options is immutable;
+    they must stay so."""
     ap = argparse.ArgumentParser(
         prog="glq",
         description="Exact conjugacy-class calculus for GL_n(q) at desk scale.")
     ap.add_argument("--version", action="version",
                     version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (help_text, handler, options, shared) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, add_help=name == invoked)
-        if name == invoked:
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            _add_options(p, **shared)
-            p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        _add_options(p, **shared)
+        p.set_defaults(handler=handler)
     return ap
 
 
@@ -468,8 +468,7 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ResourceBoundError as exc:

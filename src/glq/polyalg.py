@@ -21,9 +21,9 @@ if TYPE_CHECKING:
     from .field import Field
 
 __all__ = [
-    "poly_trim", "poly_degree", "poly_add", "poly_neg", "poly_sub",
-    "poly_scale", "poly_mul", "poly_divmod", "poly_mod", "poly_eval",
-    "poly_t", "t_minus", "t_minus_one", "poly_key", "is_irreducible",
+    "poly_trim", "poly_degree", "poly_add", "poly_scale", "poly_mul",
+    "poly_divmod", "poly_mod", "poly_eval", "poly_t", "t_minus",
+    "t_minus_one", "poly_key", "is_irreducible",
     "enumerate_phi", "factor_monic", "companion", "jordan_block",
     "format_poly", "parse_poly",
 ]
@@ -68,15 +68,6 @@ def poly_add(field: Field, f, g) -> tuple[int, ...]:
     for i, c in enumerate(g):
         out[i] = add[out[i]][c]
     return poly_trim(out)
-
-
-def poly_neg(field: Field, f) -> tuple[int, ...]:
-    neg = field.neg_table
-    return tuple(neg[c] for c in f)
-
-
-def poly_sub(field: Field, f, g) -> tuple[int, ...]:
-    return poly_add(field, f, poly_neg(field, g))
 
 
 def poly_scale(field: Field, a: int, f) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ One tab-separated record per line — canonical key, machine-format terms,
 metadata — so cache files are human-inspectable and diff-friendly.  The
 cache is advisory: every record read is revalidated (the counting
 identity, and for stable records the grading and the stable counting
-identity) and anything corrupt or written by another version is skipped
+identity; then the determinant of every term, and the canonical text of
+the terms) and anything corrupt or written by another version is skipped
 with a warning.  New records are appended one line at a time; when a key
 repeats, the last valid line wins.  A lookup of one key parses and
 revalidates only that key's lines.
@@ -21,8 +22,8 @@ from pathlib import Path
 from . import __version__
 from .classcalc import ClassSumExpansion
 from .field import field_of_order
-from .gltype import (GLType, class_size, format_gltype, norm, parse_gltype,
-                     stable_class_size)
+from .gltype import (GLType, class_size, det_of_type, format_gltype, norm,
+                     parse_gltype, stable_class_size)
 
 __all__ = [
     "ExpansionCache", "make_key", "parse_key", "format_record",
@@ -102,7 +103,8 @@ def parse_expansion(field, n, lam: GLType, mu: GLType,
 def _validate(expansion: ClassSumExpansion) -> None:
     """Positive coefficients; the counting identity at finite n; for stable
     records (which have no single n to count in) the top-degree grading and
-    the stable counting identity Σ a^ν·L(ν) = L(λ)·L(μ)."""
+    the stable counting identity Σ a^ν·L(ν) = L(λ)·L(μ); then, for both,
+    det ν = det λ·det μ on every term."""
     lam, mu, n = expansion.lam, expansion.mu, expansion.n
     if any(coeff <= 0 for coeff in expansion.terms.values()):
         raise ValueError("expansion holds a coefficient <= 0")
@@ -116,12 +118,17 @@ def _validate(expansion: ClassSumExpansion) -> None:
         if total != expected:
             raise ValueError("stable counting identity failed "
                              f"(Σ a^ν·L(ν) = {total}, not {expected})")
-        return
-    total = sum(coeff * class_size(nu, n)
-                for nu, coeff in expansion.terms.items())
-    if total != class_size(lam, n) * class_size(mu, n):
-        raise ValueError("counting identity failed "
-                         f"({total} pairs for key n={n})")
+    else:
+        total = sum(coeff * class_size(nu, n)
+                    for nu, coeff in expansion.terms.items())
+        if total != class_size(lam, n) * class_size(mu, n):
+            raise ValueError("counting identity failed "
+                             f"({total} pairs for key n={n})")
+    det = lam.field.mul(det_of_type(lam), det_of_type(mu))
+    for nu in expansion.terms:
+        if det_of_type(nu) != det:
+            raise ValueError(f"term {format_gltype(nu)} has determinant "
+                             f"{det_of_type(nu)}, not det λ·det μ = {det}")
 
 
 def _make_meta(seed, ts: int | None = None) -> str:
@@ -156,6 +163,8 @@ def _parse_record(target: Path, lineno: int, line: str):
         field, n, lam, mu = parse_key(key)
         expansion = parse_expansion(field, n, lam, mu, value)
         _validate(expansion)
+        if value != serialize_expansion(expansion):
+            raise ValueError("expansion text is not in canonical form")
     except (ValueError, KeyError) as exc:
         # stacklevel 3: the caller of load() or lookup()
         warnings.warn(f"skipping cache record at {target}:{lineno}: {exc}",

@@ -407,6 +407,10 @@ def test_multiply_matches_oracle(field, n):
         assert fast.terms == multiply_class_sums(mu, lam, n).terms
         # filtration: no term exceeds the combined norm
         assert all(norm(nu) <= norm(lam) + norm(mu) for nu in fast.terms)
+        # determinant grading, read from the arbiter rather than from the
+        # pruning that relies on it
+        det = field.mul(det_of_type(lam), det_of_type(mu))
+        assert all(det_of_type(nu) == det for nu in slow.terms)
 
 
 def test_multiply_deterministic():

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,37 @@ def test_stable_record_with_a_raised_coefficient_is_not_served(
     assert len(err.splitlines()) == 1
     assert err.startswith(f"warning: skipping cache record at {path}:1: "
                           "stable counting identity failed")
+
+
+# single-character edits of the record of 1@t-2 * 1@t-3 at q=5, n=3 that keep
+# the counting identity: the first five move a term to a type of equal class
+# size but another determinant (t-7 is t-2); the last one spells the same
+# term as t-6, which is not the canonical text
+@pytest.mark.parametrize("old,new", [
+    ("1@t-2;1@t-3,9", "1@t-4;1@t-3,9"),
+    ("1@t-2;1@t-3,9", "1@t-2;1@t-4,9"),
+    ("2@t-4,5", "2@t-2,5"),
+    ("1@t^2+t+1,6", "1@t^2+t+2,6"),
+    ("1@t^2+4*t+1,6", "1@t^2+4*t+7,6"),
+    ("1@t-1,50", "1@t-6,50"),
+])
+def test_record_edit_keeping_the_counting_identity_is_not_served(
+        tmp_path, capsys, old, new):
+    path = tmp_path / "F"
+    argv = ("mul", "--q", "5", "--n", "3", "--lambda", "1@t-2",
+            "--mu", "1@t-3")
+    _, want, _ = run(capsys, *argv, "--no-cache")
+    assert run(capsys, *argv, "--cache", str(path))[0] == 0
+    assert path.read_text().count(old) == 1
+    path.write_text(path.read_text().replace(old, new))
+    key = path.read_text().split("\t")[0]
+    with warnings.catch_warnings(record=True) as skipped:
+        warnings.simplefilter("always")
+        assert ExpansionCache(path).lookup(key) is None
+    assert len(skipped) == 1
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (0, want)
+    assert err.startswith(f"warning: skipping cache record at {path}:1: ")
 
 
 def test_stable_product_breaking_the_identity_exits_one(monkeypatch, capsys):

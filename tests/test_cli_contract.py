@@ -1,10 +1,11 @@
 """The command line's contract: help, usage and argparse errors byte for
 byte, and the exit codes 0/1/2/3 without a traceback on any input.
 
-The parser adds options only to the subcommand that a command line names,
-so the goldens check that what argparse prints did not change with it.
-They were recorded with COLUMNS=80; to re-record after a deliberate change
-to the options or their help text, run
+glq.cli builds its parser once per process and reuses it, so the goldens
+check what argparse prints, and one test checks that a call prints the same
+after any other calls as it would first.  The goldens were recorded with
+COLUMNS=80; to re-record after a deliberate change to the options or their
+help text, run
 
     PYTHONPATH=src python tests/test_cli_contract.py
 """
@@ -15,12 +16,14 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glq import cli
 from glq.cli import main
 
 GOLDENS = Path(__file__).with_name("data") / "cli_usage.json"
@@ -43,6 +46,11 @@ ARGVS = (
     ["check", "--q", "3", "--case", "nope"],
     ["irr", "--dmax"],
     ["--version", "mul"],
+    ["-h", "mul"],
+    ["--format", "machine", "mul"],
+    ["mul", "stable"],
+    ["stable", "--q", "3", "--lambda", "1@t-1", "--mu", "1@t-2", "--bogus"],
+    ["mul", "-h", "stable"],
 )
 
 
@@ -76,6 +84,34 @@ def test_goldens_cover_every_command_line():
 def test_usage_output_is_byte_identical(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert capture(argv) == _goldens()[tuple(argv)]
+
+
+def test_each_call_prints_as_if_it_were_the_first(monkeypatch):
+    # one parser serves the whole sequence; each call must print what it
+    # prints from a parser built just for it, at the COLUMNS of that call
+    mul = ["mul", "--q", "3", "--n", "2", "--lambda", "1@t-2", "--mu",
+           "1@t-2", "--no-cache"]
+    stable = ["stable", "--q", "3", "--lambda", "1@t-1", "--mu", "1@t-2",
+              "--no-cache"]
+    calls = [("80", ["mul", "--help"]), ("40", ["mul", "--help"]),
+             ("80", [*mul, "--bogus"]), ("80", mul),
+             ("80", [*stable, "--format", "machine"]), ("80", mul),
+             ("80", stable), ("80", [*mul, "--format", "csv"]),
+             ("80", stable)]
+
+    def call(columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        return capture(argv)
+
+    alone = []
+    for columns, argv in calls:
+        cli._parser.cache_clear()
+        alone.append(call(columns, argv))
+    cli._parser.cache_clear()
+    assert [call(columns, argv) for columns, argv in calls] == alone
+    assert cli._parser.cache_info().misses == 1
+    assert alone[1]["stdout"] != alone[0]["stdout"]  # the width followed
+    assert [result["code"] for result in alone] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +188,55 @@ def test_every_command_line_keeps_the_exit_code_contract(argv):
         result = capture([cache if arg == CACHE else arg for arg in argv])
     assert result["code"] in (0, 1, 2, 3), result
     assert "Traceback" not in result["stdout"] + result["stderr"]
+
+
+# ---------------------------------------------------------------------------
+# the cache file under arbitrary contents
+# ---------------------------------------------------------------------------
+
+SERVED = (["mul", "--q", "3", "--n", "2", "--lambda", "1@t-2", "--mu", "1@t-2"],
+          ["stable", "--q", "3", "--lambda", "1@t-1", "--mu", "1@t-2"])
+OTHER_KEYS = (
+    ["mul", "--q", "3", "--n", "2", "--lambda", "1@t-1", "--mu", "1@t-2"],
+    ["stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2"])
+
+
+@lru_cache(maxsize=None)
+def uncached_stdout(argv: tuple) -> str:
+    return capture([*argv, "--no-cache"])["stdout"]
+
+
+@st.composite
+def cache_files(draw) -> bytes:
+    """Arbitrary bytes, whole record lines of the served and of other keys,
+    and prefixes of those lines (torn writes), concatenated in any order."""
+    lines = [uncached_stdout((*argv, "--format", "machine")).encode("utf-8")
+             for argv in SERVED + OTHER_KEYS]
+    pieces = []
+    for kind in draw(st.lists(st.sampled_from(("bytes", "line", "torn")),
+                              max_size=6)):
+        if kind == "bytes":
+            pieces.append(draw(st.binary(max_size=40)))
+            continue
+        line = draw(st.sampled_from(lines))
+        if kind == "torn":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        pieces.append(line)
+    return b"".join(pieces)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cache_files())
+def test_any_cache_file_gives_the_uncached_output_or_exit_two(contents):
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = Path(scratch) / "cache.tsv"
+        for argv in SERVED:
+            cache.write_bytes(contents)  # a miss appends to it
+            result = capture([*argv, "--cache", str(cache)])
+            assert result["code"] in (0, 2), result
+            assert "Traceback" not in result["stdout"] + result["stderr"]
+            if result["code"] == 0:
+                assert result["stdout"] == uncached_stdout(tuple(argv))
 
 
 if __name__ == "__main__":

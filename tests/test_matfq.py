@@ -35,7 +35,7 @@ def det_oracle(field, entries):
         for i in range(n):
             term = polyalg.poly_mul(field, term, entries[i][perm[i]])
         if inversions % 2:
-            term = polyalg.poly_neg(field, term)
+            term = polyalg.poly_scale(field, field.neg(1), term)
         total = polyalg.poly_add(field, total, term)
     return total
 
@@ -45,10 +45,10 @@ def char_poly_oracle(field, A):
     n = A.shape[0]
     entries = [
         [
-            polyalg.poly_sub(
+            polyalg.poly_add(
                 field,
                 (0, 1) if i == j else (),
-                (int(A[i][j]),),
+                polyalg.poly_scale(field, field.neg(1), (int(A[i][j]),)),
             )
             for j in range(n)
         ]
