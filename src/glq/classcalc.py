@@ -46,6 +46,7 @@ DEFAULT_MEMORY_BOUND = 5_000_000
 DEFAULT_PAIR_BOUND = 10 ** 8
 DEFAULT_GROUP_BOUND = 10 ** 7
 CENTRALIZER_SAMPLES = 3
+CHEAP_ROUNDS = 8  # pull-only merge rounds before pulls along perm^(2^k)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,9 @@ def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
     """Representatives and sizes of the orbits on `orbit` of the group that
     CENTRALIZER_SAMPLES random elements of C(h₀) generate, acting by
     conjugation.  Any such group will do: conjugating g by c ∈ C(h₀)
-    conjugates g·h₀ and h₀·g, so their types are constant on each orbit."""
+    conjugates g·h₀ and h₀·g, so their types are constant on each orbit.
+    The orbits are merged exactly by one-way pulls of the least label along
+    each sample's permutation, with cycle doubling (see _merge_orbits)."""
     samples = matfq.centralizer_samples(
         field, h0, CENTRALIZER_SAMPLES, random.Random(0)) \
         if orbit.size > 1 else []  # one element: nothing to merge
@@ -421,19 +424,40 @@ def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
             raise InvariantError("a sampled conjugator does not commute "
                                  "with the fixed class representative")
         perms.append(orbit.conjugation_permutation(c))
-    # connected components: propagate the least index along every edge
-    # i → perm[i] both ways, with pointer jumping, until nothing moves
-    label = np.arange(orbit.size)
-    while True:
+    return _merge_orbits(perms, orbit.size)
+
+
+def _merge_orbits(perms: list, size: int):
+    """Least indices and sizes of the orbits on range(size) of the group
+    that the permutations `perms` generate.
+
+    Every index carries a label, at first itself.  A round, for each perm,
+    pulls along i → perm[i], label[i] ← min(label[i], label[perm[i]]), and
+    then jumps pointers, label ← label[label].  After CHEAP_ROUNDS rounds it
+    also pulls along perm², perm⁴, … while that still lowers a label, so a
+    cycle whose labels ascend along it settles in O(log L) rounds, not L.
+    The merge stops after a round that moved nothing, and that fixed point
+    is exact: a label is never above its index and always an index of the
+    same orbit, and at the fixed point no pull lowers a label, so labels
+    are constant on every cycle of every perm, hence on orbits, and each
+    is its orbit's least index."""
+    label = np.arange(size)
+    for rounds in itertools.count(1):
         new = label.copy()
         for perm in perms:
-            new[perm] = np.minimum(new[perm], label)
             np.minimum(new, new[perm], out=new)
-        new = new[new]
+            power = perm
+            while rounds > CHEAP_ROUNDS:
+                power = power[power]
+                pulled = new[power]
+                if not (pulled < new).any():
+                    break
+                np.minimum(new, pulled, out=new)
+            new = new[new]
         if np.array_equal(new, label):
             break
         label = new
-    reps = np.flatnonzero(label == np.arange(orbit.size))
+    reps = np.flatnonzero(label == np.arange(size))
     return reps, np.bincount(label)[reps]
 
 

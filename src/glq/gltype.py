@@ -136,7 +136,21 @@ def type_of(field: "Field", A: np.ndarray) -> GLType:
     """Plain conjugacy type of an invertible matrix from its kernel
     filtrations: the i-th column of the partition at f has height
     (ker f(A)^i − ker f(A)^{i−1}) / d(f)."""
-    _, data = matfq.conjugacy_invariant(field, A)
+    return _type_of_invariant(field, matfq.conjugacy_invariant(field, A)[1])
+
+
+def modified_type_of(field: "Field", A: np.ndarray) -> GLType:
+    return _modified_type(field, matfq.conjugacy_invariant(field, A)[1])
+
+
+# a product classifies thousands of matrices into a few types: each
+# invariant is turned into a type once per process; errors are not cached
+@lru_cache(maxsize=4096)
+def _modified_type(field: "Field", data: tuple) -> GLType:
+    return modify(_type_of_invariant(field, data))
+
+
+def _type_of_invariant(field: "Field", data: tuple) -> GLType:
     entries = []
     for f, dims in data:
         d = len(f) - 1
@@ -153,10 +167,6 @@ def type_of(field: "Field", A: np.ndarray) -> GLType:
             raise InvariantError("kernel filtration increments must decrease")
         entries.append((f, conjugate_partition(tuple(cols))))
     return gltype_make(field, entries)
-
-
-def modified_type_of(field: "Field", A: np.ndarray) -> GLType:
-    return modify(type_of(field, A))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "poly_trim", "poly_degree", "poly_add", "poly_scale", "poly_mul",
-    "poly_divmod", "poly_mod", "poly_eval", "poly_t", "t_minus",
+    "poly_divmod", "poly_mod", "poly_eval", "t_minus",
     "t_minus_one", "poly_key", "is_irreducible",
     "enumerate_phi", "factor_monic", "companion", "jordan_block",
     "format_poly", "parse_poly",
@@ -45,10 +45,6 @@ def poly_trim(coeffs) -> tuple[int, ...]:
 def poly_degree(f) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(f) - 1
-
-
-def poly_t() -> tuple[int, int]:
-    return (0, 1)
 
 
 def t_minus(field: Field, xi: int) -> tuple[int, int]:
@@ -232,7 +228,13 @@ def factor_monic(field: Field, f) -> tuple[tuple[tuple[int, ...], int], ...]:
     as degree-1 with root 0).  Raises ResourceBoundError when the remaining
     degree needs Phi beyond the sieve bound.
     """
-    f = poly_trim(f)
+    return _factor_monic(field, poly_trim(f))
+
+
+# a product classifies thousands of matrices with a few characteristic
+# polynomials: each is factored once per process; errors are not cached
+@lru_cache(maxsize=4096)
+def _factor_monic(field: Field, f: tuple) -> tuple:
     if not f or f[-1] != 1:
         raise ValueError("factor_monic requires a monic polynomial")
     factors: list[tuple[tuple[int, ...], int]] = []

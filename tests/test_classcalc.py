@@ -2,7 +2,9 @@
 the block normal form for length-additive factorizations."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -468,6 +470,92 @@ def test_counting_identity_failure_raises(monkeypatch):
     monkeypatch.setattr(classcalc, "_centralizer_orbits", doubled)
     with pytest.raises(InvariantError, match="counting identity"):
         multiply_class_sums(T(F3, "1@t-2"), T(F3, "1@t-2"), 2)
+
+
+def union_find_orbits(perms, size):
+    """Least indices and sizes of the orbits, by a plain union-find that
+    links the larger root under the smaller, so each root is its orbit's
+    least index."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            a, b = find(i), find(int(j))
+            parent[max(a, b)] = min(a, b)
+    sizes = Counter(find(i) for i in range(size))
+    return sorted(sizes), [sizes[r] for r in sorted(sizes)]
+
+
+@st.composite
+def permutation_groups(draw):
+    """Up to three permutations of range(size), each moving a random subset,
+    so that orbits of every size occur."""
+    size = draw(st.integers(0, 40))
+    perms = []
+    for _ in range(draw(st.integers(0, 3))):
+        moved = draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True,
+                              max_size=size))
+        perm = np.arange(size)
+        perm[moved] = draw(st.permutations(moved))
+        perms.append(perm)
+    return perms, size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(permutation_groups())
+@example(([], 0))
+@example(([], 1))
+@example(([np.zeros(1, dtype=np.int64)], 1))
+@example(([], 5))
+def test_merge_orbits_matches_union_find(case):
+    # with 0 pull-only rounds every round also pulls along perm², perm⁴, …
+    perms, size = case
+    expected = union_find_orbits(perms, size)
+    for cheap in (0, classcalc.CHEAP_ROUNDS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classcalc, "CHEAP_ROUNDS", cheap)
+            reps, sizes = classcalc._merge_orbits(perms, size)
+        assert (reps.tolist(), sizes.tolist()) == expected
+
+
+def merge_rounds(monkeypatch, perms, size):
+    """_merge_orbits's result and its number of rounds: it compares the
+    labels once at the end of every round."""
+    rounds = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b: rounds.append(1) or real(a, b))
+    result = classcalc._merge_orbits(perms, size)
+    monkeypatch.undo()
+    return result, len(rounds)
+
+
+def test_merge_settles_a_random_long_cycle(monkeypatch):
+    # one orbit of 100,000 in random order settles in O(log N) rounds
+    N = 100_000
+    order = np.random.default_rng(0).permutation(N)
+    perm = np.empty(N, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    (reps, sizes), rounds = merge_rounds(monkeypatch, [perm], N)
+    assert reps.tolist() == [0] and sizes.tolist() == [N]
+    assert rounds <= 2 * math.ceil(math.log2(N)) + classcalc.CHEAP_ROUNDS
+
+
+def test_merge_settles_ascending_cycles(monkeypatch):
+    # labels ascend along i → perm[i], so a pull moves the least label one
+    # step per round until the pulls along perm², perm⁴, … start
+    L, count = 728, 50
+    block = (np.arange(L) + 1) % L
+    perm = np.concatenate([block + k * L for k in range(count)])
+    (reps, sizes), rounds = merge_rounds(monkeypatch, [perm], L * count)
+    assert reps.tolist() == list(range(0, L * count, L))
+    assert sizes.tolist() == [L] * count
+    assert rounds <= 2 * math.ceil(math.log2(L)) + classcalc.CHEAP_ROUNDS
 
 
 @pytest.mark.parametrize("lam,mu,n", [

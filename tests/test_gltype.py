@@ -176,6 +176,37 @@ def test_modified_type_invariant_under_conjugation():
             assert modified_type_of(F3, gx) == mu
 
 
+def test_classification_memo_caches_no_error(monkeypatch):
+    # each call raises again, then the real type is computed, not served
+    J = polyalg.jordan_block(F3, polyalg.t_minus_one(F3), 2)
+    monkeypatch.setattr(matfq, "kernel_dim", lambda field, B: 1)
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="strictly grow"):
+            modified_type_of(F3, J)
+    monkeypatch.undo()
+    # an invariant of t²+1 whose kernel is not a multiple of its degree
+    bad = (((1, 0, 1), (1,)),)
+    monkeypatch.setattr(matfq, "conjugacy_invariant",
+                        lambda field, A: (None, bad))
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="not divisible by degree"):
+            modified_type_of(F3, J)
+    monkeypatch.undo()
+    assert modified_type_of(F3, J) == T(F3, "1@t-1")
+    assert modified_type_of(F3, J) == T(F3, "1@t-1")
+    assert gltype._modified_type.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("run", [1, 2])
+def test_memos_start_cold(run):
+    # the second run sees the memos the first one filled cleared again
+    assert gltype._modified_type.cache_info().currsize == 0
+    assert polyalg._factor_monic.cache_info().currsize == 0
+    modified_type_of(F3, matfq.identity(2))
+    assert gltype._modified_type.cache_info().currsize == 1
+    assert polyalg._factor_monic.cache_info().currsize == 1
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from((2, 3, 4, 5, 7, 8, 9)), st.integers(1, 4),
        st.integers(0, 2 ** 32))

@@ -103,11 +103,11 @@ def test_phi_members_exactly_the_irreducibles(q):
     for d in range(1, dmax + 1):
         products = {pa.poly_mul(F, g, h) for a in range(1, d // 2 + 1)
                     for g in _monics(q, a) for h in _monics(q, d - a)}
-        irreducible = set(_monics(q, d)) - products - {pa.poly_t()}
+        irreducible = set(_monics(q, d)) - products - {(0, 1)}
         assert {f for f in phi if len(f) == d + 1} == irreducible
         for f in _monics(q, d):
             assert pa.is_irreducible(F, f) == (f in irreducible
-                                               or f == pa.poly_t())
+                                               or f == (0, 1))
 
 
 def test_a_count_off_gauss_is_an_invariant_error(monkeypatch):
@@ -161,6 +161,19 @@ def test_factor_monic():
     F2 = field_make(2, 1)
     h = pa.poly_mul(F2, (1, 1, 1), (1, 1, 1))
     assert pa.factor_monic(F2, h) == (((1, 1, 1), 2),)
+
+
+def test_factor_monic_memo_takes_any_sequence():
+    F3 = field_make(3, 1)
+    f = (2, 0, 1)  # t²-1 = (t-1)(t+1)
+    expected = (((2, 1), 1), ((1, 1), 1))
+    assert pa.factor_monic(F3, list(f)) == expected
+    assert pa.factor_monic(F3, f) == expected
+    assert pa.factor_monic(F3, [2, 0, 1, 0]) == expected  # trimmed first
+    assert pa._factor_monic.cache_info().hits == 2
+    for _ in range(2):  # errors are not cached
+        with pytest.raises(ValueError, match="monic"):
+            pa.factor_monic(F3, (1, 2))
 
 
 def test_companion_and_jordan_blocks():
