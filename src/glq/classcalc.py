@@ -16,7 +16,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -134,6 +134,50 @@ class ClassSumExpansion:
     def items_sorted(self):
         return sorted(self.terms.items(),
                       key=lambda kv: (norm(kv[0]), gltype_sort_key(kv[0])))
+
+    def term_violation(self) -> str | None:
+        """The first of the checks on single terms that fails, or None:
+        every coefficient is at least 1; every ν is a candidate, that is
+        ‖ν‖ ≤ ‖λ‖+‖μ‖ and min_rank(ν) ≤ n at finite n, and ‖ν‖ = ‖λ‖+‖μ‖
+        for a stable product; and det ν = det λ·det μ."""
+        n, top = self.n, norm(self.lam) + norm(self.mu)
+        if any(a <= 0 for a in self.terms.values()):
+            return "expansion holds a coefficient <= 0"
+        for nu in self.terms:
+            if n is None and norm(nu) != top:
+                return (f"stable term {format_gltype(nu)} is not top-degree "
+                        f"(‖ν‖ = {norm(nu)}, not ‖λ‖+‖μ‖ = {top})")
+            if n is not None and (norm(nu) > top or min_rank(nu) > n):
+                return (f"term {format_gltype(nu)} is outside the candidate "
+                        f"set (‖ν‖ ≤ {top} with members at rank {n})")
+        det = _product_det(self.lam, self.mu)
+        for nu in self.terms:
+            if det_of_type(nu) != det:
+                return (f"term {format_gltype(nu)} has determinant "
+                        f"{det_of_type(nu)}, not det λ·det μ = {det}")
+        return None
+
+    def violation(self) -> str | None:
+        """Why these terms cannot be K_λ(n)·K_μ(n), or None: the first
+        failed check of term_violation, else of the counting identity
+        Σ a^ν|𝒦_ν(n)| = |𝒦_λ(n)||𝒦_μ(n)|, or for a stable product (no
+        single n to count in) Σ a^ν·L(ν) = L(λ)·L(μ) (see
+        gltype.stable_class_size).  Computed products and cache records
+        are checked by this one rule."""
+        reason = self.term_violation()
+        if reason is not None:
+            return reason
+        stable = self.n is None
+        size = stable_class_size if stable else partial(class_size, n=self.n)
+        total = sum(a * size(nu) for nu, a in self.terms.items())
+        want = size(self.lam) * size(self.mu)
+        if total == want:
+            return None
+        if stable:
+            return ("stable counting identity failed: Σ a^ν·L(ν) = "
+                    f"{total}, not L(λ)·L(μ) = {want}")
+        return (f"counting identity failed: Σ a^ν|𝒦_ν| = {total}, not "
+                f"|𝒦_λ||𝒦_μ| = {want} at n={self.n}")
 
 
 @dataclass
@@ -461,10 +505,19 @@ def _merge_orbits(perms: list, size: int):
     return reps, np.bincount(label)[reps]
 
 
-def _product_det(field: "Field", lam: GLType, mu: GLType) -> int:
+def _product_det(lam: GLType, mu: GLType) -> int:
     """det λ·det μ: the determinant of every product of an element of 𝒦_λ
     and one of 𝒦_μ, so a^ν_λμ(n) = 0 at every n unless det ν equals it."""
-    return field.mul(det_of_type(lam), det_of_type(mu))
+    return lam.field.mul(det_of_type(lam), det_of_type(mu))
+
+
+def _always_zero(lam: GLType, mu: GLType, nu: GLType) -> bool:
+    """Whether a^ν_λμ(n) = 0 at every n, known without computing: det ν is
+    not det λ·det μ, or a factor class is empty at k = min_rank(ν), hence
+    at every n ≥ k, and 𝒦_ν is empty below k."""
+    k = min_rank(nu)
+    return (det_of_type(nu) != _product_det(lam, mu)
+            or min_rank(lam) > k or min_rank(mu) > k)
 
 
 def multiply_class_sums(lam: GLType, mu: GLType, n: int,
@@ -503,31 +556,25 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
         prod = matfq.mat_mul(F, g, h0) if enum_on_left \
             else matfq.mat_mul(F, h0, g)
         counts[modified_type_of(F, prod)] += int(weight)
-    max_norm = norm(lam) + norm(mu)
-    if any(norm(nu) > max_norm or min_rank(nu) > n for nu in counts):
-        raise InvariantError(
-            "observed a product type outside the candidate set")
-    det = _product_det(F, lam, mu)
-    for nu in counts:
-        if det_of_type(nu) != det:
-            raise InvariantError(
-                f"observed product type {format_gltype(nu)} has determinant "
-                f"{det_of_type(nu)}, not det λ·det μ = {det}")
+    # the candidate and determinant checks come first: the division
+    # below reads |𝒦_ν(n)|, which exists only for a candidate ν
+    _check(ClassSumExpansion(F, n, lam, mu, counts).term_violation())
     other_size = size_mu if enum_on_left else size_lam
     terms = {}
-    total = 0
     for nu, c in counts.items():
-        size_nu = class_size(nu, n)
-        a, rem = divmod(c * other_size, size_nu)
+        a, rem = divmod(c * other_size, class_size(nu, n))
         if rem:
             raise InvariantError("structure constant at "
                                  f"{format_gltype(nu)} is not integral")
         terms[nu] = a
-        total += a * size_nu
-    if total != size_lam * size_mu:
-        raise InvariantError(
-            "counting identity Σ a^ν|𝒦_ν| = |𝒦_λ||𝒦_μ| failed")
+    _check(ClassSumExpansion(F, n, lam, mu, terms).violation())
     return terms
+
+
+def _check(reason: str | None) -> None:
+    """Raise InvariantError when a computed product broke a check."""
+    if reason is not None:
+        raise InvariantError(reason)
 
 
 def structure_constant_at(lam: GLType, mu: GLType, nu: GLType, n: int,
@@ -575,19 +622,16 @@ def stable_constant(lam: GLType, mu: GLType, nu: GLType,
                     field: "Field" = None,
                     memory_bound: int = DEFAULT_MEMORY_BOUND) -> int:
     """The n-independent top-degree coefficient a^ν_λμ, computed once at the
-    smallest rank where 𝒦_ν is nonempty; 0 without computing when det ν is
-    not det λ·det μ."""
+    smallest rank where 𝒦_ν is nonempty; 0 without computing when
+    _always_zero tells it is 0 at every n."""
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError(
             "stable constants exist only in top degree: "
             f"‖ν‖ = {norm(nu)} but ‖λ‖+‖μ‖ = {norm(lam) + norm(mu)}")
-    F = field if field is not None else lam.field
-    if det_of_type(nu) != _product_det(F, lam, mu):
+    if _always_zero(lam, mu, nu):
         return 0
-    k = min_rank(nu)
-    if min_rank(lam) > k or min_rank(mu) > k:
-        return 0  # a factor class is empty at rank k, hence at every n >= k
-    return structure_constant_at(lam, mu, nu, k, field, memory_bound)
+    return structure_constant_at(lam, mu, nu, min_rank(nu), field,
+                                 memory_bound)
 
 
 def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
@@ -596,26 +640,22 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
     """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖
     and det ν = det λ·det μ, each read at its own minimal rank k from one
     full product per k; a rank with no such candidate is never computed.
-    The result is checked by the stable counting identity (see
-    gltype.stable_class_size)."""
+    The result is checked by ClassSumExpansion.violation."""
     F = field if field is not None else lam.field
-    det = _product_det(F, lam, mu)
     products = {}
     terms = {}
     for nu in enumerate_plain_types(F, norm(lam) + norm(mu)):  # as modified
+        if _always_zero(lam, mu, nu):
+            continue
         k = min_rank(nu)
-        if min_rank(lam) > k or min_rank(mu) > k or det_of_type(nu) != det:
-            continue  # a^ν = 0 at every n, as in stable_constant
         if k not in products:
             products[k] = multiply_class_sums(lam, mu, k, F, memory_bound)
         a = products[k].get(nu)
         if a:
             terms[nu] = a
-    if sum(a * stable_class_size(nu) for nu, a in terms.items()) != \
-            stable_class_size(lam) * stable_class_size(mu):
-        raise InvariantError(
-            "stable counting identity Σ a^ν·L(ν) = L(λ)·L(μ) failed")
-    return ClassSumExpansion(field=F, n=None, lam=lam, mu=mu, terms=terms)
+    expansion = ClassSumExpansion(field=F, n=None, lam=lam, mu=mu, terms=terms)
+    _check(expansion.violation())
+    return expansion
 
 
 def verify_stability(lam: GLType, mu: GLType, nu: GLType,

@@ -2,18 +2,20 @@
 
 One tab-separated record per line — canonical key, machine-format terms,
 metadata — so cache files are human-inspectable and diff-friendly.  The
-cache is advisory: every record read is revalidated (the counting
-identity, and for stable records the grading and the stable counting
-identity; then the determinant of every term, and the canonical text of
-the terms) and anything corrupt or written by another version is skipped
-with a warning.  New records are appended one line at a time; when a key
-repeats, the last valid line wins.  A lookup of one key parses and
-revalidates only that key's lines.
+cache is advisory: a record is served only if its version tag is this
+one, its key and its terms are in their one canonical text, no term type
+repeats, and its terms pass ClassSumExpansion.violation, the rule that
+every computed product passes too (positive coefficients, candidate
+types, determinants, the counting identity).  Any other line is skipped
+with a warning that gives the reason.  New records are appended one line
+at a time; when a key repeats, the last valid line wins.  A lookup of one
+key parses and revalidates only that key's lines.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import time
 import warnings
 from functools import lru_cache
@@ -22,8 +24,7 @@ from pathlib import Path
 from . import __version__
 from .classcalc import ClassSumExpansion
 from .field import field_of_order
-from .gltype import (GLType, class_size, det_of_type, format_gltype, norm,
-                     parse_gltype, stable_class_size)
+from .gltype import GLType, format_gltype, parse_gltype
 
 __all__ = [
     "ExpansionCache", "make_key", "parse_key", "format_record",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _STABLE = "stable"  # the n field of records holding top-degree products
+_KEY = re.compile(r"q=(\d+);n=(\w+);lambda=(.*?);mu=(.*)")
 
 
 # A cache file repeats a few dozen type texts across its records, so loads
@@ -54,28 +56,14 @@ def make_key(lam: GLType, mu: GLType, n: int | None) -> str:
 
 
 def parse_key(key: str):
-    """Invert make_key.  Type texts may contain ';', so chunks after
-    'lambda='/'mu=' accumulate until the next field marker."""
-    q = n = lam_txt = mu_txt = None
-    target = None
-    for chunk in key.split(";"):
-        if chunk.startswith("q=") and q is None:
-            q, target = int(chunk[2:]), None
-        elif chunk.startswith("n=") and n is None:
-            n, target = chunk[2:], None
-        elif chunk.startswith("lambda=") and lam_txt is None:
-            lam_txt, target = chunk[len("lambda="):], "lam"
-        elif chunk.startswith("mu=") and mu_txt is None:
-            mu_txt, target = chunk[len("mu="):], "mu"
-        elif target == "lam":
-            lam_txt += ";" + chunk
-        elif target == "mu":
-            mu_txt += ";" + chunk
-        else:
-            raise ValueError(f"malformed cache key {key!r}")
-    if None in (q, n, lam_txt, mu_txt):
+    """Invert make_key: the fields q=, n=, lambda= and mu= in this order,
+    the type texts split at the first ';mu=' (a type text may contain ';',
+    but never ';mu=')."""
+    match = _KEY.fullmatch(key)
+    if match is None:
         raise ValueError(f"malformed cache key {key!r}")
-    field = field_of_order(q)
+    q, n, lam_txt, mu_txt = match.groups()
+    field = field_of_order(int(q))
     n_val = None if n == _STABLE else int(n)
     return field, n_val, _parse_type(field, lam_txt), _parse_type(field, mu_txt)
 
@@ -98,37 +86,6 @@ def parse_expansion(field, n, lam: GLType, mu: GLType,
             raise ValueError(f"repeated expansion term {nu_txt!r}")
         terms[nu] = int(coeff_txt)
     return ClassSumExpansion(field=field, n=n, lam=lam, mu=mu, terms=terms)
-
-
-def _validate(expansion: ClassSumExpansion) -> None:
-    """Positive coefficients; the counting identity at finite n; for stable
-    records (which have no single n to count in) the top-degree grading and
-    the stable counting identity Σ a^ν·L(ν) = L(λ)·L(μ); then, for both,
-    det ν = det λ·det μ on every term."""
-    lam, mu, n = expansion.lam, expansion.mu, expansion.n
-    if any(coeff <= 0 for coeff in expansion.terms.values()):
-        raise ValueError("expansion holds a coefficient <= 0")
-    if n is None:
-        top = norm(lam) + norm(mu)
-        if any(norm(nu) != top for nu in expansion.terms):
-            raise ValueError("stable record holds a non-top-degree term")
-        total = sum(coeff * stable_class_size(nu)
-                    for nu, coeff in expansion.terms.items())
-        expected = stable_class_size(lam) * stable_class_size(mu)
-        if total != expected:
-            raise ValueError("stable counting identity failed "
-                             f"(Σ a^ν·L(ν) = {total}, not {expected})")
-    else:
-        total = sum(coeff * class_size(nu, n)
-                    for nu, coeff in expansion.terms.items())
-        if total != class_size(lam, n) * class_size(mu, n):
-            raise ValueError("counting identity failed "
-                             f"({total} pairs for key n={n})")
-    det = lam.field.mul(det_of_type(lam), det_of_type(mu))
-    for nu in expansion.terms:
-        if det_of_type(nu) != det:
-            raise ValueError(f"term {format_gltype(nu)} has determinant "
-                             f"{det_of_type(nu)}, not det λ·det μ = {det}")
 
 
 def _make_meta(seed, ts: int | None = None) -> str:
@@ -161,8 +118,12 @@ def _parse_record(target: Path, lineno: int, line: str):
         key, value, meta = line.split("\t")
         _check_meta(meta)
         field, n, lam, mu = parse_key(key)
+        if key != make_key(lam, mu, n):
+            raise ValueError("key is not in canonical form")
         expansion = parse_expansion(field, n, lam, mu, value)
-        _validate(expansion)
+        reason = expansion.violation()
+        if reason is not None:
+            raise ValueError(reason)
         if value != serialize_expansion(expansion):
             raise ValueError("expansion text is not in canonical form")
     except (ValueError, KeyError) as exc:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from glq import classcalc, matfq
+from glq import __version__, classcalc, gltype, matfq
 from glq.classcalc import multiply_class_sums
 from glq.cli import VERIFY_STABILITY_TRIPLES, main
 from glq.errors import InconclusiveError, InvariantError
@@ -395,6 +395,41 @@ def test_record_edit_keeping_the_counting_identity_is_not_served(
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert (code, out) == (0, want)
     assert err.startswith(f"warning: skipping cache record at {path}:1: ")
+
+
+def test_scalar_record_of_the_unit_product_is_not_served(tmp_path, capsys):
+    # at q=3, n=2 the scalar 2·I (1,1@t-2) has the class size and the
+    # determinant of I, so only its norm, above ‖∅‖+‖∅‖ = 0, tells that
+    # this record is wrong
+    path = tmp_path / "cache.tsv"
+    path.write_text(f"q=3;n=2;lambda=∅;mu=∅\t1,1@t-2,1\tv={__version__};"
+                    "ts=0;seed=-\n", encoding="utf-8")
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2",
+                         "--lambda", "∅", "--mu", "∅", "--cache", str(path))
+    assert code == 0
+    assert out.strip().splitlines()[1].split() == ["∅", "1"]
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"warning: skipping cache record at {path}:1: ")
+    assert "outside the candidate set" in err
+
+
+def test_arithmetic_failure_in_a_lookup_exits_one(tmp_path, capsys,
+                                                  monkeypatch):
+    # a check inside the arithmetic that fails while a record is checked is
+    # a failed invariant, not a corrupt line, so it is not skipped
+    path = tmp_path / "cache.tsv"
+    argv = ("mul", "--q", "3", "--n", "2", "--lambda", "1@t-2",
+            "--mu", "1@t-2", "--cache", str(path))
+    assert run(capsys, *argv)[0] == 0
+    gltype._class_size.cache_clear()
+    monkeypatch.setattr(gltype, "centralizer_order", lambda T: 7)  # ∤ 48
+    lam = parse_gltype(F3, "1@t-2")
+    with pytest.raises(InvariantError, match="centralizer order"):
+        ExpansionCache(path).lookup(make_key(lam, lam, 2))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("invariant failed: centralizer order must divide")
+    assert "warning" not in err and len(err.splitlines()) == 1
 
 
 def test_stable_product_breaking_the_identity_exits_one(monkeypatch, capsys):

@@ -3,6 +3,7 @@ round trip, one-key lookups, and appending records."""
 
 import functools
 import itertools
+import json
 import re
 import tempfile
 import warnings
@@ -13,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import workload_stable_products
-from glq.classcalc import (ClassSumExpansion, multiply_class_sums,
-                           stable_product)
+from glq import classcalc
+from glq.classcalc import (ClassSumExpansion, enumerate_modified_types,
+                           multiply_class_sums, stable_product)
+from glq.errors import InvariantError
 from glq.field import field_make, field_of_order
-from glq.gltype import empty_type, enumerate_plain_types, parse_gltype
+from glq.gltype import (class_size, det_of_type, empty_type,
+                        enumerate_plain_types, format_gltype, norm,
+                        parse_gltype)
 from glq.store import (ExpansionCache, _numbered_lines, default_cache_path,
                        format_record, make_key, parse_expansion, parse_key,
                        serialize_expansion)
@@ -51,6 +56,21 @@ def test_parse_key_rejects_garbage():
     for bad in ("", "q=3", "junk;q=3;n=2;lambda=∅;mu=∅"):
         with pytest.raises(ValueError, match="malformed cache key"):
             parse_key(bad)
+
+
+@pytest.mark.parametrize("old,new", [("n=3", "n=03"),
+                                     ("lambda=1@t-2", "lambda=1@t+1")])
+def test_load_skips_a_key_not_in_canonical_form(tmp_path, old, new):
+    # the key parses to the same product, but no lookup would ever match
+    # it, and save() would write it back out
+    lam = T(F3, "1@t-2")
+    line = format_record(multiply_class_sums(lam, lam, 3, F3))
+    path = tmp_path / "cache.tsv"
+    path.write_text(line.replace(old, new, 1) + "\n", encoding="utf-8")
+    cache = ExpansionCache(path)
+    with pytest.warns(UserWarning, match="key is not in canonical form"):
+        assert cache.load() == 0
+    assert len(cache) == 0
 
 
 def test_keys_are_injective_on_generated_pairs():
@@ -238,6 +258,143 @@ def test_load_rejects_coefficients_below_one(tmp_path, n, planted):
     fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="coefficient <= 0"):
         assert fresh.load() == 0
+
+
+def _benchmark_records(cmd: str) -> list:
+    """The record lines of one command in the benchmark's cache fixture."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    records = json.loads(path.read_text(encoding="utf-8"))["cache_cli"]
+    return [record["stdout"].rstrip("\n") for record in records["records"]
+            if record["cmd"] == cmd]
+
+
+def test_benchmark_stable_records_are_served(tmp_path):
+    path = tmp_path / "cache.tsv"
+    for line in _benchmark_records("stable"):
+        path.write_text(line + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ExpansionCache(path).lookup(line.split("\t")[0])
+
+
+def test_swap_for_a_higher_norm_type_is_not_served(tmp_path):
+    """Each benchmark record is served; each swap of one of its terms for a
+    type of higher norm with members at rank n, the same class size and
+    the same determinant keeps the counting identity and the determinants,
+    and only the candidate set rejects it."""
+    path = tmp_path / "cache.tsv"
+    swaps = []
+    for line in _benchmark_records("mul"):
+        key, value, _ = line.split("\t")
+        path.write_text(line + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expansion = ExpansionCache(path).lookup(key)
+        field, n, lam, mu = parse_key(key)
+        top = norm(lam) + norm(mu)
+        for nu, new in itertools.product(
+                expansion.terms, enumerate_modified_types(field, n, n)):
+            if norm(new) <= top or new in expansion.terms \
+                    or class_size(new, n) != class_size(nu, n) \
+                    or det_of_type(new) != det_of_type(nu):
+                continue
+            terms = {**expansion.terms, new: expansion.terms[nu]}
+            del terms[nu]
+            swapped = ClassSumExpansion(field, n, lam, mu, terms)
+            path.write_text(format_record(swapped) + "\n", encoding="utf-8")
+            with pytest.warns(UserWarning, match="outside the candidate set"):
+                assert ExpansionCache(path).lookup(key) is None
+            swaps.append((key, format_gltype(nu), format_gltype(new)))
+    assert len(swaps) == 10
+    assert ("q=5;n=2;lambda=∅;mu=1@t-2", "1@t-2", "1@t-3;1@t-4") in swaps
+
+
+# ---------------------------------------------------------------------------
+# one rule for records and computed products
+# ---------------------------------------------------------------------------
+
+def _scale_weights(monkeypatch, factor):
+    real = classcalc._centralizer_orbits
+
+    def scaled(*args):
+        reps, weights = real(*args)
+        return reps, factor * weights
+
+    monkeypatch.setattr(classcalc, "_centralizer_orbits", scaled)
+
+
+def _classify_as(monkeypatch, text):
+    monkeypatch.setattr(classcalc, "modified_type_of",
+                        lambda *args: T(F3, text))
+
+
+def _skip_reason(path, expansion) -> str:
+    """The reason a lookup gives for skipping the record of expansion."""
+    path.write_text(format_record(expansion) + "\n", encoding="utf-8")
+    key = make_key(expansion.lam, expansion.mu, expansion.n)
+    with pytest.warns(UserWarning) as seen:
+        assert ExpansionCache(path).lookup(key) is None
+    assert len(seen) == 1
+    prefix = f"skipping cache record at {path}:1: "
+    assert str(seen[0].message).startswith(prefix)
+    return str(seen[0].message)[len(prefix):]
+
+
+# K_∅·K_{1@t-2} = K_{1@t-2} at q=3, n=2, broken in a record and by a fault
+# in the product code: the enumerated class {I} is one orbit, of weight 1
+@pytest.mark.parametrize("why,term,coeff,fault", [
+    pytest.param("coefficient <= 0", "1@t-2", 0,
+                 lambda mp: _scale_weights(mp, 0), id="coefficient-0"),
+    # 1,1@t-2 has members at rank 2, but norm 2 > ‖∅‖+‖1@t-2‖ = 1
+    pytest.param("outside the candidate set", "1,1@t-2", 1,
+                 lambda mp: _classify_as(mp, "1,1@t-2"), id="higher-norm"),
+    pytest.param("determinant", "1@t-1", 1,
+                 lambda mp: _classify_as(mp, "1@t-1"), id="determinant"),
+    pytest.param("counting identity", "1@t-2", 2,
+                 lambda mp: _scale_weights(mp, 2), id="count-plus-one"),
+])
+def test_finite_record_and_product_fail_by_one_rule(
+        tmp_path, monkeypatch, why, term, coeff, fault):
+    lam, mu = empty_type(F3), T(F3, "1@t-2")
+    broken = ClassSumExpansion(F3, 2, lam, mu, {T(F3, term): coeff})
+    reason = _skip_reason(tmp_path / "cache.tsv", broken)
+    fault(monkeypatch)
+    with pytest.raises(InvariantError) as raised:
+        multiply_class_sums(lam, mu, 2, F3)
+    assert reason == str(raised.value) == broken.violation()
+    assert why in reason
+
+
+@pytest.mark.parametrize("why", ["top-degree", "stable counting identity"])
+def test_stable_record_and_product_fail_by_one_rule(tmp_path, monkeypatch,
+                                                    why):
+    lam = T(F3, "1@t-2")
+    terms = dict(stable_product(lam, lam, F3).terms)
+    if why == "top-degree":
+        # 1@t-1 has coefficient 6 in the product at its minimal rank 2
+        low = T(F3, "1@t-1")
+        terms[low] = 6
+        real_types = classcalc.enumerate_plain_types
+        monkeypatch.setattr(classcalc, "enumerate_plain_types",
+                            lambda *args: real_types(*args) + [low])
+    else:
+        nu = next(iter(terms))
+        terms[nu] += 1
+        real_product = classcalc.multiply_class_sums
+
+        def raised_at_nu(*args, **kwargs):
+            expansion = real_product(*args, **kwargs)
+            if nu in expansion.terms:
+                expansion.terms[nu] += 1
+            return expansion
+
+        monkeypatch.setattr(classcalc, "multiply_class_sums", raised_at_nu)
+    broken = ClassSumExpansion(F3, None, lam, lam, terms)
+    reason = _skip_reason(tmp_path / "cache.tsv", broken)
+    with pytest.raises(InvariantError) as raised:
+        stable_product(lam, lam, F3)
+    assert reason == str(raised.value) == broken.violation()
+    assert why in reason
 
 
 def test_append_keeps_existing_lines_and_later_line_wins(tmp_path):
