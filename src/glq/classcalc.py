@@ -528,17 +528,18 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     with h₀ fixed in the other class, #{g : g·h₀ ∈ 𝒦_ν} is independent of
     the choice of h₀, so a^ν = |other class|·#/|𝒦_ν|.  One g per orbit of
     sampled centralizer elements of h₀ is classified, weighted by the orbit
-    size (see _centralizer_orbits).  Each (λ, μ, n) is computed once per
-    process, and every call first checks the field and the memory bound."""
+    size (see _centralizer_orbits).  Each {λ, μ} is computed once per n
+    and process, and every call first checks the field and the memory bound."""
     F = field if field is not None else lam.field
     small = lam if class_size(lam, n) <= class_size(mu, n) else mu
     _check_enumerable(small, n, F, memory_bound)
+    pair = sorted((lam, mu), key=gltype_sort_key)
     return ClassSumExpansion(field=F, n=n, lam=lam, mu=mu,
-                             terms=dict(_product_terms(lam, mu, n)))
+                             terms=dict(_product_terms(*pair, n)))
 
 
-# read only behind multiply_class_sums's checks; exact and pure in
-# (λ, μ, n), since the field is that of the enumerated class.  Exceptions
+# read only behind multiply_class_sums's checks; exact, symmetric, and pure
+# in (λ, μ, n) since the field is that of the enumerated class.  Exceptions
 # are not memoized, and callers get a copy of the terms.
 @lru_cache(maxsize=1024)
 def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
@@ -638,21 +639,18 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
                    memory_bound: int = DEFAULT_MEMORY_BOUND,
                    ) -> ClassSumExpansion:
     """Top-degree part of K_λ·K_μ: every candidate ν with ‖ν‖ = ‖λ‖+‖μ‖
-    and det ν = det λ·det μ, each read at its own minimal rank k from one
-    full product per k; a rank with no such candidate is never computed.
-    The result is checked by ClassSumExpansion.violation."""
+    and det ν = det λ·det μ.  Top-degree a^ν_λμ(n) does not depend on
+    n ≥ min_rank(ν), so all are read from one full product at the largest
+    minimal rank of the candidates, where each has members.  The result is
+    checked by ClassSumExpansion.violation."""
     F = field if field is not None else lam.field
-    products = {}
+    candidates = [nu for nu in enumerate_plain_types(F, norm(lam) + norm(mu))
+                  if not _always_zero(lam, mu, nu)]  # plain read as modified
     terms = {}
-    for nu in enumerate_plain_types(F, norm(lam) + norm(mu)):  # as modified
-        if _always_zero(lam, mu, nu):
-            continue
-        k = min_rank(nu)
-        if k not in products:
-            products[k] = multiply_class_sums(lam, mu, k, F, memory_bound)
-        a = products[k].get(nu)
-        if a:
-            terms[nu] = a
+    if candidates:
+        product = multiply_class_sums(lam, mu, max(map(min_rank, candidates)),
+                                      F, memory_bound)
+        terms = {nu: a for nu in candidates if (a := product.get(nu))}
     expansion = ClassSumExpansion(field=F, n=None, lam=lam, mu=mu, terms=terms)
     _check(expansion.violation())
     return expansion

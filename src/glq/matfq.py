@@ -233,12 +233,15 @@ def char_poly(field: Field, A: np.ndarray) -> tuple[int, ...]:
 
 
 def poly_at_matrix(field: Field, f, A: np.ndarray) -> np.ndarray:
-    """Evaluate a polynomial at a square matrix by Horner's rule."""
+    """Evaluate a polynomial at a square matrix by Horner's rule, started
+    from c_d·A + c_{d−1}·I, so degree d ≥ 1 costs d − 1 matrix products."""
     n = A.shape[0]
-    M = np.zeros((n, n), dtype=np.uint8)
     idx = np.arange(n)
-    for c in reversed(f):
-        M = mat_mul(field, M, A)
+    *rest, lead = f or (0,)  # the empty polynomial is 0
+    M = field.mul_np[lead, A if rest else identity(n)]
+    for k, c in enumerate(reversed(rest)):
+        if k:
+            M = mat_mul(field, M, A)
         if c:
             M[idx, idx] = field.add_np[M[idx, idx], c]
     return M

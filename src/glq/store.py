@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .classcalc import ClassSumExpansion
+from .errors import ResourceBoundError
 from .field import field_of_order
 from .gltype import GLType, format_gltype, parse_gltype
 
@@ -113,7 +114,8 @@ def _check_meta(meta: str) -> None:
 
 def _parse_record(target: Path, lineno: int, line: str):
     """(key, expansion, meta) of one record line, or None after warning
-    that the line is corrupt or from another version."""
+    that the line is corrupt (a type text past a resource bound included;
+    not a failed invariant, which propagates) or from another version."""
     try:
         key, value, meta = line.split("\t")
         _check_meta(meta)
@@ -126,7 +128,7 @@ def _parse_record(target: Path, lineno: int, line: str):
             raise ValueError(reason)
         if value != serialize_expansion(expansion):
             raise ValueError("expansion text is not in canonical form")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ResourceBoundError) as exc:
         # stacklevel 3: the caller of load() or lookup()
         warnings.warn(f"skipping cache record at {target}:{lineno}: {exc}",
                       stacklevel=3)

@@ -455,9 +455,12 @@ def test_each_product_is_computed_once(monkeypatch):
     for _ in range(3):
         assert multiply_class_sums(lam, mu, 3).get(T(F3, "1@t-1;1@t-2")) > 0
     assert len(computed) == 1
-    multiply_class_sums(mu, lam, 3)  # the key is ordered
+    swapped = multiply_class_sums(mu, lam, 3)  # the centre is commutative
+    assert len(computed) == 1
+    assert (swapped.lam, swapped.mu) == (mu, lam)
+    assert swapped.terms == multiply_class_sums(lam, mu, 3).terms
     multiply_class_sums(lam, mu, 4)
-    assert len(computed) == 3
+    assert len(computed) == 2
 
 
 def test_counting_identity_failure_raises(monkeypatch):
@@ -735,7 +738,30 @@ def test_stable_product_skips_ranks_without_a_candidate(monkeypatch):
 
     monkeypatch.setattr(classcalc, "multiply_class_sums", spy)
     stable_product(T(F3, "1@t-2"), T(F3, "1,1@t-2"))
-    assert sorted(ranks) == [3, 4, 5]
+    assert ranks == [5]
+
+
+@pytest.mark.parametrize("q,lam,mu", STABLE_PAIRS,
+                         ids=[f"q{q}-{lam}*{mu}" for q, lam, mu in STABLE_PAIRS])
+def test_stable_product_is_read_from_one_product(monkeypatch, q, lam, mu):
+    # one full product, at the largest minimal rank of the candidates that
+    # the determinant and the factor ranks leave
+    F = field_of_order(q)
+    lam, mu = T(F, lam), T(F, mu)
+    ranks = []
+    real = classcalc.multiply_class_sums
+
+    def spy(left, right, n, *args):
+        ranks.append(n)
+        return real(left, right, n, *args)
+
+    monkeypatch.setattr(classcalc, "multiply_class_sums", spy)
+    stable_product(lam, mu, F)
+    top = max(min_rank(nu)
+              for nu in enumerate_plain_types(F, norm(lam) + norm(mu))
+              if det_of_type(nu) == F.mul(det_of_type(lam), det_of_type(mu))
+              and max(min_rank(lam), min_rank(mu)) <= min_rank(nu))
+    assert ranks == [top]
 
 
 @pytest.mark.parametrize("field", [F3, F4, F5], ids=lambda F: f"q{F.q}")

@@ -283,6 +283,21 @@ def test_poly_at_matrix_constant_and_linear():
     assert matfq.poly_at_matrix(F3, (2, 1), A).tolist() == [[0, 1], [0, 0]]
 
 
+@pytest.mark.parametrize("field", [F3, F4], ids=lambda F: f"q{F.q}")
+def test_poly_at_matrix_matches_the_sum_of_powers(field):
+    rng = random.Random(17 * field.q)
+    for n in (1, 2, 3):
+        for degree in range(-1, 6):  # -1: the empty polynomial, 0
+            A = random_matrix(field, n, rng)
+            f = tuple(rng.randrange(field.q) for _ in range(degree + 1))
+            want = np.zeros((n, n), dtype=np.uint8)
+            power = matfq.identity(n)
+            for c in f:
+                want = field.add_np[want, field.mul_np[c, power]]
+                power = matfq.mat_mul(field, power, A)
+            assert matfq.poly_at_matrix(field, f, A).tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # conjugacy invariants
 # ---------------------------------------------------------------------------
