@@ -6,8 +6,9 @@ The product of two class sums K_λ(n)·K_μ(n) = Σ_ν a^ν_λμ(n)·K_ν(n) is
 computed by counting, never by floating point, on one path for every caller:
 the smaller class is enumerated, the other is represented by its canonical
 matrix h₀, and one element per orbit of sampled centralizer elements
-c ∈ C(h₀) is classified.  Structure constants and stable products are read
-from these full products.
+c ∈ C(h₀) is classified.  A reflection class times a class of minimal rank
+k is counted at rank k + 2 and reweighted to every larger rank.  Structure
+constants and stable products are read from these full products.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ DEFAULT_MEMORY_BOUND = 5_000_000
 DEFAULT_PAIR_BOUND = 10 ** 8
 DEFAULT_GROUP_BOUND = 10 ** 7
 CENTRALIZER_SAMPLES = 3
+TAIL_RANK = 2  # a reflection product is read at rank min_rank(other) + this
 CHEAP_ROUNDS = 8  # pull-only merge rounds before pulls along perm^(2^k)
 
 
@@ -85,15 +87,18 @@ class ClassOrbit:
         builds I + u·φᵀ for these positions only."""
         if self.pairs is None:
             return self.elements[positions]
-        F, n = self.field, self.n
-        vectors = _vector_tables(F, n).vectors
-        rows, cols = np.divmod(positions, self.pairs.phi.shape[1])
-        u = vectors[self.pairs.u[rows]]
-        phi = vectors[self.pairs.phi[rows, cols]]
+        F = self.field
+        u, phi = self.pair_vectors(positions)
         stack = F.mul_np[u[:, :, None], phi[:, None, :]]
-        d = np.arange(n)
+        d = np.arange(self.n)
         stack[:, d, d] = F.add_np[stack[:, d, d], 1]
         return stack
+
+    def pair_vectors(self, positions: np.ndarray):
+        """The stacks of u and of φ of the reflections at `positions`."""
+        vectors = _vector_tables(self.field, self.n).vectors
+        rows, cols = np.divmod(positions, self.pairs.phi.shape[1])
+        return vectors[self.pairs.u[rows]], vectors[self.pairs.phi[rows, cols]]
 
     def __len__(self) -> int:
         return self.size
@@ -451,16 +456,20 @@ def enumerate_modified_types(field: "Field", max_norm: int, n: int) -> list:
 # class-sum products and structure constants
 # ---------------------------------------------------------------------------
 
-def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
+def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray,
+                        samples: list | None = None):
     """Representatives and sizes of the orbits on `orbit` of the group that
-    CENTRALIZER_SAMPLES random elements of C(h₀) generate, acting by
-    conjugation.  Any such group will do: conjugating g by c ∈ C(h₀)
-    conjugates g·h₀ and h₀·g, so their types are constant on each orbit.
-    The orbits are merged exactly by one-way pulls of the least label along
-    each sample's permutation, with cycle doubling (see _merge_orbits)."""
-    samples = matfq.centralizer_samples(
-        field, h0, CENTRALIZER_SAMPLES, random.Random(0)) \
-        if orbit.size > 1 else []  # one element: nothing to merge
+    `samples`, by default CENTRALIZER_SAMPLES random elements of C(h₀),
+    generate, acting by conjugation.  Any such group will do: conjugating g
+    by c ∈ C(h₀) conjugates g·h₀ and h₀·g, so their types are constant on
+    each orbit; every sample is checked to commute with h₀.  The orbits are
+    merged exactly by one-way pulls of the least label along each sample's
+    permutation, with cycle doubling (see _merge_orbits)."""
+    if orbit.size <= 1:  # one element: nothing to merge
+        samples = []
+    elif samples is None:
+        samples = matfq.centralizer_samples(
+            field, h0, CENTRALIZER_SAMPLES, random.Random(0))
     perms = []
     for c in samples:
         if not matfq.mat_eq(matfq.mat_mul(field, c, h0),
@@ -528,8 +537,13 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     with h₀ fixed in the other class, #{g : g·h₀ ∈ 𝒦_ν} is independent of
     the choice of h₀, so a^ν = |other class|·#/|𝒦_ν|.  One g per orbit of
     sampled centralizer elements of h₀ is classified, weighted by the orbit
-    size (see _centralizer_orbits).  Each {λ, μ} is computed once per n
-    and process, and every call first checks the field and the memory bound."""
+    size (see _centralizer_orbits).  This is done at rank n itself unless
+    the smaller class is a reflection class and n > k + 2, k the minimal
+    rank of the other: then the counts are those of rank k + 2, split by
+    tail type and reweighted to rank n (see _reweighted_counts), so every
+    rank above k + 2 shares one computation.  Each {λ, μ} is computed once
+    per n and process, and every call first checks the field and the memory
+    bound, which counts the smaller class at rank n."""
     F = field if field is not None else lam.field
     small = lam if class_size(lam, n) <= class_size(mu, n) else mu
     _check_enumerable(small, n, F, memory_bound)
@@ -548,15 +562,19 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
     enum_on_left = size_lam <= size_mu
     small, other = (lam, mu) if enum_on_left else (mu, lam)
     F = small.field
-    # the caller has checked the memory bound, and no class exceeds its size
-    orbit = enumerate_class(small, n, F, min(size_lam, size_mu))
-    h0 = canonical_matrix(lift(other, n))
-    counts: Counter = Counter()
-    reps, weights = _centralizer_orbits(F, orbit, h0)
-    for g, weight in zip(orbit.members(reps), weights):
-        prod = matfq.mat_mul(F, g, h0) if enum_on_left \
-            else matfq.mat_mul(F, h0, g)
-        counts[modified_type_of(F, prod)] += int(weight)
+    if _reflection_eigenvalue(small) is not None \
+            and n - min_rank(other) > TAIL_RANK:
+        counts = _reweighted_counts(small, other, n)
+    else:
+        # the caller has checked the memory bound; no class exceeds its size
+        orbit = enumerate_class(small, n, F, min(size_lam, size_mu))
+        h0 = canonical_matrix(lift(other, n))
+        counts = Counter()
+        reps, weights = _centralizer_orbits(F, orbit, h0)
+        for g, weight in zip(orbit.members(reps), weights):
+            prod = matfq.mat_mul(F, g, h0) if enum_on_left \
+                else matfq.mat_mul(F, h0, g)
+            counts[modified_type_of(F, prod)] += int(weight)
     # the candidate and determinant checks come first: the division
     # below reads |𝒦_ν(n)|, which exists only for a candidate ν
     _check(ClassSumExpansion(F, n, lam, mu, counts).term_violation())
@@ -570,6 +588,76 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
         terms[nu] = a
     _check(ClassSumExpansion(F, n, lam, mu, terms).violation())
     return terms
+
+
+def _tail_sizes(q: int, m: int) -> tuple:
+    """s_τ(m), the number of tails (u_t, φ_t) ∈ F_q^m × F_q^m of each type
+    τ: (0, 0), (≠0, 0), (0, ≠0), and (≠0, ≠0) with φ_t(u_t) = c for one
+    given c ≠ 0, then for c = 0.  GL_m(q) is transitive on each."""
+    Q = q ** m
+    return 1, Q - 1, Q - 1, (Q - 1) * (Q // q), (Q - 1) * (Q // q - 1)
+
+
+def _tail_types(field: "Field", u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """τ, as an index into _tail_sizes, of each row pair of the stacks of
+    tails u_t and φ_t."""
+    c = np.zeros(len(u), dtype=np.uint8)
+    for j in range(u.shape[1]):
+        c = field.add_np[c, field.mul_np[u[:, j], phi[:, j]]]
+    has_u, has_phi = u.any(axis=1), phi.any(axis=1)
+    return np.where(has_u & has_phi, np.where(c != 0, 3, 4),
+                    has_u + 2 * has_phi)
+
+
+@lru_cache(maxsize=64)
+def _tail_split_counts(small: GLType, other: GLType) -> Counter:
+    """N_τν(r) = #{g ∈ 𝒦_small(r) of tail type τ : g·h₀ ∈ 𝒦_ν} at rank
+    r = k + TAIL_RANK, k = min_rank(other), where small is a reflection
+    class and h₀ = diag(J, I) with J the canonical matrix of other at rank
+    k.  The tail of g = I + u·φᵀ is (u, φ) after coordinate k.  The orbits
+    are those of C(J) × 1 and 1 × GL_TAIL_RANK, which keep τ."""
+    F, k = small.field, min_rank(other)
+    r = k + TAIL_RANK
+    J = canonical_matrix(lift(other, k))
+    tail = matfq.identity(TAIL_RANK)
+    h0 = canonical_matrix(lift(other, r))
+    if not matfq.mat_eq(h0, matfq.block_diag([J, tail])):
+        raise InvariantError(f"the canonical matrix of {format_gltype(other)}"
+                             f" at rank {r} is not diag(J, I)")
+    samples = [matfq.block_diag([c, tail]) for c in matfq.centralizer_samples(
+        F, J, CENTRALIZER_SAMPLES, random.Random(0))]
+    samples += [matfq.block_diag([matfq.identity(k), s])
+                for s in generators(F, TAIL_RANK)]
+    orbit = enumerate_class(small, r, F, class_size(small, r))
+    reps, weights = _centralizer_orbits(F, orbit, h0, samples)
+    u, phi = orbit.pair_vectors(reps)
+    counts: Counter = Counter()
+    for g, tau, weight in zip(orbit.members(reps),
+                              _tail_types(F, u[:, k:], phi[:, k:]), weights):
+        counts[int(tau), modified_type_of(F, matfq.mat_mul(F, g, h0))] += \
+            int(weight)
+    return counts
+
+
+def _reweighted_counts(small: GLType, other: GLType, n: int) -> Counter:
+    """#{g ∈ 𝒦_small(n) : g·h₀ ∈ 𝒦_ν} for a reflection class small and
+    m = n − min_rank(other) > TAIL_RANK, as Σ_τ N_τν(k+TAIL_RANK)·s_τ(m) /
+    s_τ(TAIL_RANK) (see _tail_split_counts): with h₀ = diag(J, I_m), the
+    type of g·h₀ depends only on the part of (u, φ) in J's coordinates and
+    the GL_m-orbit of its tail, and h₀·g is conjugate to g·h₀."""
+    q, m = small.field.q, n - min_rank(other)
+    low, high = _tail_sizes(q, TAIL_RANK), _tail_sizes(q, m)
+    counts: Counter = Counter()
+    for (tau, nu), c in _tail_split_counts(small, other).items():
+        a, rem = divmod(c * high[tau], low[tau])
+        if rem:
+            raise InvariantError(f"tail type {tau} count at {format_gltype(nu)}"
+                                 " does not rescale to an integer")
+        counts[nu] += a
+    if sum(counts.values()) != class_size(small, n):
+        raise InvariantError("rescaled counts do not sum to the class size "
+                             f"of {format_gltype(small)} at n={n}")
+    return counts
 
 
 def _check(reason: str | None) -> None:
@@ -660,8 +748,12 @@ def verify_stability(lam: GLType, mu: GLType, nu: GLType,
                      field: "Field" = None, n_list=None, *,
                      memory_bound: int = DEFAULT_MEMORY_BOUND,
                      ) -> StabilityReport:
-    """Recompute a^ν_λμ(n) at several n and check the values agree; no
-    determinant pruning, so it checks the pruned stable values."""
+    """Recompute a^ν_λμ(n) at several n, by default min_rank(ν) to
+    min_rank(ν) + 2, and check the values agree; no determinant pruning, so
+    it checks the pruned stable values.  Each value is read from the full
+    product at its rank: computed at that rank up to k + 2, and above it,
+    when the smaller class is a reflection class, reweighted from rank
+    k + 2 (see multiply_class_sums), k the minimal rank of the other."""
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError("stability applies to top-degree coefficients only")
     k = min_rank(nu)

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     from .field import Field
 
 __all__ = [
-    "poly_trim", "poly_degree", "poly_add", "poly_scale", "poly_mul",
+    "poly_trim", "poly_degree", "poly_scale", "poly_mul",
     "poly_divmod", "poly_mod", "poly_eval", "t_minus",
     "t_minus_one", "poly_key", "is_irreducible",
     "enumerate_phi", "factor_monic", "companion", "jordan_block",
@@ -54,16 +54,6 @@ def t_minus(field: Field, xi: int) -> tuple[int, int]:
 
 def t_minus_one(field: Field) -> tuple[int, int]:
     return (field.neg(1), 1)
-
-
-def poly_add(field: Field, f, g) -> tuple[int, ...]:
-    add = field.add_table
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = add[out[i]][c]
-    return poly_trim(out)
 
 
 def poly_scale(field: Field, a: int, f) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Shared test set-up."""
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -10,15 +11,22 @@ from glq import classcalc, gltype, polyalg
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start every test with the process memos of products, class sizes,
-    orbits, factorizations and classified invariants empty, so that a test
-    which injects a fault sees it computed instead of served from an
-    earlier test's result."""
+    """Start every test with the process memos of products, tail-split
+    counts, class sizes, orbits, factorizations and classified invariants
+    empty, so that a test which injects a fault sees it computed instead of
+    served from an earlier test's result."""
     classcalc._product_terms.cache_clear()
+    classcalc._tail_split_counts.cache_clear()
     classcalc._build_orbit.cache_clear()
     gltype._class_size.cache_clear()
     gltype._modified_type.cache_clear()
     polyalg._factor_monic.cache_clear()
+
+
+def poly_add(field, f, g):
+    """f + g over field, trimmed; glq itself never adds polynomials."""
+    return polyalg.poly_trim(field.add(a, b) for a, b in
+                             itertools.zip_longest(f, g, fillvalue=0))
 
 
 def workload_stable_products():

@@ -461,6 +461,11 @@ def test_each_product_is_computed_once(monkeypatch):
     assert swapped.terms == multiply_class_sums(lam, mu, 3).terms
     multiply_class_sums(lam, mu, 4)
     assert len(computed) == 2
+    # ranks 4 to 6 are read from one tail split at rank k + 2 = 3
+    multiply_class_sums(lam, mu, 5)
+    multiply_class_sums(mu, lam, 6)
+    assert len(computed) == 2
+    assert classcalc._product_terms.cache_info().misses == 4
 
 
 def test_counting_identity_failure_raises(monkeypatch):
@@ -607,12 +612,112 @@ def test_terms_do_not_depend_on_centralizer_samples(case):
     terms = []
     for samples in (0, 1, 3):
         classcalc._product_terms.cache_clear()  # computed with these samples
+        classcalc._tail_split_counts.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(lam, mu, n).terms)
     assert terms[0] == terms[1] == terms[2]
     if sizes[0] * sizes[1] <= 2000:
         assert multiply_oracle(lam, mu, n).terms == terms[0]
+
+
+# ---------------------------------------------------------------------------
+# reflection products read from rank k + 2
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_tail_table_counts_every_tail(q, m):
+    F = field_of_order(q)
+    vectors = polyalg._all_vectors(q, m)
+    u, phi = (np.repeat(vectors, len(vectors), axis=0),
+              np.tile(vectors, (len(vectors), 1)))
+    tally = Counter()
+    for ut, pt, tau in zip(u.tolist(), phi.tolist(),
+                           classcalc._tail_types(F, u, phi)):
+        c = 0
+        for a, b in zip(ut, pt):
+            c = F.add(c, F.mul(a, b))
+        want = (4 if c == 0 else 3) if any(ut) and any(pt) else \
+            int(any(ut)) + 2 * int(any(pt))
+        assert tau == want
+        tally[want, c if want == 3 else 0] += 1
+    sizes = classcalc._tail_sizes(q, m)
+    assert {key: sizes[key[0]] for key in tally} == dict(tally)
+    assert sum(tally.values()) == q ** (2 * m)
+    assert sizes[0] + sizes[1] + sizes[2] + (q - 1) * sizes[3] + sizes[4] \
+        == q ** (2 * m)
+
+
+def _rescaled_cases():
+    """(λ, μ, n): a reflection class λ that is the smaller class at rank n,
+    times a type μ of norm ≤ 2, at ranks min_rank(μ) + 3 to 7 wherever
+    𝒦_λ(n) has at most 300,000 elements; a pair of reflection classes
+    once."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_of_order(q)
+        reflections = _reflection_classes(F, 2)
+        for lam, mu in itertools.product(
+                reflections, enumerate_modified_types(F, 2, 7)):
+            if mu in reflections[:reflections.index(lam)]:
+                continue
+            for n in range(min_rank(mu) + 3, 8):
+                if class_size(lam, n) <= min(class_size(mu, n), 300_000):
+                    yield lam, mu, n
+
+
+@pytest.mark.slow
+def test_rescaled_products_equal_direct_products(monkeypatch):
+    cases = list(_rescaled_cases())
+    rescaled = [multiply_class_sums(*case).terms for case in cases]
+    assert classcalc._tail_split_counts.cache_info().misses > 0
+    classcalc._product_terms.cache_clear()
+    monkeypatch.setattr(classcalc, "TAIL_RANK", 10)  # n − k ≤ 7: all direct
+    for case, terms in zip(cases, rescaled):
+        assert multiply_class_sums(*case).terms == terms, case
+    assert len(cases) == 141
+
+
+@pytest.mark.parametrize("q,lam,mu,n", [
+    (3, "1@t-1", "1@t-1", 6), (4, "1@t-x", "1@t-(x+1)", 5),
+    (2, "1@t-1", "1,1@t-1", 7), (5, "1@t-2", "1@t-2;1@t-3", 5),
+])
+def test_rescaled_terms_do_not_depend_on_centralizer_samples(q, lam, mu, n):
+    F = field_of_order(q)
+    terms = []
+    for samples in (0, 1, 3):
+        classcalc._product_terms.cache_clear()
+        classcalc._tail_split_counts.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
+            terms.append(multiply_class_sums(T(F, lam), T(F, mu), n).terms)
+        assert classcalc._tail_split_counts.cache_info().misses == 1
+    assert terms[0] == terms[1] == terms[2]
+
+
+def test_rescaled_counts_are_checked(monkeypatch):
+    lam = T(F3, "1@t-1")
+    real_orbits, real_sizes, real_matrix = (classcalc._centralizer_orbits,
+                                            classcalc._tail_sizes,
+                                            classcalc.canonical_matrix)
+
+    def doubled(*args):
+        reps, weights = real_orbits(*args)
+        return reps, 2 * weights
+
+    def flipped(ty):
+        return real_matrix(ty)[::-1, ::-1].copy()
+
+    for name, fake, match in (
+            ("_centralizer_orbits", doubled, "do not sum to the class size"),
+            ("_tail_sizes", lambda q, m: (7919,) * 5 if m == 2
+             else real_sizes(q, m), "does not rescale to an integer"),
+            ("canonical_matrix", flipped, r"is not diag\(J, I\)")):
+        classcalc._tail_split_counts.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classcalc, name, fake)
+            with pytest.raises(InvariantError, match=match):
+                multiply_class_sums(lam, lam, 6)
 
 
 def test_oracle_pair_bound():

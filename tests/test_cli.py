@@ -231,11 +231,33 @@ def test_memo_hit_honours_the_memory_bound(capsys):
     assert err.startswith("resource bound exceeded")
 
 
-@pytest.mark.parametrize("suite,computed", [("stability", 20),
-                                            ("formulas", 14)])
+def test_memory_bound_counts_the_rank_n_class_of_a_rescaled_product(capsys):
+    # the transvection square at n = 8 is read from rank k + 2 = 4, yet the
+    # bound still counts the 7,170,080 transvections of GL_8(3)
+    argv = ("mul", "--q", "3", "--n", "8", "--no-cache",
+            "--lambda", "1@t-1", "--mu", "1@t-1")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out and "7170080" in err
+    code, out, _ = run(capsys, *argv, "--memory-bound", "8000000",
+                       "--format", "machine")
+    assert code == 0 and classcalc._tail_split_counts.cache_info().misses == 1
+    text = out.split("\t")[1]
+    assert text == "∅,7170080|1@t-1,4369|1,1@t-1,12|2@t-1,6|2@t-2,3|1@t^2+1,4"
+    lam = parse_gltype(F3, "1@t-1")
+    terms = parse_expansion(F3, 8, lam, lam, text).terms
+    size = gltype.class_size(lam, 8)
+    assert sum(a * gltype.class_size(nu, 8) for nu, a in terms.items()) == \
+        size * size
+
+
+@pytest.mark.parametrize("suite,computed,merged", [
+    pytest.param("stability", 20, 15, id="stability-20"),
+    pytest.param("formulas", 14, 14, id="formulas-14"),
+])
 def test_verify_computes_each_product_once(capsys, monkeypatch, suite,
-                                           computed):
-    # one centralizer merge per product computed
+                                           computed, merged):
+    # one centralizer merge per product computed at its own rank, and one
+    # per pair for every rank read from the pair's rank-(k+2) tail split
     merges = []
     real = classcalc._centralizer_orbits
 
@@ -246,8 +268,8 @@ def test_verify_computes_each_product_once(capsys, monkeypatch, suite,
     monkeypatch.setattr(classcalc, "_centralizer_orbits", spy)
     code, _, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert len(merges) == classcalc._product_terms.cache_info().misses == \
-        computed
+    assert classcalc._product_terms.cache_info().misses == computed
+    assert len(merges) == merged
 
 
 @pytest.mark.parametrize("argv", [

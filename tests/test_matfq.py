@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import poly_add
 from glq import matfq, polyalg
 from glq.errors import InvariantError
 from glq.field import field_make
@@ -36,7 +37,7 @@ def det_oracle(field, entries):
             term = polyalg.poly_mul(field, term, entries[i][perm[i]])
         if inversions % 2:
             term = polyalg.poly_scale(field, field.neg(1), term)
-        total = polyalg.poly_add(field, total, term)
+        total = poly_add(field, total, term)
     return total
 
 
@@ -45,7 +46,7 @@ def char_poly_oracle(field, A):
     n = A.shape[0]
     entries = [
         [
-            polyalg.poly_add(
+            poly_add(
                 field,
                 (0, 1) if i == j else (),
                 polyalg.poly_scale(field, field.neg(1), (int(A[i][j]),)),

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import poly_add
 from glq.errors import InvariantError, ResourceBoundError
 from glq.field import field_make, field_of_order
 from glq import polyalg as pa
@@ -42,7 +43,7 @@ def test_divmod_round_trip():
     f = (3, 1, 4, 0, 2, 1)
     for g in [(1, 1), (2, 3, 1), (4, 0, 0, 1), (2,)]:
         quo, rem = pa.poly_divmod(F, f, g)
-        assert pa.poly_add(F, pa.poly_mul(F, quo, g), rem) == f
+        assert poly_add(F, pa.poly_mul(F, quo, g), rem) == f
         assert pa.poly_degree(rem) < pa.poly_degree(g)
     with pytest.raises(ZeroDivisionError):
         pa.poly_divmod(F, f, ())
