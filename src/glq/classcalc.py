@@ -559,8 +559,7 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
 def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
     size_lam = class_size(lam, n)
     size_mu = class_size(mu, n)
-    enum_on_left = size_lam <= size_mu
-    small, other = (lam, mu) if enum_on_left else (mu, lam)
+    small, other = (lam, mu) if size_lam <= size_mu else (mu, lam)
     F = small.field
     if _reflection_eigenvalue(small) is not None \
             and n - min_rank(other) > TAIL_RANK:
@@ -571,17 +570,17 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
         h0 = canonical_matrix(lift(other, n))
         counts = Counter()
         reps, weights = _centralizer_orbits(F, orbit, h0)
-        for g, weight in zip(orbit.members(reps), weights):
-            prod = matfq.mat_mul(F, g, h0) if enum_on_left \
-                else matfq.mat_mul(F, h0, g)
+        # h₀·g = h₀·(g·h₀)·h₀⁻¹, so g·h₀ has its type whichever side the
+        # enumerated class is on
+        for prod, weight in zip(
+                matfq.mat_mul(F, orbit.members(reps), h0), weights):
             counts[modified_type_of(F, prod)] += int(weight)
     # the candidate and determinant checks come first: the division
     # below reads |𝒦_ν(n)|, which exists only for a candidate ν
     _check(ClassSumExpansion(F, n, lam, mu, counts).term_violation())
-    other_size = size_mu if enum_on_left else size_lam
     terms = {}
     for nu, c in counts.items():
-        a, rem = divmod(c * other_size, class_size(nu, n))
+        a, rem = divmod(c * max(size_lam, size_mu), class_size(nu, n))
         if rem:
             raise InvariantError("structure constant at "
                                  f"{format_gltype(nu)} is not integral")
@@ -632,10 +631,10 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     reps, weights = _centralizer_orbits(F, orbit, h0, samples)
     u, phi = orbit.pair_vectors(reps)
     counts: Counter = Counter()
-    for g, tau, weight in zip(orbit.members(reps),
-                              _tail_types(F, u[:, k:], phi[:, k:]), weights):
-        counts[int(tau), modified_type_of(F, matfq.mat_mul(F, g, h0))] += \
-            int(weight)
+    for prod, tau, weight in zip(matfq.mat_mul(F, orbit.members(reps), h0),
+                                 _tail_types(F, u[:, k:], phi[:, k:]),
+                                 weights):
+        counts[int(tau), modified_type_of(F, prod)] += int(weight)
     return counts
 
 

@@ -428,7 +428,6 @@ def parse_gltype(field: "Field", s: str) -> GLType:
         if not polyalg.is_irreducible(field, f):
             raise ValueError(f"type key {tail!r} is reducible over {field!r}")
         items.append((f, parts))
-    T = gltype_make(field, items)
-    if len(T.entries) != len(items):
+    if len({f for f, _ in items}) != len(items):
         raise ValueError(f"repeated polynomial in {s!r}")
-    return T
+    return gltype_make(field, items)

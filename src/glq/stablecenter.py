@@ -104,10 +104,16 @@ class CheckReport:
 # type-building helpers
 # ---------------------------------------------------------------------------
 
+def _t_minus(field: "Field", xi: int) -> tuple:
+    """t − ξ for an eigenvalue ξ, which must be a unit of F_q."""
+    if xi not in field.units():
+        raise ValueError(f"eigenvalue {xi} is not a unit of F_{field.q} "
+                         f"(codes 1..{field.q - 1})")
+    return polyalg.t_minus(field, xi)
+
+
 def _reflection(field: "Field", xi: int) -> GLType:
-    if xi == 0:
-        raise ValueError("reflection eigenvalue must be a unit")
-    return gltype_make(field, {polyalg.t_minus(field, xi): (1,)})
+    return gltype_make(field, {_t_minus(field, xi): (1,)})
 
 
 def _column_type(field: "Field", entries) -> GLType:
@@ -178,14 +184,8 @@ def _two_reflections(field: "Field", xi: int, eta: int, nu: GLType) -> tuple:
 
 def _union_distinct(field: "Field", xs) -> tuple:
     xs = tuple(xs)
-    if not xs:
-        raise ValueError("the union needs at least one eigenvalue")
-    if len(set(xs)) != len(xs) or any(x not in field.units() for x in xs):
-        raise ValueError("eigenvalues must be distinct units")
-    mu = _column_type(field, [(polyalg.t_minus(field, x), 1) for x in xs[1:]])
-    return _joined(_reflection(field, xs[0]), mu, Prediction(
-        (2 * field.q - 1) ** (len(xs) - 1), PROVED,
-        "union of distinct eigenvalue columns"))
+    return _union_mixed(field, xs, (0,) + (1,) * (len(xs) - 1), PROVED,
+                        "union of distinct eigenvalue columns")
 
 
 def _union_equal(field: "Field", xi: int, c: int, d: int) -> tuple:
@@ -193,51 +193,43 @@ def _union_equal(field: "Field", xi: int, c: int, d: int) -> tuple:
         raise ValueError("the column-merge formula needs an eigenvalue ≠ 0, 1")
     if c < 1 or d < 1:
         raise ValueError("column heights must be positive")
-    q, f = field.q, polyalg.t_minus(field, xi)
+    q, f = field.q, _t_minus(field, xi)
     return _joined(_column_type(field, [(f, c)]), _column_type(field, [(f, d)]),
                    Prediction(q ** (c * d) * q_binomial(q, c + d, c), PROVED,
                               "equal-eigenvalue column merge"))
 
 
-def _union_mixed(field: "Field", xs, cs) -> tuple:
+def _union_mixed(field: "Field", xs, cs, status: str = CONJECTURAL,
+                 source: str = "mixed union with a repeated eigenvalue",
+                 ) -> tuple:
     xs, cs = tuple(xs), tuple(cs)
+    if not xs:
+        raise ValueError("the union needs at least one eigenvalue")
     if len(xs) != len(cs):
         raise ValueError("one column height per eigenvalue")
-    if len(set(xs)) != len(xs) or any(x not in field.units() for x in xs):
-        raise ValueError("eigenvalues must be distinct units")
-    if cs[0] < 0 or any(c < 1 for c in cs[1:]):
-        raise ValueError("column heights must be positive (the first may be 0)")
-    q = field.q
-    value = q ** cs[0] * q_int(q, cs[0] + 1)
-    for c in cs[1:]:
-        value *= 2 * q ** c - 1
-    mu = _column_type(field, [(polyalg.t_minus(field, x), c)
-                              for x, c in zip(xs, cs)])
-    return _joined(_reflection(field, xs[0]), mu, Prediction(
-        value, CONJECTURAL, "mixed union with a repeated eigenvalue"))
+    return _union_poly_mixed(
+        field, xs[0], cs[0],
+        [(_t_minus(field, x), c) for x, c in zip(xs[1:], cs[1:])],
+        status, source)
 
 
 def _union_poly(field: "Field", xi: int, f) -> tuple:
-    f = tuple(f)
-    if xi not in field.units():
-        raise ValueError("the reflection eigenvalue must be a unit")
-    if f == polyalg.t_minus(field, xi):
-        raise ValueError("the factor must differ from the reflection's own")
-    if not polyalg.is_irreducible(field, f) or f[0] == 0:
-        raise ValueError("the factor must be irreducible and prime to t")
-    return _joined(_reflection(field, xi), _column_type(field, [(f, 1)]),
-                   Prediction(2 * field.q ** (len(f) - 1) - 1, CONJECTURAL,
-                              "reflection joined to an irreducible factor"))
+    return _union_poly_mixed(field, xi, 0, [(f, 1)], CONJECTURAL,
+                             "reflection joined to an irreducible factor")
 
 
-def _union_poly_mixed(field: "Field", xi: int, c1: int, factors) -> tuple:
-    if xi not in field.units():
-        raise ValueError("the reflection eigenvalue must be a unit")
+def _union_poly_mixed(field: "Field", xi: int, c1: int, factors,
+                      status: str = CONJECTURAL,
+                      source: str = "mixed union with irreducible factors",
+                      ) -> tuple:
+    """The one column-union formula behind the four union cases: the
+    reflection 1@t-ξ joined to the columns (t−ξ)^{c₁}·∏ f^{c_f} has the
+    coefficient q^{c₁}·[c₁+1]_q·∏_f (2q^{deg f·c_f} − 1) at their union."""
+    entries = [(_t_minus(field, xi), c1)]
     if c1 < 0:
         raise ValueError("the repeated column height may not be negative")
     q = field.q
     value = q ** c1 * q_int(q, c1 + 1)
-    entries = [(polyalg.t_minus(field, xi), c1)]
     for f, c in factors:
         f = tuple(f)
         if any(f == g for g, _ in entries):
@@ -249,16 +241,13 @@ def _union_poly_mixed(field: "Field", xi: int, c1: int, factors) -> tuple:
         entries.append((f, c))
         value *= 2 * q ** ((len(f) - 1) * c) - 1
     return _joined(_reflection(field, xi), _column_type(field, entries),
-                   Prediction(value, CONJECTURAL,
-                              "mixed union with irreducible factors"))
+                   Prediction(value, status, source))
 
 
 def _merge_irreducible(field: "Field", xi: int, fprime, f) -> tuple:
     """Coefficient of a single irreducible factor one degree up: the q-integer
     [d] when the constant terms are compatible, zero by grading otherwise."""
-    fprime, f = tuple(fprime), tuple(f)
-    if xi not in field.units():
-        raise ValueError("the reflection eigenvalue must be a unit")
+    lam, fprime, f = _reflection(field, xi), tuple(fprime), tuple(f)
     for g in (fprime, f):
         if not polyalg.is_irreducible(field, g) or g[0] == 0:
             raise ValueError("both factors must be irreducible and prime to t")
@@ -272,7 +261,7 @@ def _merge_irreducible(field: "Field", xi: int, fprime, f) -> tuple:
     else:
         predicted = Prediction(q_int(field.q, d), CONJECTURAL,
                                "reflection merging into one irreducible factor")
-    return (_reflection(field, xi), _column_type(field, [(fprime, 1)]),
+    return (lam, _column_type(field, [(fprime, 1)]),
             _column_type(field, [(f, 1)]), predicted)
 
 
@@ -550,8 +539,6 @@ def _family_union_mixed(field: "Field", labels, cs):
     if len(set(reduced)) != len(reduced):
         return None  # labels collided after reduction
     xs = tuple(field.neg(f[0]) for f in reduced)
-    if any(x == 0 for x in xs):
-        return None
     return {"case": "union-mixed", "xs": xs, "cs": tuple(cs)}
 
 
@@ -560,10 +547,7 @@ def _family_union_poly(field: "Field", xi_label, f_label):
     f = _reduce_label(field, f_label)
     if lin is None or f is None or len(f) != 3:
         return None
-    xi = field.neg(lin[0])
-    if xi == 0 or f == polyalg.t_minus(field, xi):
-        return None
-    return {"case": "union-poly", "xi": xi, "f": f}
+    return {"case": "union-poly", "xi": field.neg(lin[0]), "f": f}
 
 
 def fit_family_in_q(name: str, q_list=(3, 5, 7)):

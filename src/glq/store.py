@@ -198,16 +198,14 @@ class ExpansionCache:
     def put(self, key: str, expansion: ClassSumExpansion, seed=None) -> None:
         self._records[key] = (expansion, _make_meta(seed))
 
-    def _target(self, path=None) -> Path:
-        if path is not None:
-            return Path(path)
+    def _target(self) -> Path:
         return self.path or default_cache_path()
 
-    def load(self, path=None) -> int:
-        """Merge records from a file; returns how many lines were accepted.
+    def load(self) -> int:
+        """Merge records from the file; returns how many lines were accepted.
         Corrupt or foreign-version records are skipped with a warning, and
         a later line replaces an earlier one with the same key."""
-        target = self._target(path)
+        target = self._target()
         if not target.exists():
             return 0
         accepted = 0
@@ -265,9 +263,9 @@ class ExpansionCache:
                           f"{len(data)} bytes")
         return target
 
-    def save(self, path=None) -> Path:
+    def save(self) -> Path:
         """Write a complete snapshot atomically (temp file, then rename)."""
-        target = self._target(path)
+        target = self._target()
         target.parent.mkdir(parents=True, exist_ok=True)
         temp = target.with_name(target.name + f".tmp{os.getpid()}")
         with open(temp, "w", encoding="utf-8") as handle:

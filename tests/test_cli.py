@@ -657,6 +657,17 @@ def test_check_rejects_undeclared_params(capsys):
     assert "foo" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("q, xi", [
+    ("3", "4"), ("3", "7"),
+    ("4", "-1"),  # not read as the code 3 through negative indexing
+])
+def test_check_rejects_an_eigenvalue_outside_the_units(capsys, q, xi):
+    code, out, err = run(capsys, "check", "--q", q, "--case", "union-equal",
+                         "--params", f"xi={xi};c=1;d=1")
+    assert (code, out, err) == (2, "", f"error: eigenvalue {xi} is not a unit "
+                                       f"of F_{q} (codes 1..{int(q) - 1})\n")
+
+
 def test_check_rejects_nu_outside_two_reflections(capsys):
     code, out, err = run(capsys, "check", "--q", "3", "--case", "union-equal",
                          "--params", "xi=2;c=1;d=1", "--nu", "1,1@t-2")
@@ -745,6 +756,13 @@ def test_key_past_the_sieve_bound_exits_three(capsys, key):
     assert err == (f"resource bound exceeded: listing the irreducibles of "
                    f"degree {half} over F_2 needs a sieve of 2^{half} codes, "
                    f"above the bound of 1048576\n")
+
+
+def test_a_repeated_polynomial_in_a_type_is_named(capsys):
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--lambda",
+                         "1@t-2;1@t-2", "--mu", "1@t-1", "--no-cache")
+    assert (code, out, err) == (
+        2, "", "error: repeated polynomial in '1@t-2;1@t-2'\n")
 
 
 @pytest.mark.parametrize("item", ["@t-1", "1,,1@t-1", "x@t-1"])

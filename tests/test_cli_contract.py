@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glq import cli
@@ -182,6 +182,8 @@ def command_lines(draw) -> list:
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(command_lines())
+@example(["check", "--q", "3", "--case", "union-equal",
+          "--params", "xi=4;c=1;d=1"])
 def test_every_command_line_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as scratch:
         cache = str(Path(scratch) / "cache.tsv")

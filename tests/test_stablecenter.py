@@ -182,9 +182,23 @@ def test_union_distinct_three_eigenvalues():
 def test_union_distinct_needs_an_eigenvalue():
     for call in (lambda: check_case(F3, "union-distinct", xs=()),
                  lambda: predict_union(F3, "union-distinct", xs=()),
-                 lambda: sweep_union_distinct(F3, 0)):
+                 lambda: sweep_union_distinct(F3, 0),
+                 lambda: check_case(F3, "union-mixed", xs=(), cs=())):
         with pytest.raises(ValueError, match="at least one eigenvalue"):
             call()
+
+
+@pytest.mark.parametrize("case, params", [
+    ("union-distinct", dict(xs=(1, 3))),
+    ("union-equal", dict(xi=4, c=1, d=1)),
+    ("union-mixed", dict(xs=(2, -1), cs=(1, 1))),
+    ("union-poly", dict(xi=3, f=(1, 0, 1))),
+    ("union-poly-mixed", dict(xi=-1, c1=0, factors=(((1, 0, 1), 1),))),
+    ("merge-irreducible", dict(xi=0, fprime=(2, 1, 1), f=(2, 2, 0, 1))),
+])
+def test_every_eigenvalue_must_be_a_unit(case, params):
+    with pytest.raises(ValueError, match="is not a unit of F_3"):
+        predict_union(F3, case, **params)
 
 
 def test_union_equal_sweep_q3():
