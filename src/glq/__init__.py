@@ -28,9 +28,8 @@ from .classcalc import (ClassSumExpansion, StabilityReport, TripleNormalForm,
 from .stablecenter import (CheckReport, FitResult, Prediction, check_case,
                            fit_family_in_q, fit_polynomial_in_n,
                            fit_polynomial_in_q, predict_reflection_product,
-                           predict_union, sweep_merge_irreducible,
-                           sweep_two_reflections, sweep_union_distinct,
-                           sweep_union_equal)
+                           sweep_merge_irreducible, sweep_two_reflections,
+                           sweep_union_distinct, sweep_union_equal)
 from .store import ExpansionCache, make_key
 
 __all__ = [
@@ -50,7 +49,7 @@ __all__ = [
     "normalize_triple",
     # predictions and fits
     "Prediction", "CheckReport", "FitResult", "check_case",
-    "predict_reflection_product", "predict_union", "sweep_two_reflections",
+    "predict_reflection_product", "sweep_two_reflections",
     "sweep_union_distinct", "sweep_union_equal", "sweep_merge_irreducible",
     "fit_polynomial_in_q", "fit_polynomial_in_n", "fit_family_in_q",
     # caching

@@ -375,12 +375,20 @@ def _permute_pairs(field: "Field", n: int, pairs: ReflectionPairs,
     return perm, found
 
 
-def _check_enumerable(mu: GLType, n: int, field: "Field",
-                      memory_bound: int) -> None:
-    """The checks made before the class 𝒦_μ(n) is built or a product that
-    enumerates it is read: the field, then the memory bound."""
-    if field != mu.field:
+def _common_field(field: "Field | None", *types: GLType) -> "Field":
+    """The one field of the given types and of field when it is given;
+    ValueError when they differ."""
+    fields = {T.field for T in types}
+    if field is not None:
+        fields.add(field)
+    if len(fields) != 1:
         raise ValueError("field mismatch")
+    return fields.pop()
+
+
+def _check_enumerable(mu: GLType, n: int, memory_bound: int) -> None:
+    """The check made before the class 𝒦_μ(n) is built or a product that
+    enumerates it is read: the memory bound."""
     size = class_size(mu, n)
     if size > memory_bound:
         raise ClassTooLargeError(
@@ -391,8 +399,8 @@ def _check_enumerable(mu: GLType, n: int, field: "Field",
 def enumerate_class(mu: GLType, n: int, field: "Field" = None,
                     memory_bound: int = DEFAULT_MEMORY_BOUND) -> ClassOrbit:
     """All members of the modified-type-μ class in GL_n(q)."""
-    _check_enumerable(mu, n, field if field is not None else mu.field,
-                      memory_bound)
+    _common_field(field, mu)
+    _check_enumerable(mu, n, memory_bound)
     return _build_orbit(mu, n)
 
 
@@ -544,9 +552,9 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     rank above k + 2 shares one computation.  Each {λ, μ} is computed once
     per n and process, and every call first checks the field and the memory
     bound, which counts the smaller class at rank n."""
-    F = field if field is not None else lam.field
+    F = _common_field(field, lam, mu)
     small = lam if class_size(lam, n) <= class_size(mu, n) else mu
-    _check_enumerable(small, n, F, memory_bound)
+    _check_enumerable(small, n, memory_bound)
     pair = sorted((lam, mu), key=gltype_sort_key)
     return ClassSumExpansion(field=F, n=n, lam=lam, mu=mu,
                              terms=dict(_product_terms(*pair, n)))
@@ -670,8 +678,9 @@ def structure_constant_at(lam: GLType, mu: GLType, nu: GLType, n: int,
                           memory_bound: int = DEFAULT_MEMORY_BOUND) -> int:
     """a^ν_λμ(n), read from the full product at rank n; ClassEmptyError when
     𝒦_ν is empty at rank n."""
+    F = _common_field(field, lam, mu, nu)
     lift(nu, n)
-    return multiply_class_sums(lam, mu, n, field, memory_bound).get(nu)
+    return multiply_class_sums(lam, mu, n, F, memory_bound).get(nu)
 
 
 def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
@@ -680,7 +689,7 @@ def multiply_oracle(lam: GLType, mu: GLType, n: int, field: "Field" = None,
                     ) -> ClassSumExpansion:
     """Brute-force expansion over all |𝒦_λ|·|𝒦_μ| products; independent of
     multiply_class_sums and used to validate it."""
-    F = field if field is not None else lam.field
+    F = _common_field(field, lam, mu)
     size_lam = class_size(lam, n)
     size_mu = class_size(mu, n)
     if size_lam * size_mu > pair_bound:
@@ -712,14 +721,14 @@ def stable_constant(lam: GLType, mu: GLType, nu: GLType,
     """The n-independent top-degree coefficient a^ν_λμ, computed once at the
     smallest rank where 𝒦_ν is nonempty; 0 without computing when
     _always_zero tells it is 0 at every n."""
+    F = _common_field(field, lam, mu, nu)
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError(
             "stable constants exist only in top degree: "
             f"‖ν‖ = {norm(nu)} but ‖λ‖+‖μ‖ = {norm(lam) + norm(mu)}")
     if _always_zero(lam, mu, nu):
         return 0
-    return structure_constant_at(lam, mu, nu, min_rank(nu), field,
-                                 memory_bound)
+    return structure_constant_at(lam, mu, nu, min_rank(nu), F, memory_bound)
 
 
 def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
@@ -730,7 +739,7 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
     n ≥ min_rank(ν), so all are read from one full product at the largest
     minimal rank of the candidates, where each has members.  The result is
     checked by ClassSumExpansion.violation."""
-    F = field if field is not None else lam.field
+    F = _common_field(field, lam, mu)
     candidates = [nu for nu in enumerate_plain_types(F, norm(lam) + norm(mu))
                   if not _always_zero(lam, mu, nu)]  # plain read as modified
     terms = {}
@@ -753,6 +762,7 @@ def verify_stability(lam: GLType, mu: GLType, nu: GLType,
     product at its rank: computed at that rank up to k + 2, and above it,
     when the smaller class is a reflection class, reweighted from rank
     k + 2 (see multiply_class_sums), k the minimal rank of the other."""
+    F = _common_field(field, lam, mu, nu)
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError("stability applies to top-degree coefficients only")
     k = min_rank(nu)
@@ -762,7 +772,7 @@ def verify_stability(lam: GLType, mu: GLType, nu: GLType,
     values = []
     for n in ns:
         try:
-            a = structure_constant_at(lam, mu, nu, n, field, memory_bound)
+            a = structure_constant_at(lam, mu, nu, n, F, memory_bound)
         except ClassEmptyError:
             a = 0
         values.append((n, a))

@@ -8,6 +8,10 @@ loops is plain list indexing on small ints.
 
 Fields are interned: ``field_make(p, e)`` always returns the same object for
 the same arguments, so identity, equality and pickling all agree.
+
+Element text for e > 1 is a polynomial in x over F_p of degree below e, in
+the one term grammar that polyalg keeps (split_terms, parse_term,
+format_terms); this module has no parser of its own.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from . import polyalg
 
 __all__ = ["Field", "field_make", "field_of_order", "MAX_Q"]
 
@@ -31,95 +37,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# shared text helpers (also used by the polynomial grammar in polyalg)
-# ---------------------------------------------------------------------------
-
-def split_terms(s: str) -> list[tuple[int, str]]:
-    """Split ``a+b-c`` into [(+1,'a'), (+1,'b'), (-1,'c')] at paren depth 0.
-
-    Accepts the unicode minus sign as a synonym for '-'; whitespace is
-    ignored.  Raises ValueError on empty terms or unbalanced parentheses.
-    """
-    s = s.replace("−", "-").replace(" ", "")
-    if not s:
-        raise ValueError("empty expression")
-    terms: list[tuple[int, str]] = []
-    sign, depth, start = 1, 0, 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    cur = start
-    for i, ch in enumerate(s[start:], start):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced ')' in {s!r}")
-        elif ch in "+-" and depth == 0:
-            if i == cur:
-                raise ValueError(f"empty term in {s!r}")
-            terms.append((sign, s[cur:i]))
-            sign = -1 if ch == "-" else 1
-            cur = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced '(' in {s!r}")
-    if cur == len(s):
-        raise ValueError(f"trailing operator in {s!r}")
-    terms.append((sign, s[cur:]))
-    return terms
-
-
-def parse_term(term: str, var: str) -> tuple[str | None, int]:
-    """Parse one product term into (coefficient text or None, power of var).
-
-    Recognized forms: ``c``, ``c*v^k``, ``c*v``, ``v^k``, ``v`` where the
-    coefficient text may be parenthesized; a ``c`` with a ``*`` but no ``v``
-    after it, like ``2*x`` with v = t, is one coefficient.
-    """
-    if term == var:
-        return None, 1
-    if term.startswith(var + "^"):
-        return None, _parse_power(term[len(var) + 1:], term)
-    if "*" in term:
-        coeff, _, vpart = term.rpartition("*")
-        if vpart == var:
-            return coeff, 1
-        if vpart.startswith(var + "^"):
-            return coeff, _parse_power(vpart[len(var) + 1:], term)
-        if var in vpart:
-            raise ValueError(
-                f"expected a power of {var!r} after '*' in {term!r}")
-        # a constant written as a product, as format_poly prints 2*x in F_9
-    return term, 0
-
-
-def _parse_power(text: str, term: str) -> int:
-    if not text.isdigit():
-        raise ValueError(f"bad exponent in {term!r}")
-    return int(text)
-
-
-def format_terms(coeffs, var: str, fmt_coeff) -> str:
-    """Render ascending coefficients as a descending-degree sum.
-
-    ``fmt_coeff`` maps a nonzero coefficient code to text (already
-    parenthesized if composite).  Returns "0" for the zero polynomial.
-    """
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        if k == 0:
-            parts.append(fmt_coeff(c))
-        else:
-            v = var if k == 1 else f"{var}^{k}"
-            parts.append(v if c == 1 else f"{fmt_coeff(c)}*{v}")
-    return "+".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +98,11 @@ class Field:
         """First monic irreducible of degree e over F_p by ascending encoding
         sum(a_i * p**i) of t^e + a_{e-1} t^{e-1} + ... + a_0; the winner is
         deterministic across runs."""
-        from . import polyalg
-
         phi = polyalg.enumerate_phi(field_make(p, 1), e)
         return next(f for f in phi if len(f) == e + 1)
 
     def _poly_mul_mod(self, da: tuple[int, ...], db: tuple[int, ...]) -> int:
         """Product of two digit tuples reduced mod the modulus (table build)."""
-        from . import polyalg
-
         prime = field_make(self.p, 1)
         prod = polyalg.poly_mul(prime, da, db)
         rem = polyalg.poly_mod(prime, prod, self.modulus)
@@ -277,34 +190,22 @@ class Field:
             raise ValueError(f"element code {a} out of range for {self!r}")
         if self.e == 1:
             return str(a)
-        return format_terms(self.coeffs(a), "x", str)
+        return polyalg.format_terms(self.coeffs(a), "x", str)
 
     def parse_element(self, s: str) -> int:
-        """Parse element text, normalizing coefficients mod p."""
+        """Parse element text, normalizing coefficients mod p: an integer
+        for e = 1, else a polynomial in x over F_p of degree below e."""
         s = s.strip()
         if self.e == 1:
             try:
                 return int(s) % self.p
             except ValueError:
                 raise ValueError(f"bad element {s!r} for {self!r}") from None
-        total = 0
-        for sign, term in split_terms(s):
-            coeff_text, k = parse_term(term, "x")
-            if k >= self.e:
-                raise ValueError(
-                    f"exponent x^{k} is not reduced in {self!r} (e = {self.e})")
-            if coeff_text is None:
-                c = 1
-            elif coeff_text.startswith("(") and coeff_text.endswith(")"):
-                c = self.parse_element(coeff_text[1:-1])
-            else:
-                try:
-                    c = int(coeff_text) % self.p
-                except ValueError:
-                    raise ValueError(f"bad coefficient {coeff_text!r} in {s!r}") from None
-            v = self.mul(c, self.p ** k)
-            total = self.add(total, self.neg(v) if sign < 0 else v)
-        return total
+        f = polyalg.parse_poly(field_make(self.p), s, "x")
+        if len(f) > self.e:
+            raise ValueError(f"exponent x^{len(f) - 1} is not reduced in "
+                             f"{self!r} (e = {self.e})")
+        return self.from_coeffs(f)
 
     # -- identity -----------------------------------------------------------
 
@@ -320,7 +221,7 @@ class Field:
     def __repr__(self) -> str:
         if self.e == 1:
             return f"F_{self.p}"
-        mod = format_terms(self.modulus, "x", str)
+        mod = polyalg.format_terms(self.modulus, "x", str)
         return f"F_{self.q}=F_{self.p}[x]/({mod})"
 
 

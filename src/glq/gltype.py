@@ -324,12 +324,9 @@ def gl_order(field: "Field", n: int) -> int:
     return out
 
 
-def class_size(T: GLType, n: int, field: "Field" = None) -> int:
+def class_size(T: GLType, n: int) -> int:
     """Number of members of the modified-type-T class inside GL_n(q)."""
-    F = field if field is not None else T.field
-    if F != T.field:
-        raise ValueError("field mismatch")
-    return _class_size(T, n)
+    return _class_size(T, n)  # one memo entry for positional and keyword n
 
 
 # exact and pure in (T, n), so computed once per process; exceptions
@@ -391,11 +388,7 @@ def enumerate_plain_types(field: "Field", n: int) -> list[GLType]:
 
 def _format_key(field: "Field", f) -> str:
     if len(f) == 2:  # linear keys display by root: t-ξ
-        root = field.neg(f[0])
-        txt = field.format_element(root)
-        if "+" in txt or "-" in txt:
-            txt = f"({txt})"
-        return f"t-{txt}"
+        return f"t-{polyalg.format_coeff(field, field.neg(f[0]))}"
     return polyalg.format_poly(field, f)
 
 

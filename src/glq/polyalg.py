@@ -5,6 +5,11 @@ A polynomial is a tuple of field-element codes in ascending degree with no
 trailing zeros; () is zero.  The canonical ordering used everywhere is
 poly_key: by degree, then degree-1 polynomials t - xi by their root xi, then
 higher degrees by ascending integer encoding of the coefficient tuple.
+
+glq's one text grammar lives here: sums of ``c*v^k`` terms, read by
+parse_poly and printed by format_terms.  Polynomials are read in t over F_q,
+and field elements of F_{p^e}, e > 1, in x over F_p (Field.parse_element),
+so this module needs nothing from field at run time.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvariantError, ResourceBoundError
-from .field import format_terms, parse_term, split_terms
 
 if TYPE_CHECKING:
     from .field import Field
@@ -299,15 +303,102 @@ def jordan_block(field: Field, f, m: int) -> np.ndarray:
 # text grammar
 # ---------------------------------------------------------------------------
 
+def split_terms(s: str) -> list[tuple[int, str]]:
+    """Split ``a+b-c`` into [(+1,'a'), (+1,'b'), (-1,'c')] at paren depth 0.
+
+    Accepts the unicode minus sign as a synonym for '-'; whitespace is
+    ignored.  Raises ValueError on empty terms or unbalanced parentheses.
+    """
+    s = s.replace("−", "-").replace(" ", "")
+    if not s:
+        raise ValueError("empty expression")
+    terms: list[tuple[int, str]] = []
+    sign, depth, start = 1, 0, 0
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        start = 1
+    cur = start
+    for i, ch in enumerate(s[start:], start):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced ')' in {s!r}")
+        elif ch in "+-" and depth == 0:
+            if i == cur:
+                raise ValueError(f"empty term in {s!r}")
+            terms.append((sign, s[cur:i]))
+            sign = -1 if ch == "-" else 1
+            cur = i + 1
+    if depth != 0:
+        raise ValueError(f"unbalanced '(' in {s!r}")
+    if cur == len(s):
+        raise ValueError(f"trailing operator in {s!r}")
+    terms.append((sign, s[cur:]))
+    return terms
+
+
+def parse_term(term: str, var: str) -> tuple[str | None, int]:
+    """Parse one product term into (coefficient text or None, power of var).
+
+    Recognized forms: ``c``, ``c*v^k``, ``c*v``, ``v^k``, ``v`` where the
+    coefficient text may be parenthesized; a ``c`` with a ``*`` but no ``v``
+    after it, like ``2*x`` with v = t, is one coefficient.
+    """
+    if term == var:
+        return None, 1
+    if term.startswith(var + "^"):
+        return None, _parse_power(term[len(var) + 1:], term)
+    if "*" in term:
+        coeff, _, vpart = term.rpartition("*")
+        if vpart == var:
+            return coeff, 1
+        if vpart.startswith(var + "^"):
+            return coeff, _parse_power(vpart[len(var) + 1:], term)
+        if var in vpart:
+            raise ValueError(
+                f"expected a power of {var!r} after '*' in {term!r}")
+        # a constant written as a product, as format_poly prints 2*x in F_9
+    return term, 0
+
+
+def _parse_power(text: str, term: str) -> int:
+    if not text.isdigit():
+        raise ValueError(f"bad exponent in {term!r}")
+    return int(text)
+
+
+def format_terms(coeffs, var: str, fmt_coeff) -> str:
+    """Render ascending coefficients as a descending-degree sum.
+
+    ``fmt_coeff`` maps a nonzero coefficient code to text (already
+    parenthesized if composite).  Returns "0" for the zero polynomial.
+    """
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(fmt_coeff(c))
+        else:
+            v = var if k == 1 else f"{var}^{k}"
+            parts.append(v if c == 1 else f"{fmt_coeff(c)}*{v}")
+    return "+".join(parts) if parts else "0"
+
+
+def format_coeff(field: Field, c: int) -> str:
+    """Element text as a coefficient or root inside polynomial or type text:
+    composite element text is parenthesized."""
+    text = field.format_element(c)
+    return f"({text})" if ("+" in text or "-" in text) else text
+
+
 def format_poly(field: Field, f, var: str = "t") -> str:
     """Descending-degree text with coefficients in the field's element syntax;
     composite coefficients are parenthesized."""
-
-    def fmt(c: int) -> str:
-        text = field.format_element(c)
-        return f"({text})" if ("+" in text or "-" in text) else text
-
-    return format_terms(poly_trim(f), var, fmt)
+    return format_terms(poly_trim(f), var, lambda c: format_coeff(field, c))
 
 
 def parse_poly(field: Field, s: str, var: str = "t") -> tuple[int, ...]:

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Prediction", "FitResult", "CheckReport",
-    "predict_reflection_product", "predict_union", "check_case", "CASES",
+    "predict_reflection_product", "check_case", "CASES",
     "parse_case_params",
     "sweep_two_reflections", "sweep_union_distinct", "sweep_union_equal",
     "sweep_merge_irreducible",
@@ -142,8 +142,7 @@ def predict_reflection_product(field: "Field", xi: int, eta: int,
                                nu: GLType) -> Prediction:
     """The complete norm-2 coefficient table for a product of two
     reflection class sums with eigenvalues ξ and η."""
-    if xi not in field.units() or eta not in field.units():
-        raise ValueError("reflection eigenvalues must be units")
+    _t_minus(field, xi), _t_minus(field, eta)  # ValueError unless units
     if norm(nu) != 2:
         raise ValueError(f"the table covers ‖ν‖ = 2 only, got {norm(nu)}")
     q = field.q
@@ -336,11 +335,6 @@ def parse_case_params(field: "Field", case: str, texts: dict) -> dict:
     """Parameter texts {name: text} read as the kinds the case declares."""
     kinds = _kinds(case, texts)
     return {key: kinds[key].parse(field, text) for key, text in texts.items()}
-
-
-def predict_union(field: "Field", case: str, **params) -> Prediction:
-    """The closed-form prediction of one case, by name."""
-    return _build(field, case, params)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,28 @@ def test_memo_hit_still_checks_the_memory_bound():
         multiply_class_sums(lam, lam, 3, F5)
 
 
+A2, A3, NU3 = T(F2, "1@t-1"), T(F3, "1@t-1"), T(F3, "1,1@t-1")
+
+
+@pytest.mark.parametrize("fn, args", [
+    (multiply_class_sums, (A2, A3, 2)),
+    (multiply_class_sums, (A2, T(F3, "1@t-2"), 2)),
+    (multiply_oracle, (A2, A3, 2)),
+    (structure_constant_at, (A2, A2, NU3, 4)),
+    (stable_constant, (A2, A2, NU3)),
+    (stable_product, (A2, A3)),
+    (verify_stability, (A2, A2, NU3)),
+    (enumerate_class, (A2, 2, F3)),
+], ids=["multiply_class_sums", "multiply_class_sums-index",
+        "multiply_oracle", "structure_constant_at", "stable_constant",
+        "stable_product", "verify_stability", "enumerate_class"])
+def test_types_over_different_fields_are_a_usage_error(fn, args):
+    # checked before any work: unchecked, these gave a product over F_2, a
+    # constant 0, an InvariantError or an IndexError
+    with pytest.raises(ValueError, match="field mismatch"):
+        fn(*args)
+
+
 def test_changing_returned_terms_leaves_the_memo_intact():
     lam, mu = T(F3, "1@t-1"), T(F3, "1@t-2")
     first = multiply_class_sums(lam, mu, 3)

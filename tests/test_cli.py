@@ -668,6 +668,14 @@ def test_check_rejects_an_eigenvalue_outside_the_units(capsys, q, xi):
                                        f"of F_{q} (codes 1..{int(q) - 1})\n")
 
 
+def test_two_reflections_rejects_an_eigenvalue_as_every_case_does(capsys):
+    code, out, err = run(capsys, "check", "--q", "3", "--case",
+                         "two-reflections", "--params", "xi=4;eta=1",
+                         "--nu", "1,1@t-1")
+    assert (code, out, err) == (2, "", "error: eigenvalue 4 is not a unit "
+                                       "of F_3 (codes 1..2)\n")
+
+
 def test_check_rejects_nu_outside_two_reflections(capsys):
     code, out, err = run(capsys, "check", "--q", "3", "--case", "union-equal",
                          "--params", "xi=2;c=1;d=1", "--nu", "1,1@t-2")

@@ -3,7 +3,10 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glq.cli import main
 from glq.field import field_make, field_of_order, MAX_Q
 
 
@@ -107,6 +110,56 @@ def test_element_text_forms():
     assert F25.parse_element("-1") == 4
     F3 = field_make(3, 1)
     assert F3.parse_element("5") == 2
+
+
+def _power_text(k: int, with_coeff: bool, draw) -> str:
+    """x^k written as the canonical printer would, or as x^1 or x^0."""
+    forms = {0: ["x^0"], 1: ["x", "x^1"]}.get(k, [f"x^{k}"])
+    if with_coeff:
+        forms = [f"*{v}" for v in forms] + ([""] if k == 0 else [])
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_element_text_in_equivalent_forms(data):
+    # every writing of an element's coefficients in the polynomial grammar
+    # reads back as the element: terms in any order, explicit 1* and x^1,
+    # x^0, zero terms, coefficients c + k·p, either minus sign, and spaces
+    draw = data.draw
+    F = field_of_order(draw(st.sampled_from([4, 8, 9, 16, 25])))
+    a = draw(st.integers(0, F.q - 1))
+    p = F.p
+    terms = []
+    for k, c in enumerate(F.coeffs(a)):
+        if not c and draw(st.booleans()):
+            continue
+        sign = draw(st.sampled_from(["+", "-", "−"]))
+        d = (c if sign == "+" else -c) % p + p * draw(st.integers(0, 2))
+        coeff = "" if d == 1 and draw(st.booleans()) else str(d)
+        terms.append((sign, coeff + _power_text(k, bool(coeff), draw)))
+    text = "".join(draw(st.sampled_from(["", " "])) + sign
+                   + draw(st.sampled_from(["", " "])) + body
+                   for sign, body in draw(st.permutations(terms))) or "0"
+    assert F.parse_element(text) == a, text
+
+
+def test_element_text_keeps_exponents_below_e():
+    F9 = field_of_order(9)
+    with pytest.raises(ValueError, match=r"x\^2 is not reduced"):
+        F9.parse_element("x^2")
+    with pytest.raises(ValueError, match=r"x\^3 is not reduced"):
+        F9.parse_element("x^3+x")
+
+
+def test_parenthesized_coefficient_inside_element_text_is_a_usage_error(
+        capsys):
+    # element text is a polynomial over F_p: its coefficients are integers
+    code = main(["mul", "--q", "9", "--n", "2", "--lambda", "1@t-((x+1)*x)",
+                 "--mu", "∅", "--no-cache"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: bad element 'x+1' for F_3\n"
 
 
 def test_generator_orders():

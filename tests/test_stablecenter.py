@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glq import classcalc
+from glq import classcalc, stablecenter
 from glq.field import field_make
 from glq.gltype import empty_type, parse_gltype
 from glq.stablecenter import (FIT_FAMILIES, CheckReport, Prediction,
                               check_case, fit_family_in_q, fit_polynomial_in_n,
                               fit_polynomial_in_q, predict_reflection_product,
-                              predict_union, sweep_merge_irreducible,
-                              sweep_two_reflections, sweep_union_distinct,
-                              sweep_union_equal)
+                              sweep_merge_irreducible, sweep_two_reflections,
+                              sweep_union_distinct, sweep_union_equal)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -25,6 +24,11 @@ F5 = field_make(5)
 
 def T(field, text):
     return parse_gltype(field, text)
+
+
+def predict(field, case, **params):
+    """The closed-form prediction of one case, validated as check_case does."""
+    return stablecenter._build(field, case, params)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +68,10 @@ def test_reflection_table_determinant_gate(field, xi, eta, nu):
 
 
 def test_reflection_table_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="must be units"):
+    with pytest.raises(ValueError, match="eigenvalue 0 is not a unit of F_3"):
         predict_reflection_product(F3, 0, 2, T(F3, "1,1@t-2"))
+    with pytest.raises(ValueError, match="eigenvalue 4 is not a unit of F_3"):
+        predict_reflection_product(F3, 1, 4, T(F3, "1,1@t-2"))
     with pytest.raises(ValueError, match="‖ν‖ = 2"):
         predict_reflection_product(F3, 2, 2, T(F3, "1@t-2"))
 
@@ -107,51 +113,51 @@ def test_reflection_spot_checks_q5():
 # ---------------------------------------------------------------------------
 
 def test_union_predictor_frozen_values():
-    assert predict_union(F3, "union-distinct", xs=(1, 2)).value == 5
-    assert predict_union(F5, "union-distinct", xs=(1, 2, 3)).value == 81
-    assert predict_union(F3, "union-equal", xi=2, c=1, d=1).value == 12
-    assert predict_union(F3, "union-equal", xi=2, c=1, d=2).value == 117
-    assert predict_union(F3, "union-mixed", xs=(2, 1), cs=(1, 1)).value == 60
-    assert predict_union(F3, "union-poly", xi=2, f=(1, 0, 1)).value == 17
-    assert predict_union(
+    assert predict(F3, "union-distinct", xs=(1, 2)).value == 5
+    assert predict(F5, "union-distinct", xs=(1, 2, 3)).value == 81
+    assert predict(F3, "union-equal", xi=2, c=1, d=1).value == 12
+    assert predict(F3, "union-equal", xi=2, c=1, d=2).value == 117
+    assert predict(F3, "union-mixed", xs=(2, 1), cs=(1, 1)).value == 60
+    assert predict(F3, "union-poly", xi=2, f=(1, 0, 1)).value == 17
+    assert predict(
         F3, "union-poly-mixed", xi=2, c1=1, factors=(((1, 0, 1), 1),)).value == 204
 
 
 def test_union_predictor_statuses():
-    assert predict_union(F3, "union-distinct", xs=(1, 2)).status == "proved"
-    assert predict_union(F3, "union-equal", xi=2, c=1, d=1).status == "proved"
+    assert predict(F3, "union-distinct", xs=(1, 2)).status == "proved"
+    assert predict(F3, "union-equal", xi=2, c=1, d=1).status == "proved"
     for case, params in [
         ("union-mixed", dict(xs=(2, 1), cs=(1, 1))),
         ("union-poly", dict(xi=2, f=(1, 0, 1))),
         ("union-poly-mixed", dict(xi=2, c1=0, factors=(((1, 0, 1), 1),))),
     ]:
-        assert predict_union(F3, case, **params).status == "conjectural"
+        assert predict(F3, case, **params).status == "conjectural"
 
 
 def test_merge_predictor_is_gated_by_constant_term():
     # target constant must equal −ξ·(source constant)
-    p = predict_union(F3, "merge-irreducible",
+    p = predict(F3, "merge-irreducible",
                       xi=2, fprime=(2, 1, 1), f=(2, 2, 0, 1))
     assert p.value == 13 and p.status == "conjectural"
-    p = predict_union(F5, "merge-irreducible",
+    p = predict(F5, "merge-irreducible",
                       xi=2, fprime=(2, 4, 1), f=(1, 1, 0, 1))
     assert p.value == 31 and p.status == "conjectural"
-    p = predict_union(F5, "merge-irreducible",
+    p = predict(F5, "merge-irreducible",
                       xi=2, fprime=(2, 4, 1), f=(2, 0, 1, 1))
     assert p.value == 0 and p.status == "zero-by-grading"
 
 
 def test_union_predictor_rejects_bad_arguments():
     with pytest.raises(ValueError, match="unknown case"):
-        predict_union(F3, "no-such-case")
+        predict(F3, "no-such-case")
     with pytest.raises(ValueError, match="distinct"):
-        predict_union(F3, "union-distinct", xs=(2, 2))
+        predict(F3, "union-distinct", xs=(2, 2))
     with pytest.raises(ValueError, match="≠ 0, 1"):
-        predict_union(F3, "union-equal", xi=1, c=1, d=1)
+        predict(F3, "union-equal", xi=1, c=1, d=1)
     with pytest.raises(ValueError, match="differ from the reflection"):
-        predict_union(F3, "union-poly", xi=2, f=(1, 1))
+        predict(F3, "union-poly", xi=2, f=(1, 1))
     with pytest.raises(ValueError, match="degree 3 up"):
-        predict_union(F3, "merge-irreducible",
+        predict(F3, "merge-irreducible",
                       xi=2, fprime=(2, 1), f=(1, 0, 1))
 
 
@@ -181,7 +187,7 @@ def test_union_distinct_three_eigenvalues():
 
 def test_union_distinct_needs_an_eigenvalue():
     for call in (lambda: check_case(F3, "union-distinct", xs=()),
-                 lambda: predict_union(F3, "union-distinct", xs=()),
+                 lambda: predict(F3, "union-distinct", xs=()),
                  lambda: sweep_union_distinct(F3, 0),
                  lambda: check_case(F3, "union-mixed", xs=(), cs=())):
         with pytest.raises(ValueError, match="at least one eigenvalue"):
@@ -198,7 +204,7 @@ def test_union_distinct_needs_an_eigenvalue():
 ])
 def test_every_eigenvalue_must_be_a_unit(case, params):
     with pytest.raises(ValueError, match="is not a unit of F_3"):
-        predict_union(F3, case, **params)
+        predict(F3, case, **params)
 
 
 def test_union_equal_sweep_q3():
