@@ -4,11 +4,18 @@ length-additive factorizations.
 
 The product of two class sums K_λ(n)·K_μ(n) = Σ_ν a^ν_λμ(n)·K_ν(n) is
 computed by counting, never by floating point, on one path for every caller:
-the smaller class is enumerated, the other is represented by its canonical
-matrix h₀, and one element per orbit of sampled centralizer elements
-c ∈ C(h₀) is classified.  A reflection class times a class of minimal rank
-k is counted at rank k + 2 and reweighted to every larger rank.  Structure
-constants and stable products are read from these full products.
+the other class is represented by its canonical matrix h₀, and one element
+g of the smaller class per orbit of sampled centralizer elements c ∈ C(h₀)
+is classified, weighted by its orbit size.  Conjugation by c keeps the type
+of g·h₀, so any group of such c gives exact weights.  A class found by
+breadth-first search is enumerated and merged element by element.  A
+reflection class, g = I + u·φᵀ with u normalized, is never built: its
+orbits are counted on the normalized u first, then, for each representative
+u₀, on the φ of its row under elements that fix u₀ (_reflection_orbits), so
+the work is #rows·q^{n−1} codes.  A reflection class times a class of
+minimal rank k is counted at rank k + 2 and reweighted to every larger
+rank.  Structure constants and stable products are read from these full
+products.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .gltype import (GLType, canonical_matrix, class_size, det_of_type,
                      enumerate_plain_types, format_gltype, gl_order,
                      gltype_sort_key, lift, min_rank, modified_type_of, norm,
                      reflection_length, stable_class_size)
-from .polyalg import _all_vectors
 
 if TYPE_CHECKING:
     from .field import Field
@@ -49,6 +55,8 @@ DEFAULT_GROUP_BOUND = 10 ** 7
 CENTRALIZER_SAMPLES = 3
 TAIL_RANK = 2  # a reflection product is read at rank min_rank(other) + this
 CHEAP_ROUNDS = 8  # pull-only merge rounds before pulls along perm^(2^k)
+STABILIZER_DRAWS = 4  # per row and centralizer sample: _reflection_orbits
+DRAW_ENTRIES = 2 ** 13  # entries of the images of one batch of those draws
 
 
 # ---------------------------------------------------------------------------
@@ -78,27 +86,12 @@ class ClassOrbit:
         if self.pairs is None:
             return np.frombuffer(b"".join(self.index), np.uint8).reshape(
                 self.size, self.n, self.n)
-        stack = self.members(np.arange(self.size))
+        u, phi = self.pairs.u, self.pairs.phi
+        vectors = matfq.vector_tables(self.field, self.n).vectors
+        stack = _reflections(self.field, vectors[np.repeat(u, phi.shape[1])],
+                             vectors[phi.ravel()])
         stack.flags.writeable = False
         return stack
-
-    def members(self, positions: np.ndarray) -> np.ndarray:
-        """The elements at `positions` as a stack; a reflection class
-        builds I + u·φᵀ for these positions only."""
-        if self.pairs is None:
-            return self.elements[positions]
-        F = self.field
-        u, phi = self.pair_vectors(positions)
-        stack = F.mul_np[u[:, :, None], phi[:, None, :]]
-        d = np.arange(self.n)
-        stack[:, d, d] = F.add_np[stack[:, d, d], 1]
-        return stack
-
-    def pair_vectors(self, positions: np.ndarray):
-        """The stacks of u and of φ of the reflections at `positions`."""
-        vectors = _vector_tables(self.field, self.n).vectors
-        rows, cols = np.divmod(positions, self.pairs.phi.shape[1])
-        return vectors[self.pairs.u[rows]], vectors[self.pairs.phi[rows, cols]]
 
     def __len__(self) -> int:
         return self.size
@@ -116,10 +109,7 @@ class ClassOrbit:
                 (look(raw[at:at + step], -1) for at in range(0, len(raw), step)),
                 dtype=np.int64, count=self.size)
             found = perm >= 0
-        if not found.all():
-            raise InvariantError(
-                f"a conjugate of an element of {format_gltype(self.mu)} "
-                "is not in its class")
+        _check_found(self.mu, found)
         return perm
 
 
@@ -261,90 +251,49 @@ def _reflection_eigenvalue(mu: GLType) -> int | None:
     return mu.field.neg(f[0]) if len(f) == 2 and parts == (1,) else None
 
 
-class VectorTables(NamedTuple):
-    """Look-up tables over the codes of all qⁿ vectors v of F_q^n.  `scaled`
-    and `dropped` are flat: entry a·qⁿ + code(v) is code(a·v), and entry
-    j·qⁿ + code(v) the code of v without coordinate j.  `position` is the
-    place of a normalized u (first nonzero entry 1) when they are ordered
-    by the index of that entry, then by the code of what follows it."""
-
-    vectors: np.ndarray     # (qⁿ, n) uint8, row code(v) is v
-    weights: np.ndarray     # q^{n−1−j}: code(v) = v @ weights
-    lead: np.ndarray        # index of the first nonzero entry (0 for v = 0)
-    lead_value: np.ndarray  # that entry (0 for v = 0)
-    normal: np.ndarray      # code(v / lead_value)
-    scaled: np.ndarray
-    position: np.ndarray
-    dropped: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _vector_tables(field: "Field", n: int) -> VectorTables:
-    """The tables of F_q^n, built once per (field, n) for every class and
-    every sample: their size is qⁿ, not the class size."""
-    q, size = field.q, field.q ** n
-    vectors = _all_vectors(q, n)
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = np.arange(size)
-    lead = np.argmax(vectors != 0, axis=1)
-    lead_value = vectors[codes, lead].astype(np.intp)
-    scaled = np.stack([field.mul_np[a, vectors] @ weights for a in range(q)])
-    inv = np.array(field.inv_table, dtype=np.intp)
-    normal = scaled[inv[lead_value], codes]
-    block = q ** (n - 1 - lead)  # codes of the normalized u with this lead
-    position = (size - q * block) // (q - 1) + codes - block
-    position[0] = 0  # v = 0 has no place; keep it in range
-    dropped = np.stack([codes // (q * q ** (n - 1 - j)) * q ** (n - 1 - j)
-                        + codes % q ** (n - 1 - j) for j in range(n)])
-    tables = VectorTables(vectors, weights, lead, lead_value, normal,
-                          scaled.ravel(), position, dropped.ravel())
-    for table in tables:
-        table.flags.writeable = False  # shared by every class of this (q, n)
-    return tables
-
-
-def _pair_keys(q: int, n: int, ucode: np.ndarray,
-               phicode: np.ndarray) -> np.ndarray:
-    """code(u)·qⁿ + code(φ), one int64 per pair.  Keys stay below q^{2n}, at
-    most 2q² times the class size, so any class that fits in memory has
-    int64 keys."""
-    return ucode * q ** n + phicode
-
-
 class ReflectionPairs(NamedTuple):
-    """A reflection class as a grid of its pairs (u, φ): row r holds the
-    normalized u of position r, column k its φ with code k + shift once the
-    lead coordinate of u is deleted, so pair r·#φ + k is in row r, column k.
-    `shift` is 1 when ξ = 1 excludes φ = 0, else 0."""
+    """Rows of pairs (u, φ) of a reflection class: row r holds the
+    normalized u of code u[r], column k its φ with code k + shift once the
+    lead coordinate of u is deleted.  `shift` is 1 when ξ = 1 excludes
+    φ = 0, else 0.  For the whole class the rows are in the order of
+    VectorTables.position, so pair r·#φ + k is in row r, column k."""
 
     u: np.ndarray     # (rows,) codes of u
     phi: np.ndarray   # (rows, #φ) codes of φ
-    keys: np.ndarray  # (rows·#φ,) int64 keys of the pairs, by position
     shift: int
 
 
-def _reflection_pairs(field: "Field", n: int, xi: int) -> ReflectionPairs:
+def _reflection_pairs(field: "Field", n: int, xi: int,
+                      u: np.ndarray | None = None) -> ReflectionPairs:
     """The reflections g = I + u·φᵀ of eigenvalue ξ, each as its one pair
     (u, φ) with u normalized (first nonzero entry 1), φ(u) = ξ − 1 and
-    φ ≠ 0.  The rows run by the lead index of u, then by the tail of u
-    after its leading 1: the order of VectorTables.position."""
-    q = field.q
+    φ ≠ 0, in the rows of the codes u, by default of every normalized u."""
+    u = matfq.vector_tables(field, n).normals if u is None else u
     target = field.sub(xi, 1)
     shift = int(target == 0)  # φ = 0 would give the identity
-    free = _all_vectors(q, n - 1)[shift:]  # φ off the leading entry of u
-    fcode = np.arange(shift, q ** (n - 1))
-    us, phis = [], []
-    for lead in range(n):
-        w = q ** (n - 1 - lead)
-        tails = _all_vectors(q, n - 1 - lead)  # u after its leading 1
-        # φ(u) = φ_lead + Σ_{j>lead} u_j·φ_j fixes φ_lead
-        dot = matfq.mat_mul(field, tails, free[:, lead:].T)
-        phi_lead = field.add_np[target, field.neg_np[dot]].astype(np.int64)
-        us.append(w + np.arange(w))
-        phis.append(fcode // w * q * w + fcode % w + phi_lead * w)
-    u, phi = np.concatenate(us), np.concatenate(phis)
-    return ReflectionPairs(u, phi, _pair_keys(q, n, u[:, None], phi).ravel(),
-                           shift)
+    return ReflectionPairs(
+        u, matfq.hyperplane_codes(field, n, u, target)[:, shift:], shift)
+
+
+def _reflections(field: "Field", u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The stack of I + u·φᵀ for the stacks of vectors u and φ."""
+    stack = field.mul_np[u[:, :, None], phi[:, None, :]]
+    d = np.arange(u.shape[1])
+    stack[:, d, d] = field.add_np[stack[:, d, d], 1]
+    return stack
+
+
+def _locate(tab, pairs: ReflectionPairs, rows, u: np.ndarray,
+            phi: np.ndarray):
+    """Where the pairs of codes (u, φ) are among `pairs` if u is in `rows`,
+    as positions r·#φ + k, and whether the pair stored there is (u, φ)."""
+    width = pairs.phi.shape[1]
+    col = tab.dropped[tab.lead[u] * len(tab.vectors) + phi] - pairs.shift
+    at = rows * width + col
+    found = (col >= 0) & (col < width) & (
+        pairs.u.take(rows, mode="clip") == u) & (
+        pairs.phi.take(at, mode="clip") == phi)
+    return at, found
 
 
 def _permute_pairs(field: "Field", n: int, pairs: ReflectionPairs,
@@ -354,25 +303,16 @@ def _permute_pairs(field: "Field", n: int, pairs: ReflectionPairs,
     lead value of c·u is the pair (c·u/a, a·φᵀ·c⁻¹).  One product runs over
     the rows' u and one over all qⁿ vectors φ; each pair then costs a few
     integer gathers."""
-    u, phi, keys, shift = pairs
-    tab = _vector_tables(field, n)
-    size = len(tab.vectors)
-    cu = matfq.mat_mul(field, tab.vectors[u], c.T) @ tab.weights
+    tab = matfq.vector_tables(field, n)
+    cu = matfq.mat_mul(field, tab.vectors[pairs.u], c.T) @ tab.weights
     phic = matfq.mat_mul(field, tab.vectors,
                          matfq.inverse(field, c)) @ tab.weights
-    # per row, for u' = c·u/a: the code of u', the position of its row's
-    # first pair, and the rows of a and of lead(u') in the flat tables
-    image_u = tab.normal[cu]
-    start = tab.position[image_u] * phi.shape[1] - shift
-    scale_row = tab.lead_value[cu] * size
-    drop_row = tab.lead[image_u] * size
-    image_phi = tab.scaled[scale_row[:, None] + phic[phi]]
-    perm = (start[:, None] + tab.dropped[drop_row[:, None] + image_phi]).ravel()
-    # the image is found where its key is, and never out of range
-    found = keys.take(perm, mode="clip") == \
-        _pair_keys(field.q, n, image_u[:, None], image_phi).ravel()
-    found &= (perm >= 0) & (perm < len(keys))
-    return perm, found
+    image_u = tab.normal[cu][:, None]
+    image_phi = tab.scaled[tab.lead_value[cu][:, None] * len(tab.vectors)
+                           + phic[pairs.phi]]
+    perm, found = _locate(tab, pairs, tab.position[image_u], image_u,
+                          image_phi)
+    return perm.ravel(), found
 
 
 def _common_field(field: "Field | None", *types: GLType) -> "Field":
@@ -415,9 +355,9 @@ def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
         return ClassOrbit(field=F, mu=mu, n=n, size=size,
                           index=_bfs_orbit(F, J, size))
     pairs = _reflection_pairs(F, n, xi)
-    if len(pairs.keys) != size:
+    if pairs.phi.size != size:
         raise InvariantError(
-            f"{len(pairs.keys)} reflection pairs != class size {size}")
+            f"{pairs.phi.size} reflection pairs != class size {size}")
     return ClassOrbit(field=F, mu=mu, n=n, size=size, pairs=pairs)
 
 
@@ -464,28 +404,36 @@ def enumerate_modified_types(field: "Field", max_norm: int, n: int) -> list:
 # class-sum products and structure constants
 # ---------------------------------------------------------------------------
 
-def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray,
-                        samples: list | None = None):
+def _centralizer_orbits(field: "Field", orbit: ClassOrbit, h0: np.ndarray):
     """Representatives and sizes of the orbits on `orbit` of the group that
-    `samples`, by default CENTRALIZER_SAMPLES random elements of C(h₀),
-    generate, acting by conjugation.  Any such group will do: conjugating g
-    by c ∈ C(h₀) conjugates g·h₀ and h₀·g, so their types are constant on
-    each orbit; every sample is checked to commute with h₀.  The orbits are
-    merged exactly by one-way pulls of the least label along each sample's
+    CENTRALIZER_SAMPLES random elements of C(h₀) generate, acting by
+    conjugation.  Any such group will do: conjugating g by c ∈ C(h₀)
+    conjugates g·h₀ and h₀·g, so their types are constant on each orbit;
+    every sample is checked to commute with h₀.  The orbits are merged
+    exactly by one-way pulls of the least label along each sample's
     permutation, with cycle doubling (see _merge_orbits)."""
-    if orbit.size <= 1:  # one element: nothing to merge
-        samples = []
-    elif samples is None:
-        samples = matfq.centralizer_samples(
-            field, h0, CENTRALIZER_SAMPLES, random.Random(0))
-    perms = []
-    for c in samples:
-        if not matfq.mat_eq(matfq.mat_mul(field, c, h0),
-                            matfq.mat_mul(field, h0, c)):
-            raise InvariantError("a sampled conjugator does not commute "
-                                 "with the fixed class representative")
-        perms.append(orbit.conjugation_permutation(c))
+    samples = [] if orbit.size <= 1 else matfq.centralizer_samples(
+        field, matfq.commuting_space(field, h0, h0), CENTRALIZER_SAMPLES)
+    _check_commute(field, h0, samples)
+    perms = [orbit.conjugation_permutation(c) for c in samples]
     return _merge_orbits(perms, orbit.size)
+
+
+def _check_commute(field: "Field", h0: np.ndarray, samples) -> None:
+    """InvariantError unless every sample commutes with h₀."""
+    stack = np.array(samples, dtype=np.uint8).reshape(
+        (len(samples),) + h0.shape)
+    if not np.array_equal(matfq.mat_mul(field, stack, h0),
+                          matfq.mat_mul(field, h0, stack)):
+        raise InvariantError("a sampled conjugator does not commute "
+                             "with the fixed class representative")
+
+
+def _check_found(mu: GLType, found: np.ndarray) -> None:
+    """InvariantError unless every conjugate was found in the class of μ."""
+    if not found.all():
+        raise InvariantError(f"a conjugate of an element of "
+                             f"{format_gltype(mu)} is not in its class")
 
 
 def _merge_orbits(perms: list, size: int):
@@ -522,6 +470,61 @@ def _merge_orbits(perms: list, size: int):
     return reps, np.bincount(label)[reps]
 
 
+def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
+                       samples: list):
+    """Representatives (u, φ), as stacks of vectors, and weights of orbits
+    of elements of C(h₀) on the reflection class 𝒦_small(n), counted on
+    two levels so that no class-sized array is built.
+
+    Rows: the `samples` act on the normalized u by u ↦ c·u/a.  Conjugation
+    by c maps the pairs of row u one-to-one onto those of row c·u/a and
+    keeps the type of g·h₀, so a row orbit counts |orbit| times the row of
+    its representative u₀.  Within that row, elements c = I + X with X in
+    the span of `basis`, an algebra commuting with h₀, and X·u₀ = 0 fix u₀
+    and act by φ ↦ cᵀφ, the action of c⁻¹.  Of STABILIZER_DRAWS times
+    CENTRALIZER_SAMPLES draws per row, those that permute the row are kept:
+    on a row of at least 3 values that is exactly when c is invertible, as a
+    singular c has v ≠ 0 with vᵀc = 0 and v(u₀) = 0, so it maps φ and φ + v
+    to one image, or v to 0 when ξ = 1.  Smaller rows are not sampled.  The
+    rows share one label space of #rows·#φ for one _merge_orbits call, and a
+    φ orbit weighs its size times its row orbit's."""
+    F, tab = small.field, matfq.vector_tables(small.field, n)
+    vectors, normals = tab.vectors, tab.normals
+    _check_commute(F, h0, [*samples, *basis])
+    stack = np.array(samples, dtype=np.uint8).reshape(-1, n, n)
+    image = tab.normal[matfq.mat_mul(F, vectors[normals],
+                                     stack.swapaxes(1, 2)) @ tab.weights]
+    _check_found(small, normals[tab.position[image]] == image)
+    rows, row_sizes = _merge_orbits(list(tab.position[image]), len(normals))
+    pairs = _reflection_pairs(F, n, _reflection_eigenvalue(small),
+                              normals[rows])
+    (R, m), u = pairs.phi.shape, vectors[pairs.u]
+    draws = STABILIZER_DRAWS * CENTRALIZER_SAMPLES * (m > 2)
+    C = matfq.stabilizer_draws(F, basis, u, draws, random.Random(0))
+    u = u[:, None, :, None]
+    if not (matfq.mat_mul(F, C, u) == u).all():
+        raise InvariantError("a stabilizer sample moves its row's u")
+    at, perms, phis = np.arange(R)[:, None, None], [], vectors[pairs.phi]
+    step = max(1, DRAW_ENTRIES // (R * m * n))
+    for j in range(0, draws, step):
+        codes = matfq.mat_mul(F, phis[:, None], C[:, j:j + step]) @ tab.weights
+        pos, found = _locate(tab, pairs, at, pairs.u[at], codes)
+        _check_found(small, found | (codes == 0))  # 0: c is singular
+        keep = found.all(2) & (np.sort(pos) == at * m + range(m)).all(2)
+        # each row's kept draws first, so that few perms carry them all
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
+        keep = np.take_along_axis(keep, first, 1)[..., None]
+        pos = np.take_along_axis(pos, first[..., None], 1)
+        perms += list(np.where(keep, pos, at * m + range(m)).swapaxes(0, 1))
+    reps, sizes = _merge_orbits([p.ravel() for p in perms], R * m)
+    row, col = np.divmod(reps, m)
+    weights = row_sizes[row] * sizes
+    if int(weights.sum()) != class_size(small, n):
+        raise InvariantError(f"orbit weights sum to {weights.sum()}, not the "
+                             f"class size of {format_gltype(small)}")
+    return (vectors[pairs.u[row]], vectors[pairs.phi[row, col]]), weights
+
+
 def _product_det(lam: GLType, mu: GLType) -> int:
     """det λ·det μ: the determinant of every product of an element of 𝒦_λ
     and one of 𝒦_μ, so a^ν_λμ(n) = 0 at every n unless det ν equals it."""
@@ -545,13 +548,16 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     with h₀ fixed in the other class, #{g : g·h₀ ∈ 𝒦_ν} is independent of
     the choice of h₀, so a^ν = |other class|·#/|𝒦_ν|.  One g per orbit of
     sampled centralizer elements of h₀ is classified, weighted by the orbit
-    size (see _centralizer_orbits).  This is done at rank n itself unless
-    the smaller class is a reflection class and n > k + 2, k the minimal
-    rank of the other: then the counts are those of rank k + 2, split by
-    tail type and reweighted to rank n (see _reweighted_counts), so every
-    rank above k + 2 shares one computation.  Each {λ, μ} is computed once
-    per n and process, and every call first checks the field and the memory
-    bound, which counts the smaller class at rank n."""
+    size: for a reflection class by orbits on u, then on φ, so no array of
+    the class's size is built (see _reflection_orbits), for any other by
+    orbits on its elements (see _centralizer_orbits).  This is done at
+    rank n itself unless the smaller class is a reflection class and
+    n > k + 2, k the minimal rank of the other: then the counts are those
+    of rank k + 2, split by tail type and reweighted to rank n (see
+    _reweighted_counts), so every rank above k + 2 shares one computation.
+    Each {λ, μ} is computed once per n and process, and every call first
+    checks the field and the memory bound, which counts the smaller class
+    at rank n."""
     F = _common_field(field, lam, mu)
     small = lam if class_size(lam, n) <= class_size(mu, n) else mu
     _check_enumerable(small, n, memory_bound)
@@ -561,7 +567,7 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
 
 
 # read only behind multiply_class_sums's checks; exact, symmetric, and pure
-# in (λ, μ, n) since the field is that of the enumerated class.  Exceptions
+# in (λ, μ, n) since the field is that of the counted class.  Exceptions
 # are not memoized, and callers get a copy of the terms.
 @lru_cache(maxsize=1024)
 def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
@@ -573,15 +579,22 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
             and n - min_rank(other) > TAIL_RANK:
         counts = _reweighted_counts(small, other, n)
     else:
-        # the caller has checked the memory bound; no class exceeds its size
-        orbit = enumerate_class(small, n, F, min(size_lam, size_mu))
         h0 = canonical_matrix(lift(other, n))
+        if _reflection_eigenvalue(small) is None:
+            # the caller has checked the memory bound; no class exceeds it
+            orbit = enumerate_class(small, n, F, min(size_lam, size_mu))
+            reps, weights = _centralizer_orbits(F, orbit, h0)
+            members = orbit.elements[reps]
+        else:
+            basis = matfq.commuting_space(F, h0, h0)
+            samples = matfq.centralizer_samples(F, basis, CENTRALIZER_SAMPLES)
+            (u, phi), weights = _reflection_orbits(small, n, h0, basis,
+                                                   samples)
+            members = _reflections(F, u, phi)
         counts = Counter()
-        reps, weights = _centralizer_orbits(F, orbit, h0)
         # h₀·g = h₀·(g·h₀)·h₀⁻¹, so g·h₀ has its type whichever side the
-        # enumerated class is on
-        for prod, weight in zip(
-                matfq.mat_mul(F, orbit.members(reps), h0), weights):
+        # counted class is on
+        for prod, weight in zip(matfq.mat_mul(F, members, h0), weights):
             counts[modified_type_of(F, prod)] += int(weight)
     # the candidate and determinant checks come first: the division
     # below reads |𝒦_ν(n)|, which exists only for a candidate ν
@@ -622,7 +635,10 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     r = k + TAIL_RANK, k = min_rank(other), where small is a reflection
     class and h₀ = diag(J, I) with J the canonical matrix of other at rank
     k.  The tail of g = I + u·φᵀ is (u, φ) after coordinate k.  The orbits
-    are those of C(J) × 1 and 1 × GL_TAIL_RANK, which keep τ."""
+    are those of units of 𝒜_J ⊕ M_TAIL_RANK, 𝒜_J the commutant of J: the
+    row samples diag(c, I) for c ∈ C(J) and diag(I, s) for the generators
+    s of GL_TAIL_RANK, and the stabilizers drawn from that algebra.  They
+    keep τ."""
     F, k = small.field, min_rank(other)
     r = k + TAIL_RANK
     J = canonical_matrix(lift(other, k))
@@ -631,15 +647,18 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     if not matfq.mat_eq(h0, matfq.block_diag([J, tail])):
         raise InvariantError(f"the canonical matrix of {format_gltype(other)}"
                              f" at rank {r} is not diag(J, I)")
+    corner = matfq.commuting_space(F, J, J)
     samples = [matfq.block_diag([c, tail]) for c in matfq.centralizer_samples(
-        F, J, CENTRALIZER_SAMPLES, random.Random(0))]
+        F, corner, CENTRALIZER_SAMPLES)]
     samples += [matfq.block_diag([matfq.identity(k), s])
                 for s in generators(F, TAIL_RANK)]
-    orbit = enumerate_class(small, r, F, class_size(small, r))
-    reps, weights = _centralizer_orbits(F, orbit, h0, samples)
-    u, phi = orbit.pair_vectors(reps)
+    basis = np.zeros((len(corner) + TAIL_RANK ** 2, r, r), dtype=np.uint8)
+    basis[:len(corner), :k, :k] = np.array(corner).reshape(-1, k, k)
+    basis[len(corner):, k:, k:] = np.eye(TAIL_RANK ** 2).reshape(
+        -1, TAIL_RANK, TAIL_RANK)
+    (u, phi), weights = _reflection_orbits(small, r, h0, basis, samples)
     counts: Counter = Counter()
-    for prod, tau, weight in zip(matfq.mat_mul(F, orbit.members(reps), h0),
+    for prod, tau, weight in zip(matfq.mat_mul(F, _reflections(F, u, phi), h0),
                                  _tail_types(F, u[:, k:], phi[:, k:]),
                                  weights):
         counts[int(tau), modified_type_of(F, prod)] += int(weight)

@@ -433,7 +433,11 @@ def _add_options(p: argparse.ArgumentParser, bound: bool = False,
                    default="table")
     if bound:
         p.add_argument("--memory-bound", dest="memory_bound", type=int,
-                       default=DEFAULT_MEMORY_BOUND)
+                       default=DEFAULT_MEMORY_BOUND,
+                       help="largest size of the smaller class of a product, "
+                       "counted at rank n (default %(default)s); a "
+                       "reflection class is counted from about R*q^(n-1) "
+                       "codes, R its number of row orbits")
     if cache:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cache", default=None,

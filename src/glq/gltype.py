@@ -411,12 +411,11 @@ def parse_gltype(field: "Field", s: str) -> GLType:
         head, sep, tail = chunk.partition("@")
         if not sep:
             raise ValueError(f"missing '@' in type item {chunk!r}")
-        try:
-            parts = tuple(int(x) for x in head.split(","))
-        except ValueError:  # an empty or non-integer part
-            parts = None
-        if parts is None or not is_partition(parts):
-            raise ValueError(f"bad partition {head!r} (descending positive parts)")
+        bad = f"bad partition {head!r} (descending positive parts)"
+        parts = tuple(polyalg.parse_digits(x.strip(), bad)
+                      for x in head.split(","))
+        if not is_partition(parts):
+            raise ValueError(bad)
         f = polyalg.parse_poly(field, tail)
         if not polyalg.is_irreducible(field, f):
             raise ValueError(f"type key {tail!r} is reducible over {field!r}")

@@ -5,14 +5,17 @@ Products of prime-field matrices run through int64 numpy matmul, and those
 of extension-field matrices through the field's numpy tables; everything
 scalar-heavy (elimination, Hessenberg reduction) runs on plain int lists
 indexed into the field's lookup tables, which is both exact and fast at
-desk scale (n <= 8 or so).
+desk scale (n <= 8 or so).  The vectors of F_q^n are also kept as integer
+codes, with look-up tables over all of them (vector_tables), for the
+hyperplanes φ(u) = t and the stabilizer draws that count reflection classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,8 @@ __all__ = [
     "identity", "mat_mul", "mat_sub", "block_diag", "mat_eq", "rank",
     "kernel_dim", "inverse", "nullspace", "char_poly", "poly_at_matrix",
     "conjugacy_invariant", "commuting_space", "conjugator",
-    "centralizer_samples", "conjugate_stack",
+    "centralizer_samples", "conjugate_stack", "VectorTables",
+    "vector_tables", "hyperplane_codes", "stabilizer_draws",
 ]
 
 CONJUGATOR_RETRIES = 64
@@ -327,12 +331,12 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
     return _invertible_in_span(field, commuting_space(field, A, B), rng)
 
 
-def centralizer_samples(field: Field, A: np.ndarray, count: int,
+def centralizer_samples(field: Field, basis: list[np.ndarray], count: int,
                         rng: random.Random | None = None) -> list[np.ndarray]:
-    """`count` invertible elements of the centralizer C(A), drawn from one
-    basis of {X : X A = A X}; with the same rng they are the elements that
-    `count` successive conjugator(field, A, A, rng) calls would return."""
-    basis = commuting_space(field, A, A)
+    """`count` invertible elements of the span of `basis`.  For the basis
+    commuting_space(field, A, A) of {X : X A = A X} they are elements of
+    the centralizer C(A), and with the same rng the ones that `count`
+    successive conjugator(field, A, A, rng) calls would return."""
     rng = rng if rng is not None else random.Random(0)
     return [_invertible_in_span(field, basis, rng) for _ in range(count)]
 
@@ -365,3 +369,92 @@ def _invertible_in_span(field: Field, basis: list[np.ndarray],
     raise InconclusiveError(
         f"no invertible intertwiner found in {CONJUGATOR_RETRIES} samples "
         f"from a space of size {q}^{s}; re-seed and retry")
+
+
+# ---------------------------------------------------------------------------
+# the vectors of F_q^n by code
+# ---------------------------------------------------------------------------
+
+class VectorTables(NamedTuple):
+    """Look-up tables over the codes of all qⁿ vectors v of F_q^n.  `scaled`
+    and `dropped` are flat: entry a·qⁿ + code(v) is code(a·v), and entry
+    j·qⁿ + code(v) the code of v without coordinate j.  `position` is the
+    place of a normalized u (first nonzero entry 1) when they are ordered
+    by the index of that entry, then by the code of what follows it, and
+    `normals` lists their codes in that order."""
+
+    vectors: np.ndarray     # (qⁿ, n) uint8, row code(v) is v
+    weights: np.ndarray     # q^{n−1−j}: code(v) = v @ weights
+    lead: np.ndarray        # index of the first nonzero entry (0 for v = 0)
+    lead_value: np.ndarray  # that entry (0 for v = 0)
+    normal: np.ndarray      # code(v / lead_value)
+    scaled: np.ndarray
+    position: np.ndarray
+    dropped: np.ndarray
+    normals: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def vector_tables(field: Field, n: int) -> VectorTables:
+    """The tables of F_q^n, built once per (field, n) for every class and
+    every sample: their size is qⁿ, not the class size."""
+    q, size = field.q, field.q ** n
+    vectors = polyalg._all_vectors(q, n)
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.arange(size)
+    lead = np.argmax(vectors != 0, axis=1)
+    lead_value = vectors[codes, lead].astype(np.intp)
+    scaled = np.stack([field.mul_np[a, vectors] @ weights for a in range(q)])
+    inv = np.array(field.inv_table, dtype=np.intp)
+    normal = scaled[inv[lead_value], codes]
+    block = q ** (n - 1 - lead)  # codes of the normalized u with this lead
+    position = (size - q * block) // (q - 1) + codes - block
+    position[0] = 0  # v = 0 has no place; keep it in range
+    dropped = np.stack([codes // (q * q ** (n - 1 - j)) * q ** (n - 1 - j)
+                        + codes % q ** (n - 1 - j) for j in range(n)])
+    normals = np.concatenate([q ** j + np.arange(q ** j)
+                              for j in range(n - 1, -1, -1)])
+    tables = VectorTables(vectors, weights, lead, lead_value, normal,
+                          scaled.ravel(), position, dropped.ravel(), normals)
+    for table in tables:
+        table.flags.writeable = False  # shared by every class of this (q, n)
+    return tables
+
+
+def hyperplane_codes(field: Field, n: int, u: np.ndarray,
+                     t: int) -> np.ndarray:
+    """For each normalized u of the codes `u`, the codes of all q^{n−1}
+    φ ∈ F_q^n with φ(u) = Σ φ_j·u_j = t; column k holds the φ whose code
+    is k once the lead coordinate of u is deleted."""
+    q, tab = field.q, vector_tables(field, n)
+    lead = tab.lead[u]
+    w = q ** (n - 1 - lead[:, None])
+    rest = tab.vectors[tab.dropped[lead * q ** n + u]][:, 1:]
+    # φ(u) = φ_lead + Σ_{j>lead} u_j·φ_j fixes φ_lead
+    dot = mat_mul(field, rest, polyalg._all_vectors(q, n - 1).T)
+    k = np.arange(q ** (n - 1))
+    return k // w * q * w + k % w + field.add_np[t, field.neg_np[dot]] * w
+
+
+def stabilizer_draws(field: Field, basis, u: np.ndarray, count: int,
+                     rng: random.Random) -> np.ndarray:
+    """A (len(u), count, n, n) stack: for each vector of the stack u,
+    `count` random I + X with X in the span of `basis` and X·u = 0, drawn
+    from a basis of that subspace, one nullspace per vector."""
+    n = u.shape[1]
+    B = np.array(basis, dtype=np.uint8).reshape(-1, n * n)
+    moved = mat_mul(field, B.reshape(-1, n, n), u.T)  # X·u of each X in B
+    kernels = [nullspace(field, moved[:, :, r].T)
+               for r in range(len(u) if count else 0)]
+    K = np.zeros((len(u), max(map(len, kernels), default=0), len(B)),
+                 dtype=np.uint8)
+    for r, kernel in enumerate(kernels):
+        K[r, :len(kernel)] = np.reshape(kernel, (-1, len(B)))
+    # random bytes mod q: the draws need not be uniform, only seeded
+    coeffs = np.frombuffer(rng.randbytes(len(u) * count * K.shape[1]),
+                           dtype=np.uint8).reshape(len(u), count, K.shape[1])
+    X = mat_mul(field, mat_mul(field, coeffs % field.q, K), B)
+    X = X.reshape(len(u), count, n, n)
+    d = np.arange(n)
+    X[..., d, d] = field.add_np[X[..., d, d], 1]
+    return X

@@ -9,7 +9,9 @@ higher degrees by ascending integer encoding of the coefficient tuple.
 glq's one text grammar lives here: sums of ``c*v^k`` terms, read by
 parse_poly and printed by format_terms.  Polynomials are read in t over F_q,
 and field elements of F_{p^e}, e > 1, in x over F_p (Field.parse_element),
-so this module needs nothing from field at run time.
+so this module needs nothing from field at run time.  Every integer in type
+and element text (exponents, partition parts, prime-field elements) is
+read by parse_digits, in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "poly_divmod", "poly_mod", "poly_eval", "t_minus",
     "t_minus_one", "poly_key", "is_irreducible",
     "enumerate_phi", "factor_monic", "companion", "jordan_block",
-    "format_poly", "parse_poly",
+    "format_poly", "parse_poly", "parse_digits",
 ]
 
 
@@ -349,13 +351,15 @@ def parse_term(term: str, var: str) -> tuple[str | None, int]:
     if term == var:
         return None, 1
     if term.startswith(var + "^"):
-        return None, _parse_power(term[len(var) + 1:], term)
+        return None, parse_digits(term[len(var) + 1:],
+                                  f"bad exponent in {term!r}")
     if "*" in term:
         coeff, _, vpart = term.rpartition("*")
         if vpart == var:
             return coeff, 1
         if vpart.startswith(var + "^"):
-            return coeff, _parse_power(vpart[len(var) + 1:], term)
+            return coeff, parse_digits(vpart[len(var) + 1:],
+                                       f"bad exponent in {term!r}")
         if var in vpart:
             raise ValueError(
                 f"expected a power of {var!r} after '*' in {term!r}")
@@ -363,9 +367,12 @@ def parse_term(term: str, var: str) -> tuple[str | None, int]:
     return term, 0
 
 
-def _parse_power(text: str, term: str) -> int:
-    if not text.isdigit():
-        raise ValueError(f"bad exponent in {term!r}")
+def parse_digits(text: str, error: str) -> int:
+    """The integer that `text` writes in ASCII digits; ValueError(error)
+    for any other text, where int() would also read signs, '_' separators,
+    spaces and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(error)
     return int(text)
 
 

@@ -4,6 +4,7 @@ the block normal form for length-additive factorizations."""
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,9 +26,11 @@ from glq.errors import (ClassTooLargeError, InvariantError,
 from glq.field import field_make, field_of_order
 from glq.gltype import (
     canonical_matrix, class_size, det_of_type, empty_type,
-    enumerate_plain_types, format_gltype, gl_order, gltype_make, lift,
-    min_rank, modified_type_of, norm, parse_gltype, reflection_length,
+    enumerate_plain_types, format_gltype, gl_order, gltype_make,
+    gltype_sort_key, lift, min_rank, modified_type_of, norm, parse_gltype,
+    reflection_length,
 )
+from glq.store import parse_expansion
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -250,7 +253,8 @@ def test_pair_permutation_matches_conjugate_stack_q3_n6(text):
     # the centralizer samples of criterion 2's fixed representative h₀
     orbit = enumerate_class(T(F3, text), 6)
     h0 = canonical_matrix(lift(T(F3, "1,1@t-1;1@t-2"), 6))
-    for c in matfq.centralizer_samples(F3, h0, classcalc.CENTRALIZER_SAMPLES,
+    basis = matfq.commuting_space(F3, h0, h0)
+    for c in matfq.centralizer_samples(F3, basis, classcalc.CENTRALIZER_SAMPLES,
                                        random.Random(0)):
         assert orbit.conjugation_permutation(c).tolist() == \
             _conjugate_positions(orbit, c)
@@ -284,13 +288,13 @@ def test_corrupt_position_table_is_checked(monkeypatch, corrupt):
     # to positions that hold other pairs; shifting every block by one sends
     # the last block's pairs past the end
     orbit = enumerate_class(T(F3, "1@t-2"), 3)
-    real = classcalc._vector_tables(F3, 3)
+    real = matfq.vector_tables(F3, 3)
     position = real.position.copy()
     if corrupt == "swap":
         position[[9, 1]] = position[[1, 9]]
     else:
         position += 1
-    monkeypatch.setattr(classcalc, "_vector_tables",
+    monkeypatch.setattr(matfq, "vector_tables",
                         lambda field, n: real._replace(position=position))
     with pytest.raises(InvariantError, match="not in its class"):
         orbit.conjugation_permutation(matfq.identity(3))
@@ -466,13 +470,13 @@ def test_changing_returned_terms_leaves_the_memo_intact():
 
 def test_each_product_is_computed_once(monkeypatch):
     computed = []
-    real = classcalc._centralizer_orbits
+    real = classcalc._reflection_orbits
 
     def spy(*args):
         computed.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classcalc, "_centralizer_orbits", spy)
+    monkeypatch.setattr(classcalc, "_reflection_orbits", spy)
     lam, mu = T(F3, "1@t-1"), T(F3, "1@t-2")
     for _ in range(3):
         assert multiply_class_sums(lam, mu, 3).get(T(F3, "1@t-1;1@t-2")) > 0
@@ -491,13 +495,13 @@ def test_each_product_is_computed_once(monkeypatch):
 
 
 def test_counting_identity_failure_raises(monkeypatch):
-    real = classcalc._centralizer_orbits
+    real = classcalc._reflection_orbits
 
     def doubled(*args):  # every orbit counted twice: integral, but wrong
         reps, weights = real(*args)
         return reps, 2 * weights
 
-    monkeypatch.setattr(classcalc, "_centralizer_orbits", doubled)
+    monkeypatch.setattr(classcalc, "_reflection_orbits", doubled)
     with pytest.raises(InvariantError, match="counting identity"):
         multiply_class_sums(T(F3, "1@t-2"), T(F3, "1@t-2"), 2)
 
@@ -624,13 +628,29 @@ def small_products(draw):
     return draw(st.sampled_from(types)), draw(st.sampled_from(types)), n
 
 
+def _read_from_tail_split(lam, mu, n) -> bool:
+    """Whether multiply_class_sums reads K_λ(n)·K_μ(n) from a tail split:
+    the smaller class is a reflection class and n − min_rank(other) > 2."""
+    pair = sorted((lam, mu), key=gltype_sort_key)
+    small, other = pair if class_size(pair[0], n) <= class_size(pair[1], n) \
+        else pair[::-1]
+    return (classcalc._reflection_eigenvalue(small) is not None
+            and n - min_rank(other) > classcalc.TAIL_RANK)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_products())
+@example((T(F2, "1@t-1"), T(F2, "1,1@t-1"), 5))  # tail split at rank 4
+@example((T(F3, "1@t-2"), T(F3, "1@t-1"), 5))    # at rank 3, ξ ≠ 1
+@example((T(F4, "1@t-x"), T(F4, "1@t-(x+1)"), 4))
 def test_terms_do_not_depend_on_centralizer_samples(case):
-    # 0 samples classifies every element of the enumerated class
+    # with 0 samples every element of the smaller class is classified, but
+    # for the rows a tail split still merges under the generators of GL_2;
+    # the examples are read from tail splits
     lam, mu, n = case
     sizes = class_size(lam, n), class_size(mu, n)
-    assume(min(sizes) <= 1000)
+    tail = _read_from_tail_split(lam, mu, n)
+    assume(min(sizes) <= 1000 or tail)
     terms = []
     for samples in (0, 1, 3):
         classcalc._product_terms.cache_clear()  # computed with these samples
@@ -638,9 +658,110 @@ def test_terms_do_not_depend_on_centralizer_samples(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(lam, mu, n).terms)
+        assert classcalc._tail_split_counts.cache_info().misses == tail
     assert terms[0] == terms[1] == terms[2]
     if sizes[0] * sizes[1] <= 2000:
         assert multiply_oracle(lam, mu, n).terms == terms[0]
+
+
+# ---------------------------------------------------------------------------
+# reflection products counted by orbits on u, then on φ
+# ---------------------------------------------------------------------------
+
+def _element_level_terms(lam, mu, n):
+    """K_λ(n)·K_μ(n) for a reflection class λ, counted on its elements:
+    the class enumerated in full at rank n, its orbits under centralizer
+    samples of h₀ ∈ 𝒦_μ merged on every element, one product classified
+    per orbit."""
+    F = lam.field
+    orbit = enumerate_class(lam, n)
+    h0 = canonical_matrix(lift(mu, n))
+    reps, weights = classcalc._centralizer_orbits(F, orbit, h0)
+    counts = Counter()
+    for prod, weight in zip(matfq.mat_mul(F, orbit.elements[reps], h0),
+                            weights):
+        counts[modified_type_of(F, prod)] += int(weight)
+    return {nu: c * class_size(mu, n) // class_size(nu, n)
+            for nu, c in counts.items()}
+
+
+@st.composite
+def reflection_products(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    top = {2: 5, 3: 5, 4: 4}.get(q, 3)
+    n = draw(st.integers(2 if q == 2 else 1, top))  # GL_1(2) has none
+    F = field_of_order(q)
+    lam = draw(st.sampled_from(_reflection_classes(F, n)))
+    return lam, draw(st.sampled_from(enumerate_modified_types(F, 2, n))), n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(reflection_products())
+@example((T(F2, "1@t-1"), T(F2, "1@t-1"), 2))    # rows of 1 value
+@example((T(F3, "1@t-1"), T(F3, "1@t-2"), 2))    # rows of 2 values
+@example((T(F2, "1@t-1"), T(F2, "1,1@t-1"), 5))  # tail split, m = 3
+@example((T(F3, "1@t-2"), T(F3, "1@t-1"), 5))    # tail split, m = 4
+def test_two_level_count_equals_the_element_level_count(case):
+    lam, mu, n = case
+    assume(class_size(lam, n) <= min(class_size(mu, n), 12_000))
+    assert multiply_class_sums(lam, mu, n).terms == \
+        _element_level_terms(lam, mu, n)
+
+
+def test_criterion_two_product_holds_no_class_sized_array():
+    # 88,452 reflections at q = 3, n = 6: a merge on every element peaks
+    # at 5.6 MB, orbits on u, then on φ at about 0.5 MB
+    tracemalloc.start()
+    try:
+        product = multiply_class_sums(T(F3, "1@t-2"), T(F3, "1,1@t-1;1@t-2"),
+                                      6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.get(T(F3, "1,1@t-1;1,1@t-2")) == 204
+    assert classcalc._build_orbit.cache_info().currsize == 0
+    assert peak < 10 ** 6
+
+
+RANK_EIGHT = ("1,1@t-1;1,1@t-2,16524|2@t-1;1,1@t-2,1872|"
+              "1@t-1;1,1@t-2;1@t^2+1,192|1@t-1;1,1,1,1@t-2,51840|"
+              "1@t-1;2,1,1@t-2,2592|1@t-1;3,1@t-2,144|1,1,1@t-1;1,1@t-2,6318|"
+              "2,1@t-1;1,1@t-2,864|3@t-1;1,1@t-2,144|"
+              "1@t-1;1,1@t-2;1@t^3+2*t+2,13|1@t-1;1,1@t-2;1@t^3+t^2+2,13|"
+              "1@t-1;1,1@t-2;1@t^3+t^2+t+2,13|"
+              "1@t-1;1,1@t-2;1@t^3+2*t^2+2*t+2,13|"
+              "1@t-1;1,1,1@t-2;1@t^2+t+2,212|1@t-1;1,1,1@t-2;1@t^2+2*t+2,212|"
+              "1@t-1;2,1@t-2;1@t^2+t+2,8|1@t-1;2,1@t-2;1@t^2+2*t+2,8|"
+              "1,1@t-1;1,1@t-2;1@t^2+1,68|1,1@t-1;1,1,1,1@t-2,18360|"
+              "1,1@t-1;2,1,1@t-2,918|1,1@t-1;3,1@t-2,51|"
+              "2@t-1;1,1@t-2;1@t^2+1,8|2@t-1;1,1,1,1@t-2,2160|"
+              "2@t-1;2,1,1@t-2,108|2@t-1;3,1@t-2,6|3,1@t-1;1,1@t-2,54|"
+              "4@t-1;1,1@t-2,9")
+
+
+@pytest.mark.slow
+def test_rank_eight_reflection_product_runs_every_check(monkeypatch):
+    # 7,173,360 reflections of GL_8(3), counted at rank 8 itself (the other
+    # class has minimal rank 7); a merge on every element takes 491 MB
+    lam, mu = T(F3, "1@t-2"), T(F3, "1,1@t-1;1,1,1@t-2")
+    checked = []
+    for name in ("term_violation", "violation"):
+        real = getattr(ClassSumExpansion, name)
+        monkeypatch.setattr(ClassSumExpansion, name,
+                            lambda self, real=real, name=name:
+                            checked.append((name, self.n)) or real(self))
+    with pytest.raises(ClassTooLargeError):
+        multiply_class_sums(lam, mu, 8)
+    tracemalloc.start()
+    try:
+        product = multiply_class_sums(lam, mu, 8, memory_bound=10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.terms == parse_expansion(F3, 8, lam, mu, RANK_EIGHT).terms
+    assert classcalc._tail_split_counts.cache_info().misses == 0
+    assert {("term_violation", 8), ("violation", 8)} <= set(checked)
+    assert peak < 20 * 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +840,7 @@ def test_rescaled_terms_do_not_depend_on_centralizer_samples(q, lam, mu, n):
 
 def test_rescaled_counts_are_checked(monkeypatch):
     lam = T(F3, "1@t-1")
-    real_orbits, real_sizes, real_matrix = (classcalc._centralizer_orbits,
+    real_orbits, real_sizes, real_matrix = (classcalc._reflection_orbits,
                                             classcalc._tail_sizes,
                                             classcalc.canonical_matrix)
 
@@ -731,7 +852,7 @@ def test_rescaled_counts_are_checked(monkeypatch):
         return real_matrix(ty)[::-1, ::-1].copy()
 
     for name, fake, match in (
-            ("_centralizer_orbits", doubled, "do not sum to the class size"),
+            ("_reflection_orbits", doubled, "do not sum to the class size"),
             ("_tail_sizes", lambda q, m: (7919,) * 5 if m == 2
              else real_sizes(q, m), "does not rescale to an integer"),
             ("canonical_matrix", flipped, r"is not diag\(J, I\)")):

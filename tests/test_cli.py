@@ -152,13 +152,13 @@ def test_jobs_flag_is_a_usage_error(capsys):
 
 
 def test_invariant_failure_exits_one(capsys, monkeypatch):
-    real = classcalc._centralizer_orbits
+    real = classcalc._reflection_orbits
 
     def doubled(*args):
         reps, weights = real(*args)
         return reps, 2 * weights
 
-    monkeypatch.setattr(classcalc, "_centralizer_orbits", doubled)
+    monkeypatch.setattr(classcalc, "_reflection_orbits", doubled)
     code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
                          "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 1 and not out
@@ -259,13 +259,13 @@ def test_verify_computes_each_product_once(capsys, monkeypatch, suite,
     # one centralizer merge per product computed at its own rank, and one
     # per pair for every rank read from the pair's rank-(k+2) tail split
     merges = []
-    real = classcalc._centralizer_orbits
+    real = classcalc._reflection_orbits
 
     def spy(*args):
         merges.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classcalc, "_centralizer_orbits", spy)
+    monkeypatch.setattr(classcalc, "_reflection_orbits", spy)
     code, _, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert classcalc._product_terms.cache_info().misses == computed
@@ -780,6 +780,29 @@ def test_empty_or_non_integer_part_is_a_bad_partition(capsys, item):
     head = item.partition("@")[0]
     assert (code, out, err) == (
         2, "", f"error: bad partition {head!r} (descending positive parts)\n")
+
+
+@pytest.mark.parametrize("text,why", [
+    # int() would read '1_1' as 11 ≡ 2 and '٢' as 2, and '1_0' as the part 10
+    ("1@t-1_1", "bad element '1_1' for F_3"),
+    ("1@t-٢", "bad element '٢' for F_3"),
+    ("1@t^٢+1", "bad exponent in 't^٢'"),
+    ("1_0@t-1", "bad partition '1_0' (descending positive parts)"),
+    # str.isdigit() takes '²', which int() then rejects
+    ("1@t^²+1", "bad exponent in 't^²'"),
+])
+def test_integers_in_type_text_are_ascii_digits(capsys, text, why):
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--lambda",
+                         text, "--mu", "∅", "--no-cache")
+    assert (code, out, err) == (2, "", f"error: {why}\n")
+
+
+def test_spaces_around_integers_in_type_text_are_accepted(capsys):
+    _, want, _ = run(capsys, "mul", "--q", "3", "--n", "4", "--lambda",
+                     "1,1@t-2", "--mu", "1@t-1", "--no-cache")
+    code, out, _ = run(capsys, "mul", "--q", "3", "--n", "4", "--lambda",
+                       " 1 , 1 @ t - 2 ", "--mu", "1 @ t ^ 1 - 1", "--no-cache")
+    assert (code, out) == (0, want)
 
 
 @pytest.mark.parametrize("argv", [

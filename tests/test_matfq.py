@@ -470,7 +470,8 @@ def test_conjugator_without_intertwiners_raises(monkeypatch):
 ], ids=lambda v: v if isinstance(v, str) else f"q{v.q}")
 def test_centralizer_samples_are_invertible_and_commute(field, text):
     h0 = canonical_matrix(lift(parse_gltype(field, text), 3))
-    samples = matfq.centralizer_samples(field, h0, 3, random.Random(0))
+    basis = matfq.commuting_space(field, h0, h0)
+    samples = matfq.centralizer_samples(field, basis, 3, random.Random(0))
     assert len(samples) == 3
     for c in samples:
         assert matfq.rank(field, c) == 3
