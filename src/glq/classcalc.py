@@ -8,14 +8,15 @@ the other class is represented by its canonical matrix h₀, and one element
 g of the smaller class per orbit of sampled centralizer elements c ∈ C(h₀)
 is classified, weighted by its orbit size.  Conjugation by c keeps the type
 of g·h₀, so any group of such c gives exact weights.  A class found by
-breadth-first search is enumerated and merged element by element.  A
-reflection class, g = I + u·φᵀ with u normalized, is never built: its
-orbits are counted on the normalized u first, then, for each representative
-u₀, on the φ of its row under elements that fix u₀ (_reflection_orbits), so
-the work is #rows·q^{n−1} codes.  A reflection class times a class of
-minimal rank k is counted at rank k + 2 and reweighted to every larger
-rank.  Structure constants and stable products are read from these full
-products.
+breadth-first search is enumerated and merged element by element.  In a
+product a reflection class, g = I + u·φᵀ with u normalized, is never
+enumerated: its orbits are counted on the normalized u first, then, for
+each representative u₀, on the φ of its row under elements that fix u₀
+(_reflection_orbits), so the work is #rows·q^{n−1} codes.  A reflection
+class times a class of minimal rank k is counted at rank k + 2 and
+reweighted to every larger rank.  Structure constants and stable products
+are read from these full products.  An enumerated class is one index of
+its elements' bytes, built in closed form for a reflection class.
 """
 
 from __future__ import annotations
@@ -65,51 +66,34 @@ DRAW_ENTRIES = 2 ** 13  # entries of the images of one batch of those draws
 
 @dataclass(frozen=True)
 class ClassOrbit:
-    """A fully enumerated conjugacy class 𝒦_μ(n).  A reflection class
-    (modified type 1@t-ξ) is built in closed form: element i is
-    I + u_i·φ_iᵀ, and `pairs` holds the codes of u and φ (see
-    ReflectionPairs), so a pair's position is arithmetic in its codes.
-    Every other class is built breadth-first, and `index` maps each
-    element's bytes to its position."""
+    """A fully enumerated conjugacy class 𝒦_μ(n): `index` maps each
+    element's bytes to its position.  A reflection class (modified type
+    1@t-ξ) is built in closed form, every other class breadth-first."""
 
     field: "Field"
     mu: GLType
     n: int
     size: int
-    index: dict | None = None
-    pairs: ReflectionPairs | None = None
+    index: dict
 
     @cached_property
     def elements(self) -> np.ndarray:
-        """The class as a read-only (size, n, n) uint8 stack; a reflection
-        class builds it on first read."""
-        if self.pairs is None:
-            return np.frombuffer(b"".join(self.index), np.uint8).reshape(
-                self.size, self.n, self.n)
-        u, phi = self.pairs.u, self.pairs.phi
-        vectors = matfq.vector_tables(self.field, self.n).vectors
-        stack = _reflections(self.field, vectors[np.repeat(u, phi.shape[1])],
-                             vectors[phi.ravel()])
-        stack.flags.writeable = False
-        return stack
+        """The class as a read-only (size, n, n) uint8 stack."""
+        return np.frombuffer(b"".join(self.index), np.uint8).reshape(
+            self.size, self.n, self.n)
 
     def __len__(self) -> int:
         return self.size
 
     def conjugation_permutation(self, c: np.ndarray) -> np.ndarray:
         """perm with c·elements[i]·c⁻¹ = elements[perm[i]] for every i."""
-        F = self.field
-        if self.pairs is not None:
-            perm, found = _permute_pairs(F, self.n, self.pairs, c)
-        else:
-            step = self.n * self.n
-            raw = matfq.conjugate_stack(F, c, self.elements).tobytes()
-            look = self.index.get
-            perm = np.fromiter(
-                (look(raw[at:at + step], -1) for at in range(0, len(raw), step)),
-                dtype=np.int64, count=self.size)
-            found = perm >= 0
-        _check_found(self.mu, found)
+        step = self.n * self.n
+        raw = matfq.conjugate_stack(self.field, c, self.elements).tobytes()
+        look = self.index.get
+        perm = np.fromiter(
+            (look(raw[at:at + step], -1) for at in range(0, len(raw), step)),
+            dtype=np.int64, count=self.size)
+        _check_found(self.mu, perm >= 0)
         return perm
 
 
@@ -255,8 +239,7 @@ class ReflectionPairs(NamedTuple):
     """Rows of pairs (u, φ) of a reflection class: row r holds the
     normalized u of code u[r], column k its φ with code k + shift once the
     lead coordinate of u is deleted.  `shift` is 1 when ξ = 1 excludes
-    φ = 0, else 0.  For the whole class the rows are in the order of
-    VectorTables.position, so pair r·#φ + k is in row r, column k."""
+    φ = 0, else 0."""
 
     u: np.ndarray     # (rows,) codes of u
     phi: np.ndarray   # (rows, #φ) codes of φ
@@ -283,36 +266,16 @@ def _reflections(field: "Field", u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _locate(tab, pairs: ReflectionPairs, rows, u: np.ndarray,
-            phi: np.ndarray):
-    """Where the pairs of codes (u, φ) are among `pairs` if u is in `rows`,
-    as positions r·#φ + k, and whether the pair stored there is (u, φ)."""
+def _locate(tab, pairs: ReflectionPairs, rows, phi: np.ndarray):
+    """Where the codes φ are in the rows `rows` of `pairs`, as positions
+    r·#φ + k, and whether the φ stored there is φ."""
     width = pairs.phi.shape[1]
-    col = tab.dropped[tab.lead[u] * len(tab.vectors) + phi] - pairs.shift
+    lead = tab.lead[pairs.u[rows]]
+    col = tab.dropped[lead * len(tab.vectors) + phi] - pairs.shift
     at = rows * width + col
     found = (col >= 0) & (col < width) & (
-        pairs.u.take(rows, mode="clip") == u) & (
         pairs.phi.take(at, mode="clip") == phi)
     return at, found
-
-
-def _permute_pairs(field: "Field", n: int, pairs: ReflectionPairs,
-                   c: np.ndarray):
-    """Where c sends each reflection pair, and whether the pair stored there
-    is its image.  c·(I + u·φᵀ)·c⁻¹ = I + (c·u)·(φᵀ·c⁻¹), which with a the
-    lead value of c·u is the pair (c·u/a, a·φᵀ·c⁻¹).  One product runs over
-    the rows' u and one over all qⁿ vectors φ; each pair then costs a few
-    integer gathers."""
-    tab = matfq.vector_tables(field, n)
-    cu = matfq.mat_mul(field, tab.vectors[pairs.u], c.T) @ tab.weights
-    phic = matfq.mat_mul(field, tab.vectors,
-                         matfq.inverse(field, c)) @ tab.weights
-    image_u = tab.normal[cu][:, None]
-    image_phi = tab.scaled[tab.lead_value[cu][:, None] * len(tab.vectors)
-                           + phic[pairs.phi]]
-    perm, found = _locate(tab, pairs, tab.position[image_u], image_u,
-                          image_phi)
-    return perm.ravel(), found
 
 
 def _common_field(field: "Field | None", *types: GLType) -> "Field":
@@ -358,7 +321,15 @@ def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     if pairs.phi.size != size:
         raise InvariantError(
             f"{pairs.phi.size} reflection pairs != class size {size}")
-    return ClassOrbit(field=F, mu=mu, n=n, size=size, pairs=pairs)
+    vectors = matfq.vector_tables(F, n).vectors
+    raw = _reflections(F, vectors[np.repeat(pairs.u, pairs.phi.shape[1])],
+                       vectors[pairs.phi.ravel()]).tobytes()
+    index = {raw[at:at + n * n]: i
+             for i, at in enumerate(range(0, len(raw), n * n))}
+    if len(index) != size:
+        raise InvariantError(
+            f"{len(index)} distinct reflections != class size {size}")
+    return ClassOrbit(field=F, mu=mu, n=n, size=size, index=index)
 
 
 def enumerate_group(field: "Field", n: int,
@@ -494,8 +465,9 @@ def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
     stack = np.array(samples, dtype=np.uint8).reshape(-1, n, n)
     image = tab.normal[matfq.mat_mul(F, vectors[normals],
                                      stack.swapaxes(1, 2)) @ tab.weights]
-    _check_found(small, normals[tab.position[image]] == image)
-    rows, row_sizes = _merge_orbits(list(tab.position[image]), len(normals))
+    where = tab.position[image]
+    _check_found(small, normals.take(where, mode="clip") == image)
+    rows, row_sizes = _merge_orbits(list(where), len(normals))
     pairs = _reflection_pairs(F, n, _reflection_eigenvalue(small),
                               normals[rows])
     (R, m), u = pairs.phi.shape, vectors[pairs.u]
@@ -508,7 +480,7 @@ def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
     step = max(1, DRAW_ENTRIES // (R * m * n))
     for j in range(0, draws, step):
         codes = matfq.mat_mul(F, phis[:, None], C[:, j:j + step]) @ tab.weights
-        pos, found = _locate(tab, pairs, at, pairs.u[at], codes)
+        pos, found = _locate(tab, pairs, at, codes)
         _check_found(small, found | (codes == 0))  # 0: c is singular
         keep = found.all(2) & (np.sort(pos) == at * m + range(m)).all(2)
         # each row's kept draws first, so that few perms carry them all

@@ -40,8 +40,19 @@ __all__ = ["main", "VERIFY_STABILITY_TRIPLES"]
 # small parsers and emitters
 # ---------------------------------------------------------------------------
 
+def _int(text: str) -> int:
+    """An integer option value, read by polyalg.parse_int; argparse words
+    the error as it does for int."""
+    try:
+        return polyalg.parse_int(text, "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def _parse_matrix(field, text: str) -> np.ndarray:
-    rows = [[int(x) for x in row.split(",")]
+    rows = [[polyalg.parse_int(x, f"bad matrix entry {x!r}")
+             for x in row.split(",")]
             for row in text.split(";") if row.strip()]
     if any(not 0 <= x < field.q for row in rows for x in row):
         raise ValueError(f"entries must be field codes 0..{field.q - 1}")
@@ -54,9 +65,10 @@ def _parse_points(text: str) -> list:
     points = []
     for item in text.split(","):
         a, sep, v = item.partition(":")
+        bad = f"point {item!r} is not 'abscissa:value'"
         if not sep:
-            raise ValueError(f"point {item!r} is not 'abscissa:value'")
-        points.append((int(a), int(v)))
+            raise ValueError(bad)
+        points.append((polyalg.parse_int(a, bad), polyalg.parse_int(v, bad)))
     return points
 
 
@@ -227,7 +239,8 @@ def _cmd_fit(args) -> int:
     fit = fit_polynomial_in_n(
         parse_gltype(field, args.lam), parse_gltype(field, args.mu),
         parse_gltype(field, args.nu), field,
-        n_list=tuple(int(x) for x in args.ns.split(",")),
+        n_list=tuple(polyalg.parse_int(x, f"bad rank {x!r} in --ns")
+                     for x in args.ns.split(",")),
         memory_bound=args.memory_bound)
     return _print_fit(fit, args)
 
@@ -387,29 +400,29 @@ def _cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_Q = ("--q", {"type": int, "required": True})
+_Q = ("--q", {"type": _int, "required": True})
 _LAMBDA = ("--lambda", {"dest": "lam", "required": True})
 _MU = ("--mu", {"required": True})
 
 #: name -> (help line, handler, own options, which shared options it takes)
 _COMMANDS = {
     "irr": ("list monic irreducibles (t excluded)", _cmd_irr, (
-        ("--q", {"type": int}), ("--p", {"type": int}),
-        ("--e", {"type": int, "default": 1}),
-        ("--dmax", {"type": int, "required": True})), {}),
+        ("--q", {"type": _int}), ("--p", {"type": _int}),
+        ("--e", {"type": _int, "default": 1}),
+        ("--dmax", {"type": _int, "required": True})), {}),
     "classes": ("conjugacy-class table of GL_n(q)", _cmd_classes, (
-        _Q, ("--n", {"type": int, "required": True})), {}),
+        _Q, ("--n", {"type": _int, "required": True})), {}),
     "type": ("types of one matrix (rows 'a,b;c,d')", _cmd_type, (
         _Q, ("--matrix", {"required": True})), {}),
     "mul": ("full class-sum product at one rank", _cmd_mul, (
-        _Q, ("--n", {"type": int, "required": True}), _LAMBDA, _MU),
+        _Q, ("--n", {"type": _int, "required": True}), _LAMBDA, _MU),
         {"bound": True, "cache": True}),
     "stable": ("top-degree stable expansion", _cmd_stable, (
         _Q, _LAMBDA, _MU), {"bound": True, "cache": True}),
     "fit": ("exact polynomial interpolation", _cmd_fit, (
         ("--var", {"choices": ("q", "n"), "required": True}),
         ("--points", {"help": "q fits: 'q1:v1,q2:v2,...'"}),
-        ("--q", {"type": int}), ("--lambda", {"dest": "lam"}), ("--mu", {}),
+        ("--q", {"type": _int}), ("--lambda", {"dest": "lam"}), ("--mu", {}),
         ("--nu", {}), ("--ns", {"help": "n fits: ranks 'n1,n2,...'"})),
         {"bound": True}),
     "verify": ("run one verification suite", _cmd_verify, (
@@ -432,14 +445,14 @@ def _add_options(p: argparse.ArgumentParser, bound: bool = False,
     p.add_argument("--format", choices=("table", "csv", "machine"),
                    default="table")
     if bound:
-        p.add_argument("--memory-bound", dest="memory_bound", type=int,
+        p.add_argument("--memory-bound", dest="memory_bound", type=_int,
                        default=DEFAULT_MEMORY_BOUND,
                        help="largest size of the smaller class of a product, "
                        "counted at rank n (default %(default)s); a "
                        "reflection class is counted from about R*q^(n-1) "
                        "codes, R its number of row orbits")
     if cache:
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_int, default=None)
         p.add_argument("--cache", default=None,
                        help="cache file (overrides GLQ_CACHE)")
         p.add_argument("--no-cache", dest="no_cache", action="store_true")

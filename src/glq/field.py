@@ -197,10 +197,8 @@ class Field:
         for e = 1, else a polynomial in x over F_p of degree below e."""
         s = s.strip()
         if self.e == 1:
-            sign = -1 if s[:1] == "-" else 1
-            digits = s[1:] if s[:1] in ("-", "+") else s
-            return sign * polyalg.parse_digits(
-                digits, f"bad element {s!r} for {self!r}") % self.p
+            return polyalg.parse_int(
+                s, f"bad element {s!r} for {self!r}") % self.p
         f = polyalg.parse_poly(field_make(self.p), s, "x")
         if len(f) > self.e:
             raise ValueError(f"exponent x^{len(f) - 1} is not reduced in "

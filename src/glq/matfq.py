@@ -376,19 +376,17 @@ def _invertible_in_span(field: Field, basis: list[np.ndarray],
 # ---------------------------------------------------------------------------
 
 class VectorTables(NamedTuple):
-    """Look-up tables over the codes of all qⁿ vectors v of F_q^n.  `scaled`
-    and `dropped` are flat: entry a·qⁿ + code(v) is code(a·v), and entry
-    j·qⁿ + code(v) the code of v without coordinate j.  `position` is the
-    place of a normalized u (first nonzero entry 1) when they are ordered
-    by the index of that entry, then by the code of what follows it, and
-    `normals` lists their codes in that order."""
+    """Look-up tables over the codes of all qⁿ vectors v of F_q^n.
+    `dropped` is flat: entry j·qⁿ + code(v) is the code of v without
+    coordinate j.  `position` is the place of a normalized u (first
+    nonzero entry 1) when they are ordered by the index of that entry, then
+    by the code of what follows it, and `normals` lists their codes in that
+    order."""
 
     vectors: np.ndarray     # (qⁿ, n) uint8, row code(v) is v
     weights: np.ndarray     # q^{n−1−j}: code(v) = v @ weights
     lead: np.ndarray        # index of the first nonzero entry (0 for v = 0)
-    lead_value: np.ndarray  # that entry (0 for v = 0)
-    normal: np.ndarray      # code(v / lead_value)
-    scaled: np.ndarray
+    normal: np.ndarray      # code(v / that entry), 0 for v = 0
     position: np.ndarray
     dropped: np.ndarray
     normals: np.ndarray
@@ -403,10 +401,8 @@ def vector_tables(field: Field, n: int) -> VectorTables:
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     codes = np.arange(size)
     lead = np.argmax(vectors != 0, axis=1)
-    lead_value = vectors[codes, lead].astype(np.intp)
-    scaled = np.stack([field.mul_np[a, vectors] @ weights for a in range(q)])
-    inv = np.array(field.inv_table, dtype=np.intp)
-    normal = scaled[inv[lead_value], codes]
+    inv = np.array(field.inv_table, dtype=np.intp)[vectors[codes, lead]]
+    normal = field.mul_np[inv[:, None], vectors] @ weights
     block = q ** (n - 1 - lead)  # codes of the normalized u with this lead
     position = (size - q * block) // (q - 1) + codes - block
     position[0] = 0  # v = 0 has no place; keep it in range
@@ -414,8 +410,8 @@ def vector_tables(field: Field, n: int) -> VectorTables:
                         + codes % q ** (n - 1 - j) for j in range(n)])
     normals = np.concatenate([q ** j + np.arange(q ** j)
                               for j in range(n - 1, -1, -1)])
-    tables = VectorTables(vectors, weights, lead, lead_value, normal,
-                          scaled.ravel(), position, dropped.ravel(), normals)
+    tables = VectorTables(vectors, weights, lead, normal, position,
+                          dropped.ravel(), normals)
     for table in tables:
         table.flags.writeable = False  # shared by every class of this (q, n)
     return tables

@@ -9,9 +9,10 @@ higher degrees by ascending integer encoding of the coefficient tuple.
 glq's one text grammar lives here: sums of ``c*v^k`` terms, read by
 parse_poly and printed by format_terms.  Polynomials are read in t over F_q,
 and field elements of F_{p^e}, e > 1, in x over F_p (Field.parse_element),
-so this module needs nothing from field at run time.  Every integer in type
-and element text (exponents, partition parts, prime-field elements) is
-read by parse_digits, in ASCII digits only.
+so this module needs nothing from field at run time.  Every integer in
+text (exponents, partition parts, prime-field elements, option and
+parameter values) is read by parse_digits, in ASCII digits only, and a
+signed one by parse_int.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "poly_divmod", "poly_mod", "poly_eval", "t_minus",
     "t_minus_one", "poly_key", "is_irreducible",
     "enumerate_phi", "factor_monic", "companion", "jordan_block",
-    "format_poly", "parse_poly", "parse_digits",
+    "format_poly", "parse_poly", "parse_digits", "parse_int",
 ]
 
 
@@ -374,6 +375,15 @@ def parse_digits(text: str, error: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(error)
     return int(text)
+
+
+def parse_int(text: str, error: str) -> int:
+    """The integer that `text` writes as an optional sign and ASCII digits,
+    with spaces around them allowed; ValueError(error) for any other text."""
+    text = text.strip()
+    sign = -1 if text[:1] == "-" else 1
+    return sign * parse_digits(text[1:] if text[:1] in ("-", "+") else text,
+                               error)
 
 
 def format_terms(coeffs, var: str, fmt_coeff) -> str:

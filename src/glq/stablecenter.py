@@ -268,9 +268,11 @@ def _parse_factors(field: "Field", text: str) -> tuple:
     pairs = []
     for chunk in text.split(","):
         poly_txt, sep, count = chunk.partition(":")
+        bad = f"factor {chunk!r} is not 'poly:columns'"
         if not sep:
-            raise ValueError(f"factor {chunk!r} is not 'poly:columns'")
-        pairs.append((polyalg.parse_poly(field, poly_txt), int(count)))
+            raise ValueError(bad)
+        pairs.append((polyalg.parse_poly(field, poly_txt),
+                      polyalg.parse_int(count, bad)))
     return tuple(pairs)
 
 
@@ -286,8 +288,13 @@ class ParamKind(NamedTuple):
     show: Callable   # (field, value) -> text
 
 
-INT = ParamKind(lambda field, text: int(text), lambda field, v: str(v))
-INTS = ParamKind(lambda field, text: tuple(int(x) for x in text.split(",")),
+def _parse_int(field: "Field", text: str) -> int:
+    return polyalg.parse_int(text, f"bad integer {text!r}")
+
+
+INT = ParamKind(_parse_int, lambda field, v: str(v))
+INTS = ParamKind(lambda field, text: tuple(_parse_int(field, x)
+                                           for x in text.split(",")),
                  lambda field, v: str(v))
 POLY = ParamKind(lambda field, text: polyalg.parse_poly(field, text),
                  lambda field, f: polyalg.format_poly(field, tuple(f)))

@@ -203,7 +203,6 @@ def test_reflection_closed_form_matches_bfs():
         for n in range(1, 5 if q <= 7 else 4):
             for ty in _reflection_classes(F, n):
                 orbit = enumerate_class(ty, n)
-                assert orbit.pairs is not None and orbit.index is None
                 got = {g.tobytes() for g in orbit.elements}
                 assert len(got) == orbit.size
                 assert got == _bfs_set(ty, n), (q, n, format_gltype(ty))
@@ -224,7 +223,8 @@ REFLECTION_RANKS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3, 4)
 
 
 def _conjugate_positions(orbit, c):
-    """Positions of c·g·c⁻¹ found by bytes, independently of the pairs."""
+    """Positions of c·g·c⁻¹ found by bytes in a table built afresh from
+    the elements, not by the orbit's own index."""
     step = orbit.n * orbit.n
     position = {g.tobytes(): i for i, g in enumerate(orbit.elements)}
     raw = matfq.conjugate_stack(orbit.field, c, orbit.elements).tobytes()
@@ -284,10 +284,10 @@ def test_pair_permutations_are_a_group_action(case):
 
 @pytest.mark.parametrize("corrupt", ["swap", "shift"])
 def test_corrupt_position_table_is_checked(monkeypatch, corrupt):
-    # swapping the blocks of u = (1,0,0) and u = (0,0,1) sends their pairs
-    # to positions that hold other pairs; shifting every block by one sends
-    # the last block's pairs past the end
-    orbit = enumerate_class(T(F3, "1@t-2"), 3)
+    # the row level of a reflection product reads u's row from the table:
+    # swapping the rows of u = (1,0,0) and u = (0,0,1) sends them to rows
+    # that hold other vectors; shifting every row by one sends the last
+    # past the end
     real = matfq.vector_tables(F3, 3)
     position = real.position.copy()
     if corrupt == "swap":
@@ -296,8 +296,12 @@ def test_corrupt_position_table_is_checked(monkeypatch, corrupt):
         position += 1
     monkeypatch.setattr(matfq, "vector_tables",
                         lambda field, n: real._replace(position=position))
-    with pytest.raises(InvariantError, match="not in its class"):
-        orbit.conjugation_permutation(matfq.identity(3))
+    classcalc._product_terms.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="not in its class"):
+            multiply_class_sums(T(F3, "1@t-2"), T(F3, "1@t-2"), 3)
+    finally:
+        classcalc._product_terms.cache_clear()
 
 
 def test_reflection_pair_count_is_checked(monkeypatch):
@@ -312,10 +316,30 @@ def test_reflection_pair_count_is_checked(monkeypatch):
         classcalc._build_orbit.cache_clear()
 
 
+def test_distinct_reflection_count_is_checked(monkeypatch):
+    # a closed form that repeats an element gives the right number of
+    # pairs but too few elements
+    real = classcalc._reflections
+
+    def repeat_first(field, u, phi):
+        stack = real(field, u, phi)
+        stack[1] = stack[0]
+        return stack
+
+    monkeypatch.setattr(classcalc, "_reflections", repeat_first)
+    classcalc._build_orbit.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="distinct reflections"):
+            enumerate_class(T(F5, "1@t-3"), 3)
+    finally:
+        classcalc._build_orbit.cache_clear()
+
+
 @pytest.mark.parametrize("text", ["1@t-2", "1,1@t-2"])
 def test_conjugate_outside_the_class_is_checked(monkeypatch, text):
     # a wrong inverse makes c·g·c⁻¹ a product that leaves the class; the
-    # reflection class takes the (u, φ) path, the other the bytes index
+    # reflection class, built in closed form, and the class found
+    # breadth-first share the bytes index
     orbit = enumerate_class(T(F3, text), 3)
     c = M([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     monkeypatch.setattr(matfq, "inverse", lambda field, A: A)

@@ -797,6 +797,46 @@ def test_integers_in_type_text_are_ascii_digits(capsys, text, why):
     assert (code, out, err) == (2, "", f"error: {why}\n")
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--q", "٣"), ("--n", "0_2"), ("--memory-bound", "1_000")])
+def test_integer_options_are_ascii_digits(capsys, flag, value):
+    # int() would read '٣' as 3, '0_2' as 2 and '1_000' as 1000
+    options = {"--q": "3", "--n": "2", "--memory-bound": "100", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--lambda", "1@t-2", "--mu", "∅", "--no-cache",
+              *(word for item in options.items() for word in item)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"glq mul: error: argument {flag}: invalid int value: {value!r}")
+
+
+@pytest.mark.parametrize("argv,why", [
+    # int() would read ξ = 11, ξ = 2, the value 17, the entry 1 and rank 4
+    (("check", "--q", "3", "--case", "union-equal",
+      "--params", "xi=1_1;c=1;d=1"), "bad integer '1_1'"),
+    (("check", "--q", "3", "--case", "union-equal",
+      "--params", "xi=٢;c=1;d=1"), "bad integer '٢'"),
+    (("fit", "--var", "q", "--points", "3:1_7,5:49"),
+     "point '3:1_7' is not 'abscissa:value'"),
+    (("type", "--q", "3", "--matrix", "1,0;0,١"), "bad matrix entry '١'"),
+    (("fit", "--var", "n", "--q", "2", "--lambda", "1@t-1", "--mu", "1@t-1",
+      "--nu", "", "--ns", "2,3,٤"), "bad rank '٤' in --ns"),
+])
+def test_integer_values_are_ascii_digits(capsys, argv, why):
+    assert run(capsys, *argv) == (2, "", f"error: {why}\n")
+
+
+def test_signs_and_spaces_around_integer_values_are_accepted(capsys):
+    want = run(capsys, "check", "--q", "3", "--case", "union-equal",
+               "--params", "xi=2;c=1;d=1")
+    assert run(capsys, "check", "--q", "+3", "--case", "union-equal",
+               "--params", "xi= 2 ;c=+1;d=1") == want
+    want = run(capsys, "fit", "--var", "q", "--points", "3:17,5:49")
+    assert run(capsys, "fit", "--var", "q", "--points", "3: 17,+5:49") == want
+    assert want[1] != run(capsys, "fit", "--var", "q",
+                          "--points", "3:-17,5:49")[1]
+
+
 def test_spaces_around_integers_in_type_text_are_accepted(capsys):
     _, want, _ = run(capsys, "mul", "--q", "3", "--n", "4", "--lambda",
                      "1,1@t-2", "--mu", "1@t-1", "--no-cache")

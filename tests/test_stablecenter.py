@@ -392,3 +392,10 @@ def test_fit_family_rejects_bad_input():
 def test_fit_family_catalog_is_documented():
     for name, (description, builder) in FIT_FAMILIES.items():
         assert description and callable(builder)
+
+
+def test_factor_columns_are_ascii_digits():
+    # int() would read '1_0' as 10 columns
+    with pytest.raises(ValueError, match="is not 'poly:columns'"):
+        stablecenter.parse_case_params(F3, "union-poly-mixed",
+                                       {"factors": "t^2+1:1_0"})
