@@ -13,10 +13,12 @@ product a reflection class, g = I + u·φᵀ with u normalized, is never
 enumerated: its orbits are counted on the normalized u first, then, for
 each representative u₀, on the φ of its row under elements that fix u₀
 (_reflection_orbits), so the work is #rows·q^{n−1} codes.  A reflection
-class times a class of minimal rank k is counted at rank k + 2 and
-reweighted to every larger rank.  Structure constants and stable products
-are read from these full products.  An enumerated class is one index of
-its elements' bytes, built in closed form for a reflection class.
+class times a class of minimal rank k is counted once at rank k + 2, split
+by tail type, and reweighted to every larger rank; rank k + 2 itself reads
+that split when it costs no more than a direct count.  Structure constants
+and stable products are read from these full products.  An enumerated
+class is one index of its elements' bytes, built in closed form for a
+reflection class.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from . import matfq
+from . import matfq, polyalg
 from .errors import (ClassEmptyError, ClassTooLargeError, InvariantError,
                      LengthNotAdditiveError, ResourceBoundError)
 from .gltype import (GLType, canonical_matrix, class_size, det_of_type,
@@ -55,6 +57,7 @@ DEFAULT_PAIR_BOUND = 10 ** 8
 DEFAULT_GROUP_BOUND = 10 ** 7
 CENTRALIZER_SAMPLES = 3
 TAIL_RANK = 2  # a reflection product is read at rank min_rank(other) + this
+TAIL_SPLITS_KEPT = 64  # tail splits kept per process: _tail_split_counts
 CHEAP_ROUNDS = 8  # pull-only merge rounds before pulls along perm^(2^k)
 STABILIZER_DRAWS = 4  # per row and centralizer sample: _reflection_orbits
 DRAW_ENTRIES = 2 ** 13  # entries of the images of one batch of those draws
@@ -524,12 +527,14 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     the class's size is built (see _reflection_orbits), for any other by
     orbits on its elements (see _centralizer_orbits).  This is done at
     rank n itself unless the smaller class is a reflection class and
-    n > k + 2, k the minimal rank of the other: then the counts are those
+    n ≥ k + 2, k the minimal rank of the other: then the counts are those
     of rank k + 2, split by tail type and reweighted to rank n (see
     _reweighted_counts), so every rank above k + 2 shares one computation.
-    Each {λ, μ} is computed once per n and process, and every call first
-    checks the field and the memory bound, which counts the smaller class
-    at rank n."""
+    Rank k + 2 itself is read from the split only when the other class has
+    no eigenvalue 1 or the split is built already (see _reads_tail_split);
+    its terms are the same either way.  Each {λ, μ} is computed once per n
+    and process, and every call first checks the field and the memory
+    bound, which counts the smaller class at rank n."""
     F = _common_field(field, lam, mu)
     small = lam if class_size(lam, n) <= class_size(mu, n) else mu
     _check_enumerable(small, n, memory_bound)
@@ -548,7 +553,7 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
     small, other = (lam, mu) if size_lam <= size_mu else (mu, lam)
     F = small.field
     if _reflection_eigenvalue(small) is not None \
-            and n - min_rank(other) > TAIL_RANK:
+            and _reads_tail_split(small, other, n):
         counts = _reweighted_counts(small, other, n)
     else:
         h0 = canonical_matrix(lift(other, n))
@@ -601,7 +606,24 @@ def _tail_types(field: "Field", u: np.ndarray, phi: np.ndarray) -> np.ndarray:
                     has_u + 2 * has_phi)
 
 
-@lru_cache(maxsize=64)
+def _reads_tail_split(small: GLType, other: GLType, n: int) -> bool:
+    """Whether the product of the reflection class small and other at rank
+    n is read from their tail split, k = min_rank(other): above rank
+    k + TAIL_RANK, and at k + TAIL_RANK itself when that costs no more than
+    a direct count.  That is when the split is built already, or when J,
+    the canonical matrix of other at rank k, has no eigenvalue 1: then
+    C(h₀) = C(J) × GL_TAIL_RANK(q) is all of the split's group.  Otherwise
+    C(h₀) mixes J's eigenvalue-1 blocks with the tail, so a direct count
+    classifies fewer orbits than the split."""
+    m = n - min_rank(other)
+    return m > TAIL_RANK or (m == TAIL_RANK and (
+        not other.get(polyalg.t_minus_one(other.field))
+        or (small, other) in _TAIL_SPLITS))
+
+
+_TAIL_SPLITS: dict = {}  # (small, other) → _tail_split_counts, oldest first
+
+
 def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     """N_τν(r) = #{g ∈ 𝒦_small(r) of tail type τ : g·h₀ ∈ 𝒦_ν} at rank
     r = k + TAIL_RANK, k = min_rank(other), where small is a reflection
@@ -610,7 +632,11 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     are those of units of 𝒜_J ⊕ M_TAIL_RANK, 𝒜_J the commutant of J: the
     row samples diag(c, I) for c ∈ C(J) and diag(I, s) for the generators
     s of GL_TAIL_RANK, and the stabilizers drawn from that algebra.  They
-    keep τ."""
+    keep τ.  Computed once per pair and process: the last TAIL_SPLITS_KEPT
+    splits are kept in _TAIL_SPLITS, where _reads_tail_split looks them up
+    (exceptions are not kept)."""
+    if (small, other) in _TAIL_SPLITS:
+        return _TAIL_SPLITS[small, other]
     F, k = small.field, min_rank(other)
     r = k + TAIL_RANK
     J = canonical_matrix(lift(other, k))
@@ -634,15 +660,19 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
                                  _tail_types(F, u[:, k:], phi[:, k:]),
                                  weights):
         counts[int(tau), modified_type_of(F, prod)] += int(weight)
+    if len(_TAIL_SPLITS) >= TAIL_SPLITS_KEPT:
+        del _TAIL_SPLITS[next(iter(_TAIL_SPLITS))]
+    _TAIL_SPLITS[small, other] = counts
     return counts
 
 
 def _reweighted_counts(small: GLType, other: GLType, n: int) -> Counter:
     """#{g ∈ 𝒦_small(n) : g·h₀ ∈ 𝒦_ν} for a reflection class small and
-    m = n − min_rank(other) > TAIL_RANK, as Σ_τ N_τν(k+TAIL_RANK)·s_τ(m) /
+    m = n − min_rank(other) ≥ TAIL_RANK, as Σ_τ N_τν(k+TAIL_RANK)·s_τ(m) /
     s_τ(TAIL_RANK) (see _tail_split_counts): with h₀ = diag(J, I_m), the
     type of g·h₀ depends only on the part of (u, φ) in J's coordinates and
-    the GL_m-orbit of its tail, and h₀·g is conjugate to g·h₀."""
+    the GL_m-orbit of its tail, and h₀·g is conjugate to g·h₀.  At
+    m = TAIL_RANK every scale is 1 and the counts are the split's own."""
     q, m = small.field.q, n - min_rank(other)
     low, high = _tail_sizes(q, TAIL_RANK), _tail_sizes(q, m)
     counts: Counter = Counter()
@@ -743,6 +773,21 @@ def stable_product(lam: GLType, mu: GLType, field: "Field" = None,
     return expansion
 
 
+def _constants_at_ranks(lam: GLType, mu: GLType, nu: GLType, ns, field,
+                        memory_bound: int) -> dict:
+    """{n: a^ν_λμ(n)} for the ranks ns, 0 where 𝒦_ν is empty, computed from
+    the highest rank down: a rank above k + 2 builds a reflection product's
+    tail split first, and rank k + 2 then reads it (see _reads_tail_split)."""
+    values = {}
+    for n in sorted(set(ns), reverse=True):
+        try:
+            values[n] = structure_constant_at(lam, mu, nu, n, field,
+                                              memory_bound)
+        except ClassEmptyError:
+            values[n] = 0
+    return values
+
+
 def verify_stability(lam: GLType, mu: GLType, nu: GLType,
                      field: "Field" = None, n_list=None, *,
                      memory_bound: int = DEFAULT_MEMORY_BOUND,
@@ -750,23 +795,22 @@ def verify_stability(lam: GLType, mu: GLType, nu: GLType,
     """Recompute a^ν_λμ(n) at several n, by default min_rank(ν) to
     min_rank(ν) + 2, and check the values agree; no determinant pruning, so
     it checks the pruned stable values.  Each value is read from the full
-    product at its rank: computed at that rank up to k + 2, and above it,
-    when the smaller class is a reflection class, reweighted from rank
-    k + 2 (see multiply_class_sums), k the minimal rank of the other."""
+    product at its rank: computed at that rank below k + 2, and from rank
+    k + 2 up, when the smaller class is a reflection class, read from one
+    tail split of rank k + 2 (see multiply_class_sums), k the minimal rank
+    of the other.  The ranks are computed from the highest down (see
+    _constants_at_ranks) and reported in the given order."""
     F = _common_field(field, lam, mu, nu)
     if norm(nu) != norm(lam) + norm(mu):
         raise ValueError("stability applies to top-degree coefficients only")
     k = min_rank(nu)
     ns = tuple(n_list) if n_list is not None else (k, k + 1, k + 2)
+    if not ns:
+        raise ValueError("at least one test rank is required")
     if any(n < k for n in ns):
         raise ValueError(f"every test rank must be at least k = {k}")
-    values = []
-    for n in ns:
-        try:
-            a = structure_constant_at(lam, mu, nu, n, F, memory_bound)
-        except ClassEmptyError:
-            a = 0
-        values.append((n, a))
+    found = _constants_at_ranks(lam, mu, nu, ns, F, memory_bound)
+    values = [(n, found[n]) for n in ns]
     distinct = {a for _, a in values}
     passed = len(distinct) == 1
     return StabilityReport(lam=lam, mu=mu, nu=nu, values=tuple(values),

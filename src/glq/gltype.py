@@ -11,6 +11,7 @@ which reading applies is part of each operation's contract.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,10 +268,7 @@ def q_int(q: int, m: int) -> int:
 
 
 def q_factorial(q: int, m: int) -> int:
-    out = 1
-    for i in range(1, m + 1):
-        out *= q_int(q, i)
-    return out
+    return _product([q_int(q, i) for i in range(1, m + 1)])
 
 
 def q_binomial(q: int, m: int, b: int) -> int:
@@ -297,10 +295,8 @@ def a_partition(parts: Partition, Q: int) -> int:
     e = sum(parts) + 2 * n_stat - sum(m * (m + 1) // 2 for m in multiplicities)
     if e < 0:
         raise InvariantError("a_λ(Q) must have a nonnegative power of Q")
-    total = Q ** e
-    for m in multiplicities:
-        for j in range(1, m + 1):
-            total *= Q ** j - 1
+    total = Q ** e * _product([Q ** j - 1 for m in multiplicities
+                               for j in range(1, m + 1)])
     if total <= 0:
         raise InvariantError("a_λ(Q) must be a positive integer")
     return total
@@ -318,10 +314,17 @@ def centralizer_order(T: GLType) -> int:
 def gl_order(field: "Field", n: int) -> int:
     """|GL_n(q)| = ∏_{i<n} (q^n − q^i)."""
     q = field.q
-    out = 1
-    for i in range(n):
-        out *= q ** n - q ** i
-    return out
+    return _product([q ** n - q ** i for i in range(n)])
+
+
+def _product(factors: list) -> int:
+    """The product of the integers `factors`, split in halves until a few
+    are left, so that big factors are multiplied by numbers of like size:
+    far cheaper than one at a time for many big factors."""
+    if len(factors) <= 8:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
 def class_size(T: GLType, n: int) -> int:

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import polyalg
-from .classcalc import (DEFAULT_MEMORY_BOUND, stable_constant,
-                        stable_product, structure_constant_at)
-from .errors import ClassEmptyError, InvariantError
+from .classcalc import (DEFAULT_MEMORY_BOUND, _constants_at_ranks,
+                        stable_constant, stable_product)
+from .errors import InvariantError
 from .field import field_of_order
 from .gltype import (GLType, det_of_type, enumerate_plain_types, gltype_make,
                      min_rank, norm, parse_gltype, q_binomial, q_int)
@@ -475,7 +475,8 @@ def fit_polynomial_in_q(points) -> FitResult:
 def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
                         field: "Field" = None, n_list=(None,),
                         memory_bound: int = DEFAULT_MEMORY_BOUND) -> FitResult:
-    """Interpolate a^ν_λμ(n) in the variable x = [n]_q over the given ranks."""
+    """Interpolate a^ν_λμ(n) in the variable x = [n]_q over the given ranks,
+    computed from the highest down and fitted in the given order."""
     F = field if field is not None else lam.field
     ns = tuple(n_list)
     if len(ns) < 2 or len(set(ns)) != len(ns):
@@ -483,13 +484,8 @@ def fit_polynomial_in_n(lam: GLType, mu: GLType, nu: GLType,
     k = min_rank(nu)
     if any(n is None or n < k for n in ns):
         raise ValueError(f"every rank must be at least k = {k}")
-    pts = []
-    for n in ns:
-        try:
-            a = structure_constant_at(lam, mu, nu, n, F, memory_bound)
-        except ClassEmptyError:
-            a = 0
-        pts.append((q_int(F.q, n), a))
+    values = _constants_at_ranks(lam, mu, nu, ns, F, memory_bound)
+    pts = [(q_int(F.q, n), values[n]) for n in ns]
     return replace(fit_polynomial_in_q(pts), variable="x",
                    warning=f"degree is determined only up to {len(pts) - 1}; "
                            "more ranks could reveal higher terms")

@@ -16,7 +16,7 @@ def cold_memos():
     empty, so that a test which injects a fault sees it computed instead of
     served from an earlier test's result."""
     classcalc._product_terms.cache_clear()
-    classcalc._tail_split_counts.cache_clear()
+    classcalc._TAIL_SPLITS.clear()
     classcalc._build_orbit.cache_clear()
     gltype._class_size.cache_clear()
     gltype._modified_type.cache_clear()

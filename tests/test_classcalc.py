@@ -509,12 +509,12 @@ def test_each_product_is_computed_once(monkeypatch):
     assert len(computed) == 1
     assert (swapped.lam, swapped.mu) == (mu, lam)
     assert swapped.terms == multiply_class_sums(lam, mu, 3).terms
+    # rank k + 2 = 3 is the tail split itself, as 1@t-2 has no eigenvalue
+    # 1, and ranks 4 to 6 are read from it
     multiply_class_sums(lam, mu, 4)
-    assert len(computed) == 2
-    # ranks 4 to 6 are read from one tail split at rank k + 2 = 3
     multiply_class_sums(lam, mu, 5)
     multiply_class_sums(mu, lam, 6)
-    assert len(computed) == 2
+    assert len(computed) == 1
     assert classcalc._product_terms.cache_info().misses == 4
 
 
@@ -617,13 +617,17 @@ def test_merge_settles_ascending_cycles(monkeypatch):
 
 
 @pytest.mark.parametrize("lam,mu,n", [
-    ("1@t-2", "1@t-2", 3),               # reflection class enumerated
+    ("1@t-2", "1@t-2", 2),               # reflection class, on two levels
+    ("1@t-2", "1@t-2", 3),               # tail split: the basis is J's
     ("1,1@t-2", "1@t-1;1@t-2", 3),       # BFS class enumerated
 ])
 def test_one_centralizer_basis_per_product(monkeypatch, lam, mu, n):
+    # h₀ is the canonical matrix of the other class at rank n, or at its
+    # minimal rank k when the product is read from the tail split
     lam, mu = T(F3, lam), T(F3, mu)
     other = mu if class_size(lam, n) <= class_size(mu, n) else lam
-    h0 = canonical_matrix(lift(other, n))
+    rank = min_rank(other) if _read_from_tail_split(lam, mu, n) else n
+    h0 = canonical_matrix(lift(other, rank))
     bases, invariants = [], []
     real_space = matfq.commuting_space
     real_invariant = matfq.conjugacy_invariant
@@ -653,13 +657,17 @@ def small_products(draw):
 
 
 def _read_from_tail_split(lam, mu, n) -> bool:
-    """Whether multiply_class_sums reads K_λ(n)·K_μ(n) from a tail split:
-    the smaller class is a reflection class and n − min_rank(other) > 2."""
+    """Whether multiply_class_sums, with no tail split built, reads
+    K_λ(n)·K_μ(n) from a tail split: the smaller class is a reflection
+    class and m = n − min_rank(other) > 2, or m = 2 and the other class has
+    no eigenvalue 1, that is its minimal rank is its norm."""
     pair = sorted((lam, mu), key=gltype_sort_key)
     small, other = pair if class_size(pair[0], n) <= class_size(pair[1], n) \
         else pair[::-1]
+    m = n - min_rank(other)
     return (classcalc._reflection_eigenvalue(small) is not None
-            and n - min_rank(other) > classcalc.TAIL_RANK)
+            and (m > classcalc.TAIL_RANK or m == classcalc.TAIL_RANK
+                 and min_rank(other) == norm(other)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -678,11 +686,11 @@ def test_terms_do_not_depend_on_centralizer_samples(case):
     terms = []
     for samples in (0, 1, 3):
         classcalc._product_terms.cache_clear()  # computed with these samples
-        classcalc._tail_split_counts.cache_clear()
+        classcalc._TAIL_SPLITS.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(lam, mu, n).terms)
-        assert classcalc._tail_split_counts.cache_info().misses == tail
+        assert len(classcalc._TAIL_SPLITS) == tail
     assert terms[0] == terms[1] == terms[2]
     if sizes[0] * sizes[1] <= 2000:
         assert multiply_oracle(lam, mu, n).terms == terms[0]
@@ -783,7 +791,7 @@ def test_rank_eight_reflection_product_runs_every_check(monkeypatch):
     finally:
         tracemalloc.stop()
     assert product.terms == parse_expansion(F3, 8, lam, mu, RANK_EIGHT).terms
-    assert classcalc._tail_split_counts.cache_info().misses == 0
+    assert len(classcalc._TAIL_SPLITS) == 0
     assert {("term_violation", 8), ("violation", 8)} <= set(checked)
     assert peak < 20 * 10 ** 6
 
@@ -819,8 +827,8 @@ def test_tail_table_counts_every_tail(q, m):
 def _rescaled_cases():
     """(λ, μ, n): a reflection class λ that is the smaller class at rank n,
     times a type μ of norm ≤ 2, at ranks min_rank(μ) + 3 to 7 wherever
-    𝒦_λ(n) has at most 300,000 elements; a pair of reflection classes
-    once."""
+    𝒦_λ(n) has at most 300,000 elements, and after them at rank
+    min_rank(μ) + 2; a pair of reflection classes once."""
     for q in (2, 3, 4, 5, 7, 8, 9):
         F = field_of_order(q)
         reflections = _reflection_classes(F, 2)
@@ -828,21 +836,31 @@ def _rescaled_cases():
                 reflections, enumerate_modified_types(F, 2, 7)):
             if mu in reflections[:reflections.index(lam)]:
                 continue
-            for n in range(min_rank(mu) + 3, 8):
-                if class_size(lam, n) <= min(class_size(mu, n), 300_000):
-                    yield lam, mu, n
+            k = min_rank(mu)
+            ranks = [n for n in range(k + 3, 8)
+                     if class_size(lam, n) <= min(class_size(mu, n), 300_000)]
+            for n in ranks + [k + 2] * bool(ranks):
+                yield lam, mu, n
 
 
 @pytest.mark.slow
 def test_rescaled_products_equal_direct_products(monkeypatch):
     cases = list(_rescaled_cases())
-    rescaled = [multiply_class_sums(*case).terms for case in cases]
-    assert classcalc._tail_split_counts.cache_info().misses > 0
+    pairs = {(lam, mu) for lam, mu, _ in cases}
+    counted = []
+    real = classcalc._reflection_orbits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classcalc, "_reflection_orbits",
+                      lambda *args: counted.append(args[:2]) or real(*args))
+        rescaled = [multiply_class_sums(*case).terms for case in cases]
+    # one two-level count per pair, that of its tail split: rank k + 2,
+    # issued after the higher ranks, is read from the split as well
+    assert len(counted) == len(pairs) == 116
     classcalc._product_terms.cache_clear()
     monkeypatch.setattr(classcalc, "TAIL_RANK", 10)  # n − k ≤ 7: all direct
     for case, terms in zip(cases, rescaled):
         assert multiply_class_sums(*case).terms == terms, case
-    assert len(cases) == 141
+    assert len(cases) == 141 + 116
 
 
 @pytest.mark.parametrize("q,lam,mu,n", [
@@ -854,11 +872,11 @@ def test_rescaled_terms_do_not_depend_on_centralizer_samples(q, lam, mu, n):
     terms = []
     for samples in (0, 1, 3):
         classcalc._product_terms.cache_clear()
-        classcalc._tail_split_counts.cache_clear()
+        classcalc._TAIL_SPLITS.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(T(F, lam), T(F, mu), n).terms)
-        assert classcalc._tail_split_counts.cache_info().misses == 1
+        assert len(classcalc._TAIL_SPLITS) == 1
     assert terms[0] == terms[1] == terms[2]
 
 
@@ -880,7 +898,7 @@ def test_rescaled_counts_are_checked(monkeypatch):
             ("_tail_sizes", lambda q, m: (7919,) * 5 if m == 2
              else real_sizes(q, m), "does not rescale to an integer"),
             ("canonical_matrix", flipped, r"is not diag\(J, I\)")):
-        classcalc._tail_split_counts.cache_clear()
+        classcalc._TAIL_SPLITS.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, name, fake)
             with pytest.raises(InvariantError, match=match):
@@ -1082,6 +1100,26 @@ def test_verify_stability_rejects_bad_input():
     with pytest.raises(ValueError, match="at least k"):
         verify_stability(T(F3, "1@t-1"), T(F3, "1@t-1"), T(F3, "1,1@t-1"),
                          n_list=(2, 3, 4))
+
+
+def test_verify_stability_refuses_an_empty_rank_list():
+    lam = T(F2, "1@t-1")
+    with pytest.raises(ValueError, match="at least one test rank"):
+        verify_stability(lam, lam, T(F2, "1,1@t-1"), n_list=())
+    assert classcalc._product_terms.cache_info().misses == 0
+
+
+def test_verify_stability_reads_rank_k_plus_2_from_the_split(monkeypatch):
+    # 1@t-1 has eigenvalue 1, so rank k + 2 = 4 issued first would be
+    # counted directly; from the top rank down it reads rank 6's split
+    counted = []
+    real = classcalc._reflection_orbits
+    monkeypatch.setattr(classcalc, "_reflection_orbits",
+                        lambda *args: counted.append(args[1]) or real(*args))
+    lam = T(F2, "1@t-1")
+    rep = verify_stability(lam, lam, T(F2, "1,1@t-1"), n_list=(5, 4, 6, 4))
+    assert rep.values == ((5, 6), (4, 6), (6, 6), (4, 6))
+    assert counted == [4] and len(classcalc._TAIL_SPLITS) == 1
 
 
 @pytest.mark.slow

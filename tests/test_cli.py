@@ -240,7 +240,7 @@ def test_memory_bound_counts_the_rank_n_class_of_a_rescaled_product(capsys):
     assert code == 3 and not out and "7170080" in err
     code, out, _ = run(capsys, *argv, "--memory-bound", "8000000",
                        "--format", "machine")
-    assert code == 0 and classcalc._tail_split_counts.cache_info().misses == 1
+    assert code == 0 and len(classcalc._TAIL_SPLITS) == 1
     text = out.split("\t")[1]
     assert text == "∅,7170080|1@t-1,4369|1,1@t-1,12|2@t-1,6|2@t-2,3|1@t^2+1,4"
     lam = parse_gltype(F3, "1@t-1")
@@ -251,13 +251,15 @@ def test_memory_bound_counts_the_rank_n_class_of_a_rescaled_product(capsys):
 
 
 @pytest.mark.parametrize("suite,computed,merged", [
-    pytest.param("stability", 20, 15, id="stability-20"),
+    pytest.param("stability", 20, 9, id="stability-20"),
     pytest.param("formulas", 14, 14, id="formulas-14"),
 ])
 def test_verify_computes_each_product_once(capsys, monkeypatch, suite,
                                            computed, merged):
     # one centralizer merge per product computed at its own rank, and one
-    # per pair for every rank read from the pair's rank-(k+2) tail split
+    # per pair for every rank read from the pair's rank-(k+2) tail split;
+    # verify_stability goes from the top rank down, so a triple whose ranks
+    # reach above k + 2 reads rank k + 2 from the split as well
     merges = []
     real = classcalc._reflection_orbits
 

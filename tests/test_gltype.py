@@ -395,6 +395,21 @@ def test_gl_order_equals_full_partition_a(field, n):
     assert gl_order(field, n) == a_partition((1,) * n, field.q)
 
 
+def test_big_sizes_equal_products_one_factor_at_a_time():
+    # gl_order, a_partition and q_factorial multiply their factors by halves
+    for q, n in itertools.product((2, 3, 4), (0, 1, 2, 3, 7, 64, 201)):
+        F = field_of_order(q)
+        want = 1
+        for i in range(n):
+            want *= q ** n - q ** i
+        assert gl_order(F, n) == want
+        assert a_partition((1,) * n, q) == want
+        assert q_factorial(q, n) * (q - 1) ** n * q ** (n * (n - 1) // 2) \
+            == want
+    assert a_partition((3,) * 5 + (1,) * 40, 9) == a_partition_fraction(
+        (3,) * 5 + (1,) * 40, 9)
+
+
 def test_gl_order_frozen():
     assert gl_order(F2, 2) == 6
     assert gl_order(F3, 2) == 48
