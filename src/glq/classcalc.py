@@ -7,18 +7,18 @@ computed by counting, never by floating point, on one path for every caller:
 the other class is represented by its canonical matrix h₀, and one element
 g of the smaller class per orbit of sampled centralizer elements c ∈ C(h₀)
 is classified, weighted by its orbit size.  Conjugation by c keeps the type
-of g·h₀, so any group of such c gives exact weights.  A class found by
-breadth-first search is enumerated and merged element by element.  In a
-product a reflection class, g = I + u·φᵀ with u normalized, is never
-enumerated: its orbits are counted on the normalized u first, then, for
-each representative u₀, on the φ of its row under elements that fix u₀
-(_reflection_orbits), so the work is #rows·q^{n−1} codes.  A reflection
-class times a class of minimal rank k is counted once at rank k + 2, split
-by tail type, and reweighted to every larger rank; rank k + 2 itself reads
-that split when it costs no more than a direct count.  Structure constants
-and stable products are read from these full products.  An enumerated
-class is one index of its elements' bytes, built in closed form for a
-reflection class.
+of g·h₀, so any group of such c gives exact weights.  In a product a
+reflection class, g = I + u·φᵀ with u normalized, is never enumerated: its
+orbits are counted on the normalized u first, then, for each
+representative u₀, on the φ of its row under elements that fix u₀
+(_reflection_orbits), so the work is #rows·q^{n−1} codes.  Any other class
+is enumerated and merged element by element.  A reflection class times a
+class of minimal rank k is counted once at rank k + 2, split by tail type,
+and reweighted to every larger rank; rank k + 2 itself reads that split
+when it costs no more than a direct count.  Structure constants and stable
+products are read from these full products.  An enumerated class is one
+index of its elements' bytes, built by breadth-first search; the
+convolution oracle builds reflection classes that way too.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ DRAW_ENTRIES = 2 ** 13  # entries of the images of one batch of those draws
 @dataclass(frozen=True)
 class ClassOrbit:
     """A fully enumerated conjugacy class 𝒦_μ(n): `index` maps each
-    element's bytes to its position.  A reflection class (modified type
-    1@t-ξ) is built in closed form, every other class breadth-first."""
+    element's bytes to its position.  Every class is built
+    breadth-first."""
 
     field: "Field"
     mu: GLType
@@ -204,32 +204,6 @@ def generators(field: "Field", n: int) -> list:
     return [D, P, T]
 
 
-def _bfs_orbit(field: "Field", J: np.ndarray, expected: int) -> dict:
-    """Closure of J under conjugation by the generators, one breadth-first
-    level per step, as {element bytes: position}; the order is that of a
-    first-in first-out queue."""
-    n = J.shape[0]
-    step = n * n
-    gens = generators(field, n)
-    index = {J.tobytes(): 0}
-    frontier = [J.tobytes()] if gens else []  # GL_0(q): J is its own class
-    while frontier:
-        level = np.frombuffer(b"".join(frontier), np.uint8).reshape(-1, n, n)
-        images = [matfq.conjugate_stack(field, s, level).tobytes()
-                  for s in gens]
-        frontier = []
-        for at in range(0, len(images[0]), step):
-            for raw in images:
-                key = raw[at:at + step]
-                if key not in index:
-                    index[key] = len(index)
-                    frontier.append(key)
-    if len(index) != expected:
-        raise InvariantError(
-            f"orbit size {len(index)} != class size {expected}")
-    return index
-
-
 def _reflection_eigenvalue(mu: GLType) -> int | None:
     """ξ when μ is 1@t-ξ, the modified type of a reflection; else None."""
     if len(mu.entries) != 1:
@@ -250,11 +224,10 @@ class ReflectionPairs(NamedTuple):
 
 
 def _reflection_pairs(field: "Field", n: int, xi: int,
-                      u: np.ndarray | None = None) -> ReflectionPairs:
+                      u: np.ndarray) -> ReflectionPairs:
     """The reflections g = I + u·φᵀ of eigenvalue ξ, each as its one pair
     (u, φ) with u normalized (first nonzero entry 1), φ(u) = ξ − 1 and
-    φ ≠ 0, in the rows of the codes u, by default of every normalized u."""
-    u = matfq.vector_tables(field, n).normals if u is None else u
+    φ ≠ 0, in the rows of the given codes u."""
     target = field.sub(xi, 1)
     shift = int(target == 0)  # φ = 0 would give the identity
     return ReflectionPairs(
@@ -294,7 +267,9 @@ def _common_field(field: "Field | None", *types: GLType) -> "Field":
 
 def _check_enumerable(mu: GLType, n: int, memory_bound: int) -> None:
     """The check made before the class 𝒦_μ(n) is built or a product that
-    enumerates it is read: the memory bound."""
+    enumerates it is read: the memory bound, which must not be negative."""
+    if memory_bound < 0:
+        raise ValueError(f"the memory bound {memory_bound} is negative")
     size = class_size(mu, n)
     if size > memory_bound:
         raise ClassTooLargeError(
@@ -313,54 +288,43 @@ def enumerate_class(mu: GLType, n: int, field: "Field" = None,
 # behind _check_enumerable: never serves a class the bound refuses
 @lru_cache(maxsize=4)
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
+    """Closure of the canonical matrix under conjugation by the generators,
+    one breadth-first level per step; the order is that of a first-in
+    first-out queue."""
     F = mu.field
     size = class_size(mu, n)
-    xi = _reflection_eigenvalue(mu)
-    if xi is None:
-        J = canonical_matrix(lift(mu, n))
-        return ClassOrbit(field=F, mu=mu, n=n, size=size,
-                          index=_bfs_orbit(F, J, size))
-    pairs = _reflection_pairs(F, n, xi)
-    if pairs.phi.size != size:
-        raise InvariantError(
-            f"{pairs.phi.size} reflection pairs != class size {size}")
-    vectors = matfq.vector_tables(F, n).vectors
-    raw = _reflections(F, vectors[np.repeat(pairs.u, pairs.phi.shape[1])],
-                       vectors[pairs.phi.ravel()]).tobytes()
-    index = {raw[at:at + n * n]: i
-             for i, at in enumerate(range(0, len(raw), n * n))}
+    J = canonical_matrix(lift(mu, n))
+    step = n * n
+    gens = generators(F, n)
+    index = {J.tobytes(): 0}
+    frontier = [J.tobytes()] if gens else []  # GL_0(q): J is its own class
+    while frontier:
+        level = np.frombuffer(b"".join(frontier), np.uint8).reshape(-1, n, n)
+        images = [matfq.conjugate_stack(F, s, level).tobytes() for s in gens]
+        frontier = []
+        for at in range(0, len(images[0]), step):
+            for raw in images:
+                key = raw[at:at + step]
+                if key not in index:
+                    index[key] = len(index)
+                    frontier.append(key)
     if len(index) != size:
-        raise InvariantError(
-            f"{len(index)} distinct reflections != class size {size}")
+        raise InvariantError(f"orbit size {len(index)} != class size {size}")
     return ClassOrbit(field=F, mu=mu, n=n, size=size, index=index)
 
 
 def enumerate_group(field: "Field", n: int,
                     bound: int = DEFAULT_GROUP_BOUND) -> Iterator[np.ndarray]:
-    """Every invertible n×n matrix exactly once, built row by row and pruning
-    any prefix whose rows are dependent."""
+    """Every n×n matrix over F_q of rank n, in lexicographic order of its
+    entries."""
     total = gl_order(field, n)
     if total > bound:
         raise ResourceBoundError(
             f"|GL_{n}({field.q})| = {total} exceeds the bound {bound}")
-    add, mul = field.add_table, field.mul_table
-    all_rows = list(itertools.product(range(field.q), repeat=n))
-    zero = (0,) * n
-
-    def extend(chosen: list, span: frozenset) -> Iterator[np.ndarray]:
-        if len(chosen) == n:
-            yield np.array(chosen, dtype=np.uint8)
-            return
-        for row in all_rows:
-            if row in span:
-                continue
-            new_span = frozenset(
-                tuple(add[a][mul[c][b]] for a, b in zip(v, row))
-                for v in span for c in range(field.q)
-            )
-            yield from extend(chosen + [row], new_span)
-
-    yield from extend([], frozenset({zero}))
+    for entries in itertools.product(range(field.q), repeat=n * n):
+        g = np.array(entries, dtype=np.uint8).reshape(n, n)
+        if matfq.rank(field, g) == n:
+            yield g
 
 
 def enumerate_modified_types(field: "Field", max_norm: int, n: int) -> list:

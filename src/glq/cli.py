@@ -23,7 +23,7 @@ from .classcalc import (DEFAULT_MEMORY_BOUND, enumerate_group,
                         enumerate_modified_types, multiply_class_sums,
                         multiply_oracle, stable_product, verify_stability)
 from .errors import InconclusiveError, InvariantError, ResourceBoundError
-from .field import field_make, field_of_order
+from .field import field_of_order
 from .gltype import (canonical_matrix, centralizer_order, class_size,
                      enumerate_plain_types, format_gltype, gl_order, lift,
                      min_rank, modify, norm, parse_gltype, type_of)
@@ -137,12 +137,7 @@ def _print_expansion(expansion, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_irr(args) -> int:
-    if args.p is not None:
-        field = field_make(args.p, args.e)
-    elif args.q is not None:
-        field = field_of_order(args.q)
-    else:
-        raise ValueError("give --q or --p (with optional --e)")
+    field = field_of_order(args.q)
     polys = polyalg.enumerate_phi(field, args.dmax)
     if args.format == "machine":
         for f in polys:
@@ -407,9 +402,7 @@ _MU = ("--mu", {"required": True})
 #: name -> (help line, handler, own options, which shared options it takes)
 _COMMANDS = {
     "irr": ("list monic irreducibles (t excluded)", _cmd_irr, (
-        ("--q", {"type": _int}), ("--p", {"type": _int}),
-        ("--e", {"type": _int, "default": 1}),
-        ("--dmax", {"type": _int, "required": True})), {}),
+        _Q, ("--dmax", {"type": _int, "required": True})), {}),
     "classes": ("conjugacy-class table of GL_n(q)", _cmd_classes, (
         _Q, ("--n", {"type": _int, "required": True})), {}),
     "type": ("types of one matrix (rows 'a,b;c,d')", _cmd_type, (

@@ -55,10 +55,15 @@ def test_irr_lists_phi(capsys):
     assert out.splitlines() == ["t+1", "t^2+t+1"]
 
 
-def test_irr_accepts_p_and_e(capsys):
-    code, out, _ = run(capsys, "irr", "--p", "2", "--e", "2", "--dmax", "1",
+def test_irr_reads_the_field_from_q_alone(capsys):
+    code, out, _ = run(capsys, "irr", "--q", "4", "--dmax", "1",
                        "--format", "machine")
     assert code == 0 and len(out.splitlines()) == 3  # F_4 linear keys
+    for argv in (["irr", "--p", "2", "--dmax", "1"],
+                 ["irr", "--q", "4", "--p", "2", "--dmax", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_type_of_matrix(capsys):
@@ -218,6 +223,13 @@ def test_mul_resource_bound_exit_code(capsys):
                        "--memory-bound", "10",
                        "--lambda", "1@t-2", "--mu", "1@t-2")
     assert code == 3 and "resource bound exceeded" in err
+
+
+def test_negative_memory_bound_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "2", "--no-cache",
+                         "--memory-bound", "-5",
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 2 and not out and "negative" in err
 
 
 def test_memo_hit_honours_the_memory_bound(capsys):
