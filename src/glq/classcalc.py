@@ -11,7 +11,9 @@ of g·h₀, so any group of such c gives exact weights.  In a product a
 reflection class, g = I + u·φᵀ with u normalized, is never enumerated: its
 orbits are counted on the normalized u first, then, for each
 representative u₀, on the φ of its row under elements that fix u₀
-(_reflection_orbits), so the work is #rows·q^{n−1} codes.  Any other class
+(_reflection_orbits), so the work is #rows·q^{n−1} codes, and each g·h₀
+is a rank-one change of h₀ whose characteristic polynomial the
+determinant lemma gives for all of them at once.  Any other class
 is enumerated and merged element by element.  A reflection class times a
 class of minimal rank k is counted once at rank k + 2, split by tail type,
 and reweighted to every larger rank; rank k + 2 itself reads that split
@@ -234,12 +236,16 @@ def _reflection_pairs(field: "Field", n: int, xi: int,
         u, matfq.hyperplane_codes(field, n, u, target)[:, shift:], shift)
 
 
-def _reflections(field: "Field", u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The stack of I + u·φᵀ for the stacks of vectors u and φ."""
-    stack = field.mul_np[u[:, :, None], phi[:, None, :]]
-    d = np.arange(u.shape[1])
-    stack[:, d, d] = field.add_np[stack[:, d, d], 1]
-    return stack
+def _reflection_product_types(field: "Field", h0: np.ndarray, u: np.ndarray,
+                              phi: np.ndarray) -> list:
+    """The modified type of g·h₀ = h₀ + u·ψᵀ, ψ = h₀ᵀφ, for the reflection
+    g = I + u·φᵀ of each row pair of the stacks u and φ.  Their
+    characteristic polynomials come from one matfq.rank_one_char_polys
+    call; the kernel filtrations are each product's own."""
+    psi = matfq.mat_mul(field, phi, h0)  # rows φᵀ·h₀ = ψᵀ
+    prods = field.add_np[h0, field.mul_np[u[:, :, None], psi[:, None, :]]]
+    return [modified_type_of(field, A, cp) for A, cp in
+            zip(prods, matfq.rank_one_char_polys(field, h0, u, psi))]
 
 
 def _locate(tab, pairs: ReflectionPairs, rows, phi: np.ndarray):
@@ -489,7 +495,10 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
     sampled centralizer elements of h₀ is classified, weighted by the orbit
     size: for a reflection class by orbits on u, then on φ, so no array of
     the class's size is built (see _reflection_orbits), for any other by
-    orbits on its elements (see _centralizer_orbits).  This is done at
+    orbits on its elements (see _centralizer_orbits).  A reflection's
+    g·h₀ = h₀ + u·ψᵀ is classified from the characteristic polynomial the
+    determinant lemma gives (see _reflection_product_types), any other
+    g·h₀ from its own char_poly.  This is done at
     rank n itself unless the smaller class is a reflection class and
     n ≥ k + 2, k the minimal rank of the other: then the counts are those
     of rank k + 2, split by tail type and reweighted to rank n (see
@@ -521,22 +530,23 @@ def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
         counts = _reweighted_counts(small, other, n)
     else:
         h0 = canonical_matrix(lift(other, n))
+        # h₀·g = h₀·(g·h₀)·h₀⁻¹, so g·h₀ has its type whichever side the
+        # counted class is on
         if _reflection_eigenvalue(small) is None:
             # the caller has checked the memory bound; no class exceeds it
             orbit = enumerate_class(small, n, F, min(size_lam, size_mu))
             reps, weights = _centralizer_orbits(F, orbit, h0)
-            members = orbit.elements[reps]
+            types = [modified_type_of(F, prod) for prod in
+                     matfq.mat_mul(F, orbit.elements[reps], h0)]
         else:
             basis = matfq.commuting_space(F, h0, h0)
             samples = matfq.centralizer_samples(F, basis, CENTRALIZER_SAMPLES)
             (u, phi), weights = _reflection_orbits(small, n, h0, basis,
                                                    samples)
-            members = _reflections(F, u, phi)
+            types = _reflection_product_types(F, h0, u, phi)
         counts = Counter()
-        # h₀·g = h₀·(g·h₀)·h₀⁻¹, so g·h₀ has its type whichever side the
-        # counted class is on
-        for prod, weight in zip(matfq.mat_mul(F, members, h0), weights):
-            counts[modified_type_of(F, prod)] += int(weight)
+        for nu, weight in zip(types, weights):
+            counts[nu] += int(weight)
     # the candidate and determinant checks come first: the division
     # below reads |𝒦_ν(n)|, which exists only for a candidate ν
     _check(ClassSumExpansion(F, n, lam, mu, counts).term_violation())
@@ -620,10 +630,10 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
         -1, TAIL_RANK, TAIL_RANK)
     (u, phi), weights = _reflection_orbits(small, r, h0, basis, samples)
     counts: Counter = Counter()
-    for prod, tau, weight in zip(matfq.mat_mul(F, _reflections(F, u, phi), h0),
-                                 _tail_types(F, u[:, k:], phi[:, k:]),
-                                 weights):
-        counts[int(tau), modified_type_of(F, prod)] += int(weight)
+    for nu, tau, weight in zip(_reflection_product_types(F, h0, u, phi),
+                               _tail_types(F, u[:, k:], phi[:, k:]),
+                               weights):
+        counts[int(tau), nu] += int(weight)
     if len(_TAIL_SPLITS) >= TAIL_SPLITS_KEPT:
         del _TAIL_SPLITS[next(iter(_TAIL_SPLITS))]
     _TAIL_SPLITS[small, other] = counts

@@ -480,6 +480,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # checked here, before any handler, so that a cache hit or a suite
+        # that never reads the bound refuses it too
+        bound = getattr(args, "memory_bound", 0)
+        if bound < 0:
+            raise ValueError(f"the memory bound {bound} is negative")
         return args.handler(args)
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

@@ -140,8 +140,10 @@ def type_of(field: "Field", A: np.ndarray) -> GLType:
     return _type_of_invariant(field, matfq.conjugacy_invariant(field, A)[1])
 
 
-def modified_type_of(field: "Field", A: np.ndarray) -> GLType:
-    return _modified_type(field, matfq.conjugacy_invariant(field, A)[1])
+def modified_type_of(field: "Field", A: np.ndarray, cp=None) -> GLType:
+    """Modified type of an invertible matrix; cp, when given, is its known
+    characteristic polynomial (see matfq.conjugacy_invariant)."""
+    return _modified_type(field, matfq.conjugacy_invariant(field, A, cp)[1])
 
 
 # a product classifies thousands of matrices into a few types: each
@@ -194,16 +196,22 @@ def lift(T: GLType, n: int) -> GLType:
     members in GL_n(q).
     """
     unit = polyalg.t_minus_one(T.field)
+    new_e = _lifted_unit_partition(T, unit, n)
+    entries = [(f, parts) for f, parts in T.entries if f != unit]
+    if new_e:
+        entries.append((unit, new_e))
+    return gltype_make(T.field, entries)
+
+
+def _lifted_unit_partition(T: GLType, unit, n: int) -> Partition:
+    """The t-1 partition of lift(T, n): every part of T(unit) plus one,
+    padded with 1's; ClassEmptyError when n < ‖T‖ + ℓ(T(t−1))."""
     e_parts = T.get(unit)
     k = norm(T) + len(e_parts)
     if n < k:
         raise ClassEmptyError(
             f"class empty in G_{n}: modified type needs n >= {k}")
-    new_e = tuple(p + 1 for p in e_parts) + (1,) * (n - k)
-    entries = [(f, parts) for f, parts in T.entries if f != unit]
-    if new_e:
-        entries.append((unit, new_e))
-    return gltype_make(T.field, entries)
+    return tuple(p + 1 for p in e_parts) + (1,) * (n - k)
 
 
 def min_rank(T: GLType) -> int:
@@ -282,6 +290,8 @@ def q_binomial(q: int, m: int, b: int) -> int:
     return out
 
 
+# exact and pure, read by every class size; exceptions are not memoized
+@lru_cache(maxsize=4096)
 def a_partition(parts: Partition, Q: int) -> int:
     """Centralizer-order factor a_λ(Q) = Q^{|λ|+2n(λ)} ∏_i ∏_{j≤m_i} (1−Q^{−j}),
     in integers: Q^e ∏_i ∏_{j≤m_i} (Q^j − 1) with
@@ -336,8 +346,14 @@ def class_size(T: GLType, n: int) -> int:
 # (ClassEmptyError, InvariantError) are not memoized
 @lru_cache(maxsize=4096)
 def _class_size(T: GLType, n: int) -> int:
-    plain = lift(T, n)
-    out, rem = divmod(gl_order(T.field, n), centralizer_order(plain))
+    """|GL_n(q)| / |C(g)|, g of plain type lift(T, n): |C(g)| is the product
+    of the a_λ(q^deg f) of T's partitions off t-1 and the lifted one at t-1."""
+    q, unit = T.field.q, polyalg.t_minus_one(T.field)
+    order = a_partition(_lifted_unit_partition(T, unit, n), q)
+    for f, parts in T.entries:
+        if f != unit:
+            order *= a_partition(parts, q ** (len(f) - 1))
+    out, rem = divmod(gl_order(T.field, n), order)
     if rem:
         raise InvariantError("centralizer order must divide the group order")
     return out
@@ -359,9 +375,15 @@ def stable_class_size(T: GLType) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def enumerate_plain_types(field: "Field", n: int) -> list[GLType]:
-    """All plain types of norm exactly n, sorted canonically."""
+    """All plain types of norm exactly n, sorted canonically; a fresh list
+    each call, from one computation per (field, n) and process."""
     if n < 0:
         raise ValueError("norm must be nonnegative")
+    return list(_plain_types(field, n))
+
+
+@lru_cache(maxsize=64)
+def _plain_types(field: "Field", n: int) -> tuple[GLType, ...]:
     polys = sorted(polyalg.enumerate_phi(field, n) if n else [], key=len)
     out: list[GLType] = []
 
@@ -382,7 +404,7 @@ def enumerate_plain_types(field: "Field", n: int) -> list[GLType]:
                     acc.pop()
 
     rec(0, n, [])
-    return sorted(out, key=gltype_sort_key)
+    return tuple(sorted(out, key=gltype_sort_key))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "identity", "mat_mul", "mat_sub", "block_diag", "mat_eq", "rank",
-    "kernel_dim", "inverse", "nullspace", "char_poly", "poly_at_matrix",
-    "conjugacy_invariant", "commuting_space", "conjugator",
+    "kernel_dim", "inverse", "nullspace", "char_poly", "rank_one_char_polys",
+    "poly_at_matrix", "conjugacy_invariant", "commuting_space", "conjugator",
     "centralizer_samples", "conjugate_stack", "VectorTables",
     "vector_tables", "hyperplane_codes", "stabilizer_draws",
 ]
@@ -100,9 +100,10 @@ def mat_eq(A: np.ndarray, B: np.ndarray) -> bool:
 # elimination: rank, inverse, nullspace
 # ---------------------------------------------------------------------------
 
-def _reduce(field: Field, rows: list, ncols: int) -> list[int]:
-    """Reduced row echelon form of the first ncols columns of rows (int lists,
-    changed in place; later columns ride along); returns the pivot columns."""
+def _echelon(field: Field, rows: list, ncols: int) -> list[int]:
+    """Row echelon form of the first ncols columns of rows (int lists,
+    changed in place; later columns ride along) by forward elimination
+    alone, which is all a rank needs; returns the pivot columns."""
     add, mul, neg, inv = (field.add_table, field.mul_table,
                           field.neg_table, field.inv_table)
     m = len(rows)
@@ -111,30 +112,49 @@ def _reduce(field: Field, rows: list, ncols: int) -> list[int]:
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if rows[i][c]), -1)
-        if piv < 0:
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pinv = inv[prow[c]]
-        if pinv != 1:
-            rows[r] = prow = [mul[pinv][v] for v in prow]
-        for i in range(m):
-            if i == r:
-                continue
+        prow, pinv = rows[r], inv[rows[r][c]]
+        for i in range(r + 1, m):
             a = rows[i][c]
             if a:
-                ri, arow = rows[i], mul[a]
+                ri, arow = rows[i], mul[neg[mul[a][pinv]]]
                 for j in range(c, len(prow)):
                     if prow[j]:
-                        ri[j] = add[ri[j]][neg[arow[prow[j]]]]
+                        ri[j] = add[ri[j]][arow[prow[j]]]
         pivots.append(c)
     return pivots
 
 
+def _reduce(field: Field, rows: list, ncols: int) -> list[int]:
+    """Reduced row echelon form, as _echelon, followed by back-substitution:
+    from the last pivot up, each pivot row is scaled to lead with 1 and
+    cleared from the rows above."""
+    add, mul, neg, inv = (field.add_table, field.mul_table,
+                          field.neg_table, field.inv_table)
+    pivots = _echelon(field, rows, ncols)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        prow, pinv = rows[r], inv[rows[r][c]]
+        if pinv != 1:
+            rows[r] = prow = [mul[pinv][v] for v in prow]
+        for i in range(r):
+            a = rows[i][c]
+            if a:
+                ri, arow = rows[i], mul[neg[a]]
+                for j in range(c, len(prow)):
+                    if prow[j]:
+                        ri[j] = add[ri[j]][arow[prow[j]]]
+    return pivots
+
+
 def rank(field: Field, A: np.ndarray) -> int:
-    """Gaussian elimination with exact pivoting."""
-    return len(_reduce(field, A.tolist(), A.shape[1]))
+    """Gaussian elimination with exact pivoting, forward only."""
+    return len(_echelon(field, A.tolist(), A.shape[1]))
 
 
 def kernel_dim(field: Field, A: np.ndarray) -> int:
@@ -236,6 +256,28 @@ def char_poly(field: Field, A: np.ndarray) -> tuple[int, ...]:
     return polys[n]
 
 
+def rank_one_char_polys(field: Field, M: np.ndarray, u: np.ndarray,
+                        psi: np.ndarray) -> list[tuple[int, ...]]:
+    """det(tI − A) of A = M + u·ψᵀ for each row pair of the (N, n) stacks u
+    and ψ, by the matrix determinant lemma: with χ_M = Σ_i c_i·tⁱ and
+    m_j = ψᵀ·Mʲ·u, χ_A = χ_M − Σ_j m_j·Σ_{i>j} c_i·t^{i−j−1}.  One
+    char_poly, n stacked products for the Mʲ·u and their dot products with
+    ψ, and one (N, n)·(n, n+1) product with the c_i, whatever N."""
+    n = M.shape[0]
+    c = char_poly(field, M)
+    m = np.empty((len(u), n), np.uint8)
+    power = u  # rows (Mʲ·u)ᵀ
+    for j in range(n):
+        if j:
+            power = mat_mul(field, power, M.T)
+        m[:, j] = mat_mul(field, psi[:, None, :], power[:, :, None])[:, 0, 0]
+    shifted = np.array([[c[i + j + 1] if i + j < n else 0
+                         for i in range(n + 1)] for j in range(n)], np.uint8)
+    chi = field.add_np[np.array(c, np.uint8),
+                       field.neg_np[mat_mul(field, m, shifted)]]
+    return [tuple(row) for row in chi.tolist()]
+
+
 def poly_at_matrix(field: Field, f, A: np.ndarray) -> np.ndarray:
     """Evaluate a polynomial at a square matrix by Horner's rule, started
     from c_d·A + c_{d−1}·I, so degree d ≥ 1 costs d − 1 matrix products."""
@@ -255,14 +297,17 @@ def poly_at_matrix(field: Field, f, A: np.ndarray) -> np.ndarray:
 # conjugacy invariants and conjugator search
 # ---------------------------------------------------------------------------
 
-def conjugacy_invariant(field: Field, A: np.ndarray):
+def conjugacy_invariant(field: Field, A: np.ndarray, cp=None):
     """Complete conjugacy invariant for GL: the characteristic polynomial with,
     per irreducible factor f of degree d and multiplicity m, the kernel
     dimensions of f(A)^i for i = 1, 2, ... until they stabilize at d*m.
 
-    Multiplicity-1 factors contribute (d,) with no matrix work.
+    cp, when given, is taken as A's characteristic polynomial (a reflection
+    product has it from rank_one_char_polys).  Multiplicity-1 factors
+    contribute (d,) with no matrix work.
     """
-    cp = char_poly(field, A)
+    if cp is None:
+        cp = char_poly(field, A)
     if cp[0] == 0:
         raise ValueError("matrix is singular over " + repr(field))
     data = []

@@ -12,13 +12,16 @@ from glq import classcalc, gltype, polyalg
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Start every test with the process memos of products, tail-split
-    counts, class sizes, orbits, factorizations and classified invariants
-    empty, so that a test which injects a fault sees it computed instead of
-    served from an earlier test's result."""
+    counts, class sizes, a_λ(Q) factors, plain-type lists, orbits,
+    factorizations and classified invariants empty, so that a test which
+    injects a fault sees it computed instead of served from an earlier
+    test's result."""
     classcalc._product_terms.cache_clear()
     classcalc._TAIL_SPLITS.clear()
     classcalc._build_orbit.cache_clear()
     gltype._class_size.cache_clear()
+    gltype.a_partition.cache_clear()
+    gltype._plain_types.cache_clear()
     gltype._modified_type.cache_clear()
     polyalg._factor_monic.cache_clear()
 

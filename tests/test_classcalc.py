@@ -597,9 +597,9 @@ def test_one_centralizer_basis_per_product(monkeypatch, lam, mu, n):
         bases.append((A, B))
         return real_space(field, A, B)
 
-    def invariant(field, A):
+    def invariant(field, A, cp=None):
         invariants.append(A)
-        return real_invariant(field, A)
+        return real_invariant(field, A, cp)
 
     monkeypatch.setattr(matfq, "commuting_space", space)
     monkeypatch.setattr(matfq, "conjugacy_invariant", invariant)

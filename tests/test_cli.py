@@ -232,6 +232,23 @@ def test_negative_memory_bound_is_a_domain_error(capsys):
     assert code == 2 and not out and "negative" in err
 
 
+def test_negative_memory_bound_is_refused_on_a_cache_hit(tmp_path, capsys):
+    argv = ("mul", "--q", "3", "--n", "2", "--lambda", "1@t-2",
+            "--mu", "1@t-2", "--cache", str(tmp_path / "cache.tsv"))
+    assert run(capsys, *argv)[0] == 0  # the miss writes the record
+    code, out, err = run(capsys, *argv, "--memory-bound", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: the memory bound -5 is negative\n"
+
+
+def test_negative_memory_bound_is_refused_by_a_suite_that_never_reads_it(
+        capsys):
+    code, out, err = run(capsys, "verify", "--suite", "centralizers",
+                         "--memory-bound", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: the memory bound -5 is negative\n"
+
+
 def test_memo_hit_honours_the_memory_bound(capsys):
     argv = ("mul", "--q", "3", "--n", "3", "--no-cache",
             "--lambda", "1@t-2", "--mu", "1@t-2")
@@ -476,7 +493,7 @@ def test_arithmetic_failure_in_a_lookup_exits_one(tmp_path, capsys,
             "--mu", "1@t-2", "--cache", str(path))
     assert run(capsys, *argv)[0] == 0
     gltype._class_size.cache_clear()
-    monkeypatch.setattr(gltype, "centralizer_order", lambda T: 7)  # ∤ 48
+    monkeypatch.setattr(gltype, "a_partition", lambda parts, Q: 7)  # 49 ∤ 48
     lam = parse_gltype(F3, "1@t-2")
     with pytest.raises(InvariantError, match="centralizer order"):
         ExpansionCache(path).lookup(make_key(lam, lam, 2))

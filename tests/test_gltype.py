@@ -187,7 +187,7 @@ def test_classification_memo_caches_no_error(monkeypatch):
     # an invariant of t²+1 whose kernel is not a multiple of its degree
     bad = (((1, 0, 1), (1,)),)
     monkeypatch.setattr(matfq, "conjugacy_invariant",
-                        lambda field, A: (None, bad))
+                        lambda field, A, cp=None: (None, bad))
     for _ in range(2):
         with pytest.raises(InvariantError, match="not divisible by degree"):
             modified_type_of(F3, J)
@@ -450,9 +450,10 @@ def test_class_size_frozen():
 
 def test_class_size_checks_divisibility_explicitly(monkeypatch):
     # an explicit error, not an assert, so it also holds under python -O
-    monkeypatch.setattr(gltype, "centralizer_order", lambda T: 5)
+    # the centralizer order is the product of the a_λ of the lifted type
+    monkeypatch.setattr(gltype, "a_partition", lambda parts, Q: 5)
     with pytest.raises(InvariantError, match="must divide the group order"):
-        class_size(T(F3, "1@t-2"), 2)  # 5 does not divide |GL_2(3)| = 48
+        class_size(T(F3, "1@t-2"), 2)  # 5·5 does not divide |GL_2(3)| = 48
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])

@@ -6,11 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import poly_add
 from glq import matfq, polyalg
 from glq.errors import InvariantError
-from glq.field import field_make
+from glq.field import field_make, field_of_order
 from glq.gltype import canonical_matrix, lift, parse_gltype
 
 F2 = field_make(2)
@@ -67,6 +69,26 @@ def kernel_count_oracle(field, A):
         if not matfq.mat_mul(field, A, v.reshape(n, 1)).any():
             count += 1
     return count
+
+
+def full_reduction_oracle(field, A):
+    """Rank and reduced row echelon rows of A by one-stage Gauss–Jordan
+    elimination, clearing every other row at each pivot: the reference for
+    matfq's forward elimination and back-substitution."""
+    rows, r = A.tolist(), 0
+    for c in range(A.shape[1]):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [field.sub(x, field.mul(row[c], y))
+                           for x, y in zip(row, rows[r])]
+        r += 1
+    return r, rows
 
 
 def random_matrix(field, n, rng):
@@ -174,6 +196,35 @@ def test_rank_equals_rank_of_transpose(field):
         assert matfq.rank(field, A) == matfq.rank(field, A.T)
 
 
+@st.composite
+def rectangular_matrices(draw):
+    """A matrix of 1 to 6 rows and columns over F_q, q ≤ 9, made singular
+    half the time by a zero column or a repeated row."""
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 8, 9))))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = np.array(draw(st.lists(st.integers(0, field.q - 1), min_size=m * n,
+                               max_size=m * n)), np.uint8).reshape(m, n)
+    flaw = draw(st.sampled_from(("none", "zero column", "repeated row")))
+    if flaw == "zero column":
+        A[:, draw(st.integers(0, n - 1))] = 0
+    elif flaw == "repeated row" and m > 1:
+        A[-1] = A[0]
+    return field, A
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rectangular_matrices())
+def test_forward_rank_equals_full_reduction_rank(case):
+    field, A = case
+    r, reduced = full_reduction_oracle(field, A)
+    assert matfq.rank(field, A) == r
+    assert matfq.kernel_dim(field, A) == A.shape[1] - r
+    # the back-substitution stage gives the same reduced rows
+    rows = A.tolist()
+    assert len(matfq._reduce(field, rows, A.shape[1])) == r
+    assert rows == reduced
+
+
 def test_inverse_frozen_cases():
     A = np.array([[2, 0], [0, 1]], dtype=np.uint8)
     assert matfq.inverse(F3, A).tolist() == [[2, 0], [0, 1]]
@@ -258,6 +309,42 @@ def test_char_poly_matches_oracle(field, n):
     for _ in range(6):
         A = random_matrix(field, n, rng)
         assert matfq.char_poly(field, A) == char_poly_oracle(field, A)
+
+
+@st.composite
+def rank_one_updates(draw):
+    """h₀ ∈ GL_n(q) and stacks u, φ of 1 to 4 rows for n ≤ 6, q ≤ 9; the
+    last row pair is u = e₁, φ = −e₁, so that g = I + u·φᵀ and g·h₀ are
+    singular."""
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 8, 9))))
+    n, rows = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+    def matrix(m):
+        return np.array(draw(st.lists(
+            st.integers(0, field.q - 1), min_size=m * n, max_size=m * n)),
+            np.uint8).reshape(m, n)
+
+    h0 = matrix(n)
+    assume(matfq.rank(field, h0) == n)
+    u, phi = matrix(rows), matrix(rows)
+    u[-1], phi[-1] = 0, 0
+    u[-1, 0], phi[-1, 0] = 1, field.neg(1)
+    return field, h0, u, phi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rank_one_updates())
+def test_rank_one_char_polys_equal_char_poly(case):
+    field, h0, u, phi = case
+    n = h0.shape[0]
+    psi = matfq.mat_mul(field, phi, h0)  # rows φᵀ·h₀ = (h₀ᵀφ)ᵀ
+    polys = matfq.rank_one_char_polys(field, h0, u, psi)
+    assert len(polys) == len(u)
+    for cp, x, y in zip(polys, u, phi):
+        g = field.mul_np[x[:, None], y[None, :]]  # g = I + u·φᵀ
+        g[range(n), range(n)] = field.add_np[g[range(n), range(n)], 1]
+        assert cp == matfq.char_poly(field, matfq.mat_mul(field, g, h0))
+    assert polys[-1][0] == 0  # the singular product
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])
