@@ -29,7 +29,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -41,6 +41,7 @@ from .gltype import (GLType, canonical_matrix, class_size, det_of_type,
                      enumerate_plain_types, format_gltype, gl_order,
                      gltype_sort_key, lift, min_rank, modified_type_of, norm,
                      reflection_length, stable_class_size)
+from .memo import memo
 
 if TYPE_CHECKING:
     from .field import Field
@@ -59,7 +60,6 @@ DEFAULT_PAIR_BOUND = 10 ** 8
 DEFAULT_GROUP_BOUND = 10 ** 7
 CENTRALIZER_SAMPLES = 3
 TAIL_RANK = 2  # a reflection product is read at rank min_rank(other) + this
-TAIL_SPLITS_KEPT = 64  # tail splits kept per process: _tail_split_counts
 CHEAP_ROUNDS = 8  # pull-only merge rounds before pulls along perm^(2^k)
 STABILIZER_DRAWS = 4  # per row and centralizer sample: _reflection_orbits
 DRAW_ENTRIES = 2 ** 13  # entries of the images of one batch of those draws
@@ -292,7 +292,7 @@ def enumerate_class(mu: GLType, n: int, field: "Field" = None,
 
 
 # behind _check_enumerable: never serves a class the bound refuses
-@lru_cache(maxsize=4)
+@memo(4)
 def _build_orbit(mu: GLType, n: int) -> ClassOrbit:
     """Closure of the canonical matrix under conjugation by the generators,
     one breadth-first level per step; the order is that of a first-in
@@ -517,9 +517,9 @@ def multiply_class_sums(lam: GLType, mu: GLType, n: int,
 
 
 # read only behind multiply_class_sums's checks; exact, symmetric, and pure
-# in (λ, μ, n) since the field is that of the counted class.  Exceptions
-# are not memoized, and callers get a copy of the terms.
-@lru_cache(maxsize=1024)
+# in (λ, μ, n) since the field is that of the counted class; callers get
+# a copy of the terms
+@memo(1024)
 def _product_terms(lam: GLType, mu: GLType, n: int) -> dict:
     size_lam = class_size(lam, n)
     size_mu = class_size(mu, n)
@@ -592,12 +592,12 @@ def _reads_tail_split(small: GLType, other: GLType, n: int) -> bool:
     m = n - min_rank(other)
     return m > TAIL_RANK or (m == TAIL_RANK and (
         not other.get(polyalg.t_minus_one(other.field))
-        or (small, other) in _TAIL_SPLITS))
+        or _tail_split_counts.holds(small, other)))
 
 
-_TAIL_SPLITS: dict = {}  # (small, other) → _tail_split_counts, oldest first
-
-
+# one split per pair and process, shared by every rank above k + TAIL_RANK;
+# _reads_tail_split asks whether it is held
+@memo(64)
 def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     """N_τν(r) = #{g ∈ 𝒦_small(r) of tail type τ : g·h₀ ∈ 𝒦_ν} at rank
     r = k + TAIL_RANK, k = min_rank(other), where small is a reflection
@@ -606,11 +606,7 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
     are those of units of 𝒜_J ⊕ M_TAIL_RANK, 𝒜_J the commutant of J: the
     row samples diag(c, I) for c ∈ C(J) and diag(I, s) for the generators
     s of GL_TAIL_RANK, and the stabilizers drawn from that algebra.  They
-    keep τ.  Computed once per pair and process: the last TAIL_SPLITS_KEPT
-    splits are kept in _TAIL_SPLITS, where _reads_tail_split looks them up
-    (exceptions are not kept)."""
-    if (small, other) in _TAIL_SPLITS:
-        return _TAIL_SPLITS[small, other]
+    keep τ."""
     F, k = small.field, min_rank(other)
     r = k + TAIL_RANK
     J = canonical_matrix(lift(other, k))
@@ -634,9 +630,6 @@ def _tail_split_counts(small: GLType, other: GLType) -> Counter:
                                _tail_types(F, u[:, k:], phi[:, k:]),
                                weights):
         counts[int(tau), nu] += int(weight)
-    if len(_TAIL_SPLITS) >= TAIL_SPLITS_KEPT:
-        del _TAIL_SPLITS[next(iter(_TAIL_SPLITS))]
-    _TAIL_SPLITS[small, other] = counts
     return counts
 
 

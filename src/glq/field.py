@@ -55,7 +55,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus", "zero", "one",
         "add_table", "neg_table", "mul_table", "inv_table",
-        "add_np", "mul_np", "neg_np", "_generator",
+        "add_np", "mul_np", "neg_np", "_generator", "_hash",
     )
 
     def __init__(self, p: int, e: int):
@@ -69,6 +69,8 @@ class Field:
         self.p, self.e, self.q = p, e, q
         self.zero, self.one = 0, 1
         self._generator = None
+        # every memo key holding a field or a type hashes it
+        self._hash = hash((Field, p, e))
 
         if e == 1:
             self.modulus = None
@@ -211,7 +213,7 @@ class Field:
         return isinstance(other, Field) and (self.p, self.e) == (other.p, other.e)
 
     def __hash__(self) -> int:
-        return hash((Field, self.p, self.e))
+        return self._hash
 
     def __reduce__(self):
         return field_make, (self.p, self.e)

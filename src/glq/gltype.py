@@ -15,13 +15,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matfq, polyalg
 from .errors import ClassEmptyError, InvariantError
+from .memo import memo
 
 if TYPE_CHECKING:
     from .field import Field
@@ -54,7 +54,7 @@ def conjugate_partition(parts: Partition) -> Partition:
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-@lru_cache(maxsize=None)
+@memo(4096)
 def _partitions(n: int, maxpart: int) -> tuple[Partition, ...]:
     if n == 0:
         return ((),)
@@ -147,13 +147,16 @@ def modified_type_of(field: "Field", A: np.ndarray, cp=None) -> GLType:
 
 
 # a product classifies thousands of matrices into a few types: each
-# invariant is turned into a type once per process; errors are not cached
-@lru_cache(maxsize=4096)
+# invariant is turned into a type once per process
+@memo(4096)
 def _modified_type(field: "Field", data: tuple) -> GLType:
-    return modify(_type_of_invariant(field, data))
+    return _type_of_invariant(field, data, modified=True)
 
 
-def _type_of_invariant(field: "Field", data: tuple) -> GLType:
+def _type_of_invariant(field: "Field", data: tuple,
+                       modified: bool = False) -> GLType:
+    """The plain type of the kernel filtrations `data`, or its modified
+    type, built as one GLType."""
     entries = []
     for f, dims in data:
         d = len(f) - 1
@@ -169,6 +172,8 @@ def _type_of_invariant(field: "Field", data: tuple) -> GLType:
         if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
             raise InvariantError("kernel filtration increments must decrease")
         entries.append((f, conjugate_partition(tuple(cols))))
+    if modified:
+        entries = _modified_entries(entries, polyalg.t_minus_one(field))
     return gltype_make(field, entries)
 
 
@@ -178,15 +183,19 @@ def _type_of_invariant(field: "Field", data: tuple) -> GLType:
 
 def modify(T: GLType) -> GLType:
     """Decrement every part of the t-1 partition; other entries unchanged."""
-    unit = polyalg.t_minus_one(T.field)
-    entries = []
-    for f, parts in T.entries:
+    return gltype_make(T.field, _modified_entries(
+        T.entries, polyalg.t_minus_one(T.field)))
+
+
+def _modified_entries(entries, unit):
+    """The (f, partition) entries with every part at f = unit one less,
+    and that entry dropped once no part is left."""
+    for f, parts in entries:
         if f == unit:
             parts = tuple(p - 1 for p in parts if p > 1)
             if not parts:
                 continue
-        entries.append((f, parts))
-    return gltype_make(T.field, entries)
+        yield f, parts
 
 
 def lift(T: GLType, n: int) -> GLType:
@@ -290,8 +299,8 @@ def q_binomial(q: int, m: int, b: int) -> int:
     return out
 
 
-# exact and pure, read by every class size; exceptions are not memoized
-@lru_cache(maxsize=4096)
+# exact and pure, read by every class size
+@memo(4096)
 def a_partition(parts: Partition, Q: int) -> int:
     """Centralizer-order factor a_λ(Q) = Q^{|λ|+2n(λ)} ∏_i ∏_{j≤m_i} (1−Q^{−j}),
     in integers: Q^e ∏_i ∏_{j≤m_i} (Q^j − 1) with
@@ -342,9 +351,8 @@ def class_size(T: GLType, n: int) -> int:
     return _class_size(T, n)  # one memo entry for positional and keyword n
 
 
-# exact and pure in (T, n), so computed once per process; exceptions
-# (ClassEmptyError, InvariantError) are not memoized
-@lru_cache(maxsize=4096)
+# exact and pure in (T, n), so computed once per process
+@memo(4096)
 def _class_size(T: GLType, n: int) -> int:
     """|GL_n(q)| / |C(g)|, g of plain type lift(T, n): |C(g)| is the product
     of the a_λ(q^deg f) of T's partitions off t-1 and the lifted one at t-1."""
@@ -382,7 +390,7 @@ def enumerate_plain_types(field: "Field", n: int) -> list[GLType]:
     return list(_plain_types(field, n))
 
 
-@lru_cache(maxsize=64)
+@memo(64)
 def _plain_types(field: "Field", n: int) -> tuple[GLType, ...]:
     polys = sorted(polyalg.enumerate_phi(field, n) if n else [], key=len)
     out: list[GLType] = []

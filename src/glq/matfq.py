@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import polyalg
 from .errors import InconclusiveError, InvariantError
+from .memo import memo
 
 if TYPE_CHECKING:
     from .field import Field
@@ -437,7 +437,7 @@ class VectorTables(NamedTuple):
     normals: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@memo(8)
 def vector_tables(field: Field, n: int) -> VectorTables:
     """The tables of F_q^n, built once per (field, n) for every class and
     every sample: their size is qⁿ, not the class size."""

@@ -17,12 +17,12 @@ signed one by parse_int.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantError, ResourceBoundError
+from .memo import memo
 
 if TYPE_CHECKING:
     from .field import Field
@@ -153,7 +153,7 @@ def _gauss_count(q: int, d: int) -> int:
 _SIEVE_BOUND = 1 << 20
 
 
-@lru_cache(maxsize=None)
+@memo(64)
 def _phi_cached(field: Field, dmax: int) -> tuple[tuple[int, ...], ...]:
     """Phi up to degree dmax by a sieve: at each degree d, the products of
     every known irreducible of degree a <= d/2 with every monic of degree
@@ -229,8 +229,8 @@ def factor_monic(field: Field, f) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 # a product classifies thousands of matrices with a few characteristic
-# polynomials: each is factored once per process; errors are not cached
-@lru_cache(maxsize=4096)
+# polynomials: each is factored once per process
+@memo(4096)
 def _factor_monic(field: Field, f: tuple) -> tuple:
     if not f or f[-1] != 1:
         raise ValueError("factor_monic requires a monic polynomial")

@@ -18,7 +18,6 @@ import os
 import re
 import time
 import warnings
-from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +25,7 @@ from .classcalc import ClassSumExpansion
 from .errors import ResourceBoundError
 from .field import field_of_order
 from .gltype import GLType, format_gltype, parse_gltype
+from .memo import memo
 
 __all__ = [
     "ExpansionCache", "make_key", "parse_key", "format_record",
@@ -38,10 +38,9 @@ _KEY = re.compile(r"q=(\d+);n=(\w+);lambda=(.*?);mu=(.*)")
 
 # A cache file repeats a few dozen type texts across its records, so loads
 # memoize parsing.  The lookup of parse_gltype happens at call time, not
-# import time, so the function can be replaced or wrapped from outside;
-# exceptions are not memoized.
+# import time, so the function can be replaced or wrapped from outside.
 
-@lru_cache(maxsize=4096)
+@memo(4096)
 def _parse_type(field, text: str) -> GLType:
     return parse_gltype(field, text)
 

@@ -647,11 +647,11 @@ def test_terms_do_not_depend_on_centralizer_samples(case):
     terms = []
     for samples in (0, 1, 3):
         classcalc._product_terms.cache_clear()  # computed with these samples
-        classcalc._TAIL_SPLITS.clear()
+        classcalc._tail_split_counts.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(lam, mu, n).terms)
-        assert len(classcalc._TAIL_SPLITS) == tail
+        assert classcalc._tail_split_counts.cache_info().currsize == tail
     assert terms[0] == terms[1] == terms[2]
     if sizes[0] * sizes[1] <= 2000:
         assert multiply_oracle(lam, mu, n).terms == terms[0]
@@ -752,7 +752,7 @@ def test_rank_eight_reflection_product_runs_every_check(monkeypatch):
     finally:
         tracemalloc.stop()
     assert product.terms == parse_expansion(F3, 8, lam, mu, RANK_EIGHT).terms
-    assert len(classcalc._TAIL_SPLITS) == 0
+    assert classcalc._tail_split_counts.cache_info().currsize == 0
     assert {("term_violation", 8), ("violation", 8)} <= set(checked)
     assert peak < 20 * 10 ** 6
 
@@ -833,11 +833,11 @@ def test_rescaled_terms_do_not_depend_on_centralizer_samples(q, lam, mu, n):
     terms = []
     for samples in (0, 1, 3):
         classcalc._product_terms.cache_clear()
-        classcalc._TAIL_SPLITS.clear()
+        classcalc._tail_split_counts.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, "CENTRALIZER_SAMPLES", samples)
             terms.append(multiply_class_sums(T(F, lam), T(F, mu), n).terms)
-        assert len(classcalc._TAIL_SPLITS) == 1
+        assert classcalc._tail_split_counts.cache_info().currsize == 1
     assert terms[0] == terms[1] == terms[2]
 
 
@@ -859,7 +859,7 @@ def test_rescaled_counts_are_checked(monkeypatch):
             ("_tail_sizes", lambda q, m: (7919,) * 5 if m == 2
              else real_sizes(q, m), "does not rescale to an integer"),
             ("canonical_matrix", flipped, r"is not diag\(J, I\)")):
-        classcalc._TAIL_SPLITS.clear()
+        classcalc._tail_split_counts.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classcalc, name, fake)
             with pytest.raises(InvariantError, match=match):
@@ -1080,7 +1080,8 @@ def test_verify_stability_reads_rank_k_plus_2_from_the_split(monkeypatch):
     lam = T(F2, "1@t-1")
     rep = verify_stability(lam, lam, T(F2, "1,1@t-1"), n_list=(5, 4, 6, 4))
     assert rep.values == ((5, 6), (4, 6), (6, 6), (4, 6))
-    assert counted == [4] and len(classcalc._TAIL_SPLITS) == 1
+    assert counted == [4]
+    assert classcalc._tail_split_counts.cache_info().currsize == 1
 
 
 @pytest.mark.slow

@@ -269,7 +269,7 @@ def test_memory_bound_counts_the_rank_n_class_of_a_rescaled_product(capsys):
     assert code == 3 and not out and "7170080" in err
     code, out, _ = run(capsys, *argv, "--memory-bound", "8000000",
                        "--format", "machine")
-    assert code == 0 and len(classcalc._TAIL_SPLITS) == 1
+    assert code == 0 and classcalc._tail_split_counts.cache_info().currsize == 1
     text = out.split("\t")[1]
     assert text == "∅,7170080|1@t-1,4369|1,1@t-1,12|2@t-1,6|2@t-2,3|1@t^2+1,4"
     lam = parse_gltype(F3, "1@t-1")

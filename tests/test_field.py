@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glq.cli import main
-from glq.field import field_make, field_of_order, MAX_Q
+from glq.field import Field, field_make, field_of_order, MAX_Q
 
 
 def scan_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -194,3 +194,15 @@ def test_interning_and_pickle():
     assert F is field_make(3, 1)
     assert pickle.loads(pickle.dumps(F)) is F
     assert field_of_order(4) is field_make(2, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+def test_equal_fields_hash_equal(q):
+    # the hash is kept from construction; a field built directly, not
+    # interned, and a pickled copy equal the interned field and hash alike
+    F = field_of_order(q)
+    for other in (Field(F.p, F.e), pickle.loads(pickle.dumps(F)),
+                  pickle.loads(pickle.dumps(Field(F.p, F.e)))):
+        assert other == F and hash(other) == hash(F)
+    assert {F: q}[Field(F.p, F.e)] == q
+    assert len({hash(field_of_order(r)) for r in (2, 3, 4, 5, 8, 9)}) == 6

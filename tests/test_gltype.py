@@ -220,6 +220,23 @@ def test_type_of_invariant_under_random_conjugation(q, n, seed):
     assert type_of(field, gx) == type_of(field, g)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4, 5, 9)), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_modified_type_of_is_modify_of_type_of(q, n, from_type, seed):
+    # the modified type is built in one step; from_type conjugates the
+    # canonical matrix of a random plain type, so that t-1 partitions of
+    # every shape occur, not only those of random matrices
+    field = field_of_order(q)
+    rng = random.Random(seed)
+    g = canonical_matrix(rng.choice(enumerate_plain_types(field, n))) \
+        if from_type else random_invertible(field, n, rng)
+    x = random_invertible(field, n, rng)
+    A = matfq.mat_mul(field, matfq.mat_mul(field, x, g),
+                      matfq.inverse(field, x))
+    assert modified_type_of(field, A) == modify(type_of(field, A))
+
+
 # ---------------------------------------------------------------------------
 # modify / lift
 # ---------------------------------------------------------------------------
