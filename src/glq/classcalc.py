@@ -248,12 +248,12 @@ def _reflection_product_types(field: "Field", h0: np.ndarray, u: np.ndarray,
             zip(prods, matfq.rank_one_char_polys(field, h0, u, psi))]
 
 
-def _locate(tab, pairs: ReflectionPairs, rows, phi: np.ndarray):
+def _locate(q: int, pairs: ReflectionPairs, rows, w, phi: np.ndarray):
     """Where the codes φ are in the rows `rows` of `pairs`, as positions
-    r·#φ + k, and whether the φ stored there is φ."""
-    width = pairs.phi.shape[1]
-    lead = tab.lead[pairs.u[rows]]
-    col = tab.dropped[lead * len(tab.vectors) + phi] - pairs.shift
+    r·#φ + k, and whether the φ stored there is φ; k is φ without the lead
+    coordinate of the row's u, whose weight is w = q^{n−1−lead}."""
+    width, (high, low) = pairs.phi.shape[1], np.divmod(phi, w)
+    col = high // q * w + low - pairs.shift
     at = rows * width + col
     found = (col >= 0) & (col < width) & (
         pairs.phi.take(at, mode="clip") == phi)
@@ -432,28 +432,33 @@ def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
     to one image, or v to 0 when ξ = 1.  Smaller rows are not sampled.  The
     rows share one label space of #rows·#φ for one _merge_orbits call, and a
     φ orbit weighs its size times its row orbit's."""
-    F, tab = small.field, matfq.vector_tables(small.field, n)
-    vectors, normals = tab.vectors, tab.normals
+    F, q = small.field, small.field.q
+    # the normalized u by lead index, then by code (matfq.normal_position)
+    normals = np.concatenate([q ** j + np.arange(q ** j)
+                              for j in range(n - 1, -1, -1)])
     _check_commute(F, h0, [*samples, *basis])
     stack = np.array(samples, dtype=np.uint8).reshape(-1, n, n)
-    image = tab.normal[matfq.mat_mul(F, vectors[normals],
-                                     stack.swapaxes(1, 2)) @ tab.weights]
-    where = tab.position[image]
+    lead, image = matfq.normalize(F, matfq.mat_mul(
+        F, polyalg.to_digits(normals, q, n), stack.swapaxes(1, 2)))
+    where = matfq.normal_position(q, n, lead, image)
     _check_found(small, normals.take(where, mode="clip") == image)
     rows, row_sizes = _merge_orbits(list(where), len(normals))
     pairs = _reflection_pairs(F, n, _reflection_eigenvalue(small),
                               normals[rows])
-    (R, m), u = pairs.phi.shape, vectors[pairs.u]
+    (R, m), u = pairs.phi.shape, polyalg.to_digits(pairs.u, q, n)
     draws = STABILIZER_DRAWS * CENTRALIZER_SAMPLES * (m > 2)
     C = matfq.stabilizer_draws(F, basis, u, draws, random.Random(0))
-    u = u[:, None, :, None]
-    if not (matfq.mat_mul(F, C, u) == u).all():
+    fixed = u[:, None, :, None]
+    if not (matfq.mat_mul(F, C, fixed) == fixed).all():
         raise InvariantError("a stabilizer sample moves its row's u")
-    at, perms, phis = np.arange(R)[:, None, None], [], vectors[pairs.phi]
+    at, perms = np.arange(R)[:, None, None], []
+    phis = polyalg.to_digits(pairs.phi, q, n)
+    w = q ** (n - 1 - np.argmax(u[at] != 0, axis=-1))  # see _locate
     step = max(1, DRAW_ENTRIES // (R * m * n))
     for j in range(0, draws, step):
-        codes = matfq.mat_mul(F, phis[:, None], C[:, j:j + step]) @ tab.weights
-        pos, found = _locate(tab, pairs, at, codes)
+        codes = polyalg.from_digits(
+            matfq.mat_mul(F, phis[:, None], C[:, j:j + step]), q)
+        pos, found = _locate(q, pairs, at, w, codes)
         _check_found(small, found | (codes == 0))  # 0: c is singular
         keep = found.all(2) & (np.sort(pos) == at * m + range(m)).all(2)
         # each row's kept draws first, so that few perms carry them all
@@ -467,7 +472,7 @@ def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
     if int(weights.sum()) != class_size(small, n):
         raise InvariantError(f"orbit weights sum to {weights.sum()}, not the "
                              f"class size of {format_gltype(small)}")
-    return (vectors[pairs.u[row]], vectors[pairs.phi[row, col]]), weights
+    return (u[row], phis[row, col]), weights
 
 
 def _product_det(lam: GLType, mu: GLType) -> int:

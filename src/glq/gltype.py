@@ -95,6 +95,12 @@ class GLType:
             seen.append(polyalg.poly_key(self.field, f))
         if sorted(seen) != seen or len(set(seen)) != len(seen):
             raise ValueError("entries must be strictly sorted by polynomial")
+        # entries alone: a pickled type keeps this hash, and a field's
+        # hash differs between processes
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def get(self, f) -> Partition:
         for g, parts in self.entries:

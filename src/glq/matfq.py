@@ -5,22 +5,21 @@ Products of prime-field matrices run through int64 numpy matmul, and those
 of extension-field matrices through the field's numpy tables; everything
 scalar-heavy (elimination, Hessenberg reduction) runs on plain int lists
 indexed into the field's lookup tables, which is both exact and fast at
-desk scale (n <= 8 or so).  The vectors of F_q^n are also kept as integer
-codes, with look-up tables over all of them (vector_tables), for the
-hyperplanes φ(u) = t and the stabilizer draws that count reflection classes.
+desk scale (n <= 8 or so).  The vectors of F_q^n that count reflection
+classes are integer codes, converted where they are read (polyalg.to_digits
+and from_digits); no table over all of F_q^n is kept.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import polyalg
 from .errors import InconclusiveError, InvariantError
-from .memo import memo
 
 if TYPE_CHECKING:
     from .field import Field
@@ -29,8 +28,8 @@ __all__ = [
     "identity", "mat_mul", "mat_sub", "block_diag", "mat_eq", "rank",
     "kernel_dim", "inverse", "nullspace", "char_poly", "rank_one_char_polys",
     "poly_at_matrix", "conjugacy_invariant", "commuting_space", "conjugator",
-    "centralizer_samples", "conjugate_stack", "VectorTables",
-    "vector_tables", "hyperplane_codes", "stabilizer_draws",
+    "centralizer_samples", "conjugate_stack", "normalize", "normal_position",
+    "hyperplane_codes", "stabilizer_draws",
 ]
 
 CONJUGATOR_RETRIES = 64
@@ -420,60 +419,40 @@ def _invertible_in_span(field: Field, basis: list[np.ndarray],
 # the vectors of F_q^n by code
 # ---------------------------------------------------------------------------
 
-class VectorTables(NamedTuple):
-    """Look-up tables over the codes of all qⁿ vectors v of F_q^n.
-    `dropped` is flat: entry j·qⁿ + code(v) is the code of v without
-    coordinate j.  `position` is the place of a normalized u (first
-    nonzero entry 1) when they are ordered by the index of that entry, then
-    by the code of what follows it, and `normals` lists their codes in that
-    order."""
-
-    vectors: np.ndarray     # (qⁿ, n) uint8, row code(v) is v
-    weights: np.ndarray     # q^{n−1−j}: code(v) = v @ weights
-    lead: np.ndarray        # index of the first nonzero entry (0 for v = 0)
-    normal: np.ndarray      # code(v / that entry), 0 for v = 0
-    position: np.ndarray
-    dropped: np.ndarray
-    normals: np.ndarray
+def normalize(field: Field, vectors: np.ndarray):
+    """The lead index of each vector v along the last axis, that of its
+    first nonzero entry a, and the code of v/a; both are 0 for v = 0."""
+    q, lead = field.q, np.argmax(vectors != 0, axis=-1)
+    a = np.take_along_axis(vectors, lead[..., None], -1)
+    row = np.array(field.inv_table, dtype=np.intp)[a] * q  # 0⁻¹ is 0
+    # a⁻¹·v_j read from the flat product table, faster than mul_np[., .]
+    return lead, polyalg.from_digits(field.mul_np.ravel()[row + vectors], q)
 
 
-@memo(8)
-def vector_tables(field: Field, n: int) -> VectorTables:
-    """The tables of F_q^n, built once per (field, n) for every class and
-    every sample: their size is qⁿ, not the class size."""
-    q, size = field.q, field.q ** n
-    vectors = polyalg._all_vectors(q, n)
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = np.arange(size)
-    lead = np.argmax(vectors != 0, axis=1)
-    inv = np.array(field.inv_table, dtype=np.intp)[vectors[codes, lead]]
-    normal = field.mul_np[inv[:, None], vectors] @ weights
-    block = q ** (n - 1 - lead)  # codes of the normalized u with this lead
-    position = (size - q * block) // (q - 1) + codes - block
-    position[0] = 0  # v = 0 has no place; keep it in range
-    dropped = np.stack([codes // (q * q ** (n - 1 - j)) * q ** (n - 1 - j)
-                        + codes % q ** (n - 1 - j) for j in range(n)])
-    normals = np.concatenate([q ** j + np.arange(q ** j)
-                              for j in range(n - 1, -1, -1)])
-    tables = VectorTables(vectors, weights, lead, normal, position,
-                          dropped.ravel(), normals)
-    for table in tables:
-        table.flags.writeable = False  # shared by every class of this (q, n)
-    return tables
+def normal_position(q: int, n: int, lead: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """The place of each normalized u of code u and lead index `lead` when
+    they are ordered by lead, then by code: (qⁿ − q^{n−lead})/(q − 1) of
+    them have a smaller lead, and the codes with this lead start at
+    q^{n−1−lead}."""
+    block = q ** (n - 1 - lead)
+    return (q ** n - q * block) // (q - 1) + u - block
 
 
 def hyperplane_codes(field: Field, n: int, u: np.ndarray,
                      t: int) -> np.ndarray:
-    """For each normalized u of the codes `u`, the codes of all q^{n−1}
-    φ ∈ F_q^n with φ(u) = Σ φ_j·u_j = t; column k holds the φ whose code
-    is k once the lead coordinate of u is deleted."""
-    q, tab = field.q, vector_tables(field, n)
-    lead = tab.lead[u]
-    w = q ** (n - 1 - lead[:, None])
-    rest = tab.vectors[tab.dropped[lead * q ** n + u]][:, 1:]
-    # φ(u) = φ_lead + Σ_{j>lead} u_j·φ_j fixes φ_lead
-    dot = mat_mul(field, rest, polyalg._all_vectors(q, n - 1).T)
+    """For each normalized u (first nonzero entry 1) of the codes `u`, the
+    codes of all q^{n−1} φ ∈ F_q^n with φ(u) = Σ φ_j·u_j = t; column k
+    holds the φ whose code is k once the lead coordinate of u is deleted."""
+    q = field.q
+    lead = np.argmax(polyalg.to_digits(u, q, n) != 0, axis=1)
+    w = q ** (n - 1 - lead)  # the weight of u's lead entry
+    # φ(u) = φ_lead + Σ_{j>lead} u_j·φ_j fixes φ_lead; u − w is the code
+    # of u without its lead coordinate
     k = np.arange(q ** (n - 1))
+    dot = mat_mul(field, polyalg.to_digits(u - w, q, n - 1),
+                  polyalg.to_digits(k, q, n - 1).T)
+    w = w[:, None]
     return k // w * q * w + k % w + field.add_np[t, field.neg_np[dot]] * w
 
 

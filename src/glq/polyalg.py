@@ -33,6 +33,7 @@ __all__ = [
     "t_minus_one", "poly_key", "is_irreducible",
     "enumerate_phi", "factor_monic", "companion", "jordan_block",
     "format_poly", "parse_poly", "parse_digits", "parse_int",
+    "to_digits", "from_digits",
 ]
 
 
@@ -134,11 +135,19 @@ def poly_key(field: Field, f) -> tuple[int, int]:
     return (d, enc)
 
 
-def _all_vectors(q: int, m: int) -> np.ndarray:
-    """Every vector of F_q^m as a row, in ascending order of its code
-    code(v) = Σ v_j·q^{m−1−j}."""
-    weights = q ** np.arange(m - 1, -1, -1)
-    return (np.arange(q ** m)[:, None] // weights % q).astype(np.uint8)
+def to_digits(codes, q: int, m: int) -> np.ndarray:
+    """The vectors v of F_q^m whose codes code(v) = Σ v_j·q^{m−1−j} are
+    `codes`, as uint8 entries along a new last axis; from_digits inverts
+    it."""
+    out = np.empty(np.shape(codes) + (m,), dtype=np.uint8)
+    for j in range(m - 1, -1, -1):  # no int64 array of every entry
+        codes, out[..., j] = np.divmod(codes, q)
+    return out
+
+
+def from_digits(vectors: np.ndarray, q: int) -> np.ndarray:
+    """code(v) = Σ v_j·q^{m−1−j} of each vector v along the last axis."""
+    return vectors @ q ** np.arange(vectors.shape[-1] - 1, -1, -1)
 
 
 def _gauss_count(q: int, d: int) -> int:
@@ -157,9 +166,9 @@ _SIEVE_BOUND = 1 << 20
 def _phi_cached(field: Field, dmax: int) -> tuple[tuple[int, ...], ...]:
     """Phi up to degree dmax by a sieve: at each degree d, the products of
     every known irreducible of degree a <= d/2 with every monic of degree
-    d - a, and the multiples of t, are marked by their code
-    Σ_{i<d} f_i·q^i; the unmarked codes are the irreducibles of degree d,
-    and their count must be Gauss's."""
+    d - a, and the multiples of t, are marked by the code of
+    (f_0, ..., f_{d-1}); the unmarked codes are the irreducibles of
+    degree d, and their count must be Gauss's."""
     if dmax < 1:
         return ()
     q, d = field.q, dmax
@@ -168,30 +177,28 @@ def _phi_cached(field: Field, dmax: int) -> tuple[tuple[int, ...], ...]:
             f"listing the irreducibles of degree {d} over {field!r} needs a "
             f"sieve of {q}^{d} codes, above the bound of {_SIEVE_BOUND}")
     known = _phi_cached(field, d - 1)
-    weights = q ** np.arange(d)
     reducible = np.zeros(q ** d, dtype=bool)
-    reducible[::q] = True  # constant term 0: divisible by t
+    reducible[:q ** (d - 1)] = True  # constant term 0: divisible by t
     for g in known:
         a = len(g) - 1
         if 2 * a > d:
             break
         # every monic h of degree d - a, one per row
         h = np.ones((q ** (d - a), d - a + 1), dtype=np.uint8)
-        h[:, :-1] = _all_vectors(q, d - a)
+        h[:, :-1] = to_digits(np.arange(q ** (d - a)), q, d - a)
         prod = np.zeros((len(h), d + 1), dtype=np.uint8)
         for i, c in enumerate(g):
             if c:
                 window = prod[:, i:i + d - a + 1]
                 window[:] = field.add_np[window, field.mul_np[c, h]]
-        reducible[prod[:, :d] @ weights] = True
+        reducible[from_digits(prod[:, :d], q)] = True
     codes = np.flatnonzero(~reducible)
     expected = _gauss_count(q, d) - (d == 1)  # t is not in Phi
     if len(codes) != expected:
         raise InvariantError(
             f"the sieve left {len(codes)} irreducibles of degree {d} over "
             f"{field!r}, but Gauss's count gives {expected}")
-    digits = codes[:, None] // weights % q  # f_0, ..., f_{d-1} by row
-    found = [(*coeffs, 1) for coeffs in digits.tolist()]
+    found = [(*coeffs, 1) for coeffs in to_digits(codes, q, d).tolist()]
     found.sort(key=lambda g: poly_key(field, g))
     return known + tuple(found)
 

@@ -262,20 +262,84 @@ def test_pair_permutations_are_a_group_action(case):
     assert np.array_equal(p12, p1[p2])
 
 
+@st.composite
+def vector_codes(draw):
+    """F_q, a rank n ≤ 5, a value t of φ(u) and places of normalized u."""
+    F = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 8, 9))))
+    n = draw(st.integers(1, 5))
+    places = st.integers(0, (F.q ** n - 1) // (F.q - 1) - 1)
+    # at n = 1 no φ ≠ 0 has φ(u) = 0: there is no transvection
+    return (F, n, draw(st.integers(n == 1, F.q - 1)),
+            draw(st.lists(places, min_size=1, max_size=2, unique=True)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(vector_codes())
+def test_vector_code_forms_match_their_definitions(case):
+    # every vector of F_q^n, code 0 included, against the definitions:
+    # code(v) = Σ v_j·q^{n−1−j}, the lead index of the first nonzero
+    # entry a (0 for v = 0), v/a, the place of a normalized u by lead then
+    # code, and φ without u's lead coordinate as φ's column in u's row
+    F, n, t, places = case
+    q = F.q
+    vectors = list(itertools.product(range(q), repeat=n))  # code order
+
+    def code(v):
+        c = 0
+        for a in v:
+            c = c * q + a
+        return c
+
+    digits = polyalg.to_digits(np.arange(q ** n), q, n)
+    assert digits.tolist() == [list(v) for v in vectors]
+    assert polyalg.from_digits(digits, q).tolist() == list(range(q ** n))
+    leads = [next((j for j, a in enumerate(v) if a), 0) for v in vectors]
+    normal = [code(F.mul(F.inv(v[j]), a) for a in v) if any(v) else 0
+              for v, j in zip(vectors, leads)]
+    lead, codes = matfq.normalize(F, digits)
+    assert lead.tolist() == leads and codes.tolist() == normal
+    normals = sorted((c for c in range(1, q ** n) if normal[c] == c),
+                     key=lambda c: (leads[c], c))
+    place = matfq.normal_position(q, n, lead, np.arange(q ** n))
+    assert place[normals].tolist() == list(range(len(normals)))
+    held = np.array(normals).take(place, mode="clip") == range(q ** n)
+    assert held.tolist() == [0 < c == normal[c] for c in range(q ** n)]
+    u = np.array(normals)[places]
+    rows = matfq.hyperplane_codes(F, n, u, t)
+    for row, uc in zip(rows.tolist(), u.tolist()):
+        j, want = leads[uc], {}
+        for c, phi in enumerate(vectors):
+            value = 0
+            for a, b in zip(phi, vectors[uc]):
+                value = F.add(value, F.mul(a, b))
+            if value == t:
+                want[code(phi[:j] + phi[j + 1:])] = c
+        assert row == [want[k] for k in range(q ** (n - 1))]
+    shift = int(t == 0)
+    pairs = classcalc.ReflectionPairs(u, rows[:, shift:], shift)
+    w = q ** (n - 1 - np.array([leads[c] for c in u.tolist()]))[:, None]
+    at, found = classcalc._locate(q, pairs, np.arange(len(u))[:, None], w,
+                                  np.arange(q ** n))
+    assert found.tolist() == [[c in row for c in range(q ** n)]
+                              for row in map(set, pairs.phi.tolist())]
+    assert (pairs.phi.ravel()[at[found]] == np.nonzero(found)[1]).all()
+
+
 @pytest.mark.parametrize("corrupt", ["swap", "shift"])
-def test_corrupt_position_table_is_checked(monkeypatch, corrupt):
-    # the row level of a reflection product reads u's row from the table:
-    # swapping the rows of u = (1,0,0) and u = (0,0,1) sends them to rows
-    # that hold other vectors; shifting every row by one sends the last
+def test_corrupt_normal_position_is_checked(monkeypatch, corrupt):
+    # the row level of a reflection product reads u's row from its place:
+    # swapping the places of u = (1,0,0) and u = (0,0,1) sends them to rows
+    # that hold other vectors; shifting every place by one sends the last
     # past the end
-    real = matfq.vector_tables(F3, 3)
-    position = real.position.copy()
-    if corrupt == "swap":
-        position[[9, 1]] = position[[1, 9]]
-    else:
-        position += 1
-    monkeypatch.setattr(matfq, "vector_tables",
-                        lambda field, n: real._replace(position=position))
+    real = matfq.normal_position
+
+    def position(q, n, lead, u):
+        if corrupt == "shift":
+            return real(q, n, lead, u) + 1
+        return np.where(u == 9, real(q, n, 2, 1), np.where(
+            u == 1, real(q, n, 0, 9), real(q, n, lead, u)))
+
+    monkeypatch.setattr(matfq, "normal_position", position)
     classcalc._product_terms.cache_clear()
     try:
         with pytest.raises(InvariantError, match="not in its class"):
@@ -716,6 +780,21 @@ def test_criterion_two_product_holds_no_class_sized_array():
     assert peak < 10 ** 6
 
 
+def test_direct_count_holds_no_table_of_every_vector():
+    # a direct count at rank k + 2 = 5 over F_9 peaks at about 6.2 MB;
+    # tables over all 9⁵ vectors of F_9^5 take it to about 10.1 MB
+    F9 = field_of_order(9)
+    tracemalloc.start()
+    try:
+        product = multiply_class_sums(T(F9, "1@t-x"), T(F9, "1@t-2;1,1@t-1"),
+                                      5, memory_bound=10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(product.terms) == 93
+    assert peak < 8 * 10 ** 6
+
+
 RANK_EIGHT = ("1,1@t-1;1,1@t-2,16524|2@t-1;1,1@t-2,1872|"
               "1@t-1;1,1@t-2;1@t^2+1,192|1@t-1;1,1,1,1@t-2,51840|"
               "1@t-1;2,1,1@t-2,2592|1@t-1;3,1@t-2,144|1,1,1@t-1;1,1@t-2,6318|"
@@ -765,7 +844,7 @@ def test_rank_eight_reflection_product_runs_every_check(monkeypatch):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_tail_table_counts_every_tail(q, m):
     F = field_of_order(q)
-    vectors = polyalg._all_vectors(q, m)
+    vectors = polyalg.to_digits(np.arange(q ** m), q, m)
     u, phi = (np.repeat(vectors, len(vectors), axis=0),
               np.tile(vectors, (len(vectors), 1)))
     tally = Counter()

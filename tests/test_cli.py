@@ -170,6 +170,25 @@ def test_invariant_failure_exits_one(capsys, monkeypatch):
     assert err.startswith("invariant failed: counting identity")
 
 
+def test_zero_image_of_a_row_exits_one(capsys, monkeypatch):
+    # a zero centralizer sample sends every u to 0, which is no normalized
+    # u: an InvariantError, never a numpy error, and exit 1, not 2
+    real = matfq.centralizer_samples
+
+    def with_zero(field, basis, count, rng=None):
+        return [0 * basis[0], *real(field, basis, count - 1, rng)]
+
+    monkeypatch.setattr(matfq, "centralizer_samples", with_zero)
+    F = field_make(3)
+    with pytest.raises(InvariantError, match="not in its class"):
+        multiply_class_sums(parse_gltype(F, "1@t-2"),
+                            parse_gltype(F, "1@t-2"), 3)
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "3", "--no-cache",
+                         "--lambda", "1@t-2", "--mu", "1@t-2")
+    assert code == 1 and not out
+    assert err.startswith("invariant failed:") and "not in its class" in err
+
+
 def test_inconclusive_search_exits_one(capsys, monkeypatch):
     def no_verdict(*args, **kwargs):
         raise InconclusiveError("no invertible intertwiner found")

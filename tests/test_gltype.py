@@ -2,15 +2,21 @@
 and the exact counting formulas."""
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glq
 from glq import gltype, matfq, polyalg
 from glq.errors import ClassEmptyError, InvariantError
 from glq.field import field_make, field_of_order
@@ -107,6 +113,32 @@ def test_gltype_text_extension_field_roots():
     ty = T(F4, "2@t-(x+1);1@t-x")
     assert format_gltype(ty) == "1@t-x;2@t-(x+1)"
     assert T(F4, format_gltype(ty)) == ty
+
+
+_HASH_CASES = [(F2, "1@t-1"), (F3, "1@t-1;2,1@t^2+t+2"), (F3, "∅"),
+               (F4, "1@t-x;2@t-(x+1)"), (F4, "1@t-1")]
+_HASH_IN_A_CHILD = """
+import pickle, sys
+from glq.gltype import parse_gltype
+types = pickle.load(sys.stdin.buffer)
+print(all(hash(ty) == hash(parse_gltype(ty.field, str(ty))) for ty in types))
+"""
+
+
+def test_equal_types_hash_equal():
+    # the hash is kept from construction; a type parsed again or pickled
+    # equals the first and hashes alike, in this process and in another
+    types = [T(F, text) for F, text in _HASH_CASES]
+    for ty, (F, text) in zip(types, _HASH_CASES):
+        for other in (T(F, text), GLType(F, ty.entries),
+                      pickle.loads(pickle.dumps(ty))):
+            assert other == ty and hash(other) == hash(ty)
+    assert types[0] != types[-1]  # equal entries, different fields
+    child = subprocess.run(
+        [sys.executable, "-c", _HASH_IN_A_CHILD], input=pickle.dumps(types),
+        capture_output=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(glq.__file__).parents[1])))
+    assert child.stdout == b"True\n"
 
 
 def test_gltype_rejects_bad_text():

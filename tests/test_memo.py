@@ -174,7 +174,7 @@ def test_every_process_memo_is_registered():
              if callable(getattr(fn, "cache_clear", None))
              and fn not in memo._REGISTRY and fn not in identities]
     assert not stray, f"memos outside glq.memo: {stray}"
-    assert len(memo._REGISTRY) == 12
+    assert len(memo._REGISTRY) == 11
 
 
 @pytest.mark.parametrize("added", [
