@@ -10,17 +10,17 @@ is classified, weighted by its orbit size.  Conjugation by c keeps the type
 of g·h₀, so any group of such c gives exact weights.  In a product a
 reflection class, g = I + u·φᵀ with u normalized, is never enumerated: its
 orbits are counted on the normalized u first, then, for each
-representative u₀, on the φ of its row under elements that fix u₀
-(_reflection_orbits), so the work is #rows·q^{n−1} codes, and each g·h₀
-is a rank-one change of h₀ whose characteristic polynomial the
-determinant lemma gives for all of them at once.  Any other class
-is enumerated and merged element by element.  A reflection class times a
-class of minimal rank k is counted once at rank k + 2, split by tail type,
-and reweighted to every larger rank; rank k + 2 itself reads that split
-when it costs no more than a direct count.  Structure constants and stable
-products are read from these full products.  An enumerated class is one
-index of its elements' bytes, built by breadth-first search; the
-convolution oracle builds reflection classes that way too.
+representative u₀, on the φ of its row under a few drawn elements that fix
+u₀ (_reflection_orbits states the rule), so the work is #rows·q^{n−1}
+codes, and each g·h₀ is a rank-one change of h₀ whose characteristic
+polynomial the determinant lemma gives for all of them at once.  Any other
+class is enumerated and merged element by element.  A reflection class
+times a class of minimal rank k is counted once at rank k + 2, split by
+tail type, and reweighted to every larger rank; rank k + 2 itself reads
+that split when it costs no more than a direct count.  Structure constants
+and stable products are read from these full products.  An enumerated
+class is one index of its elements' bytes, built by breadth-first search;
+the convolution oracle builds reflection classes that way too.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ DEFAULT_GROUP_BOUND = 10 ** 7
 CENTRALIZER_SAMPLES = 3
 TAIL_RANK = 2  # a reflection product is read at rank min_rank(other) + this
 CHEAP_ROUNDS = 8  # pull-only merge rounds before pulls along perm^(2^k)
-STABILIZER_DRAWS = 4  # per row and centralizer sample: _reflection_orbits
-DRAW_ENTRIES = 2 ** 13  # entries of the images of one batch of those draws
+DRAW_ENTRIES = 2 ** 13  # image entries of one batch of stabilizer draws
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +424,18 @@ def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
     keeps the type of g·h₀, so a row orbit counts |orbit| times the row of
     its representative u₀.  Within that row, elements c = I + X with X in
     the span of `basis`, an algebra commuting with h₀, and X·u₀ = 0 fix u₀
-    and act by φ ↦ cᵀφ, the action of c⁻¹.  Of STABILIZER_DRAWS times
-    CENTRALIZER_SAMPLES draws per row, those that permute the row are kept:
-    on a row of at least 3 values that is exactly when c is invertible, as a
+    and act by φ ↦ cᵀφ, the action of c⁻¹.  Each row keeps the first
+    CENTRALIZER_SAMPLES such c that permute it, drawn by matfq.span_draws
+    from one seeded stream in at most matfq.CONJUGATOR_RETRIES rounds;
+    round r gives each c a row lacks 1 to r·CENTRALIZER_SAMPLES candidates,
+    as many as fill one batch of DRAW_ENTRIES image entries.  On a row of
+    at least 3 values c permutes it exactly when c is invertible: a
     singular c has v ≠ 0 with vᵀc = 0 and v(u₀) = 0, so it maps φ and φ + v
-    to one image, or v to 0 when ξ = 1.  Smaller rows are not sampled.  The
-    rows share one label space of #rows·#φ for one _merge_orbits call, and a
-    φ orbit weighs its size times its row orbit's."""
+    to one image, or v to 0 when ξ = 1.  Rows of at most 2 values, where a
+    bijection proves nothing, are not drawn.  Any group of such c gives
+    exact weights: the draws change the number of φ orbits, never the
+    terms.  The rows share one label space of #rows·#φ for one
+    _merge_orbits call; a φ orbit weighs its size times its row orbit's."""
     F, q = small.field, small.field.q
     # the normalized u by lead index, then by code (matfq.normal_position)
     normals = np.concatenate([q ** j + np.arange(q ** j)
@@ -446,27 +450,33 @@ def _reflection_orbits(small: GLType, n: int, h0: np.ndarray, basis,
     pairs = _reflection_pairs(F, n, _reflection_eigenvalue(small),
                               normals[rows])
     (R, m), u = pairs.phi.shape, polyalg.to_digits(pairs.u, q, n)
-    draws = STABILIZER_DRAWS * CENTRALIZER_SAMPLES * (m > 2)
-    C = matfq.stabilizer_draws(F, basis, u, draws, random.Random(0))
-    fixed = u[:, None, :, None]
-    if not (matfq.mat_mul(F, C, fixed) == fixed).all():
-        raise InvariantError("a stabilizer sample moves its row's u")
-    at, perms = np.arange(R)[:, None, None], []
     phis = polyalg.to_digits(pairs.phi, q, n)
-    w = q ** (n - 1 - np.argmax(u[at] != 0, axis=-1))  # see _locate
-    step = max(1, DRAW_ENTRIES // (R * m * n))
-    for j in range(0, draws, step):
-        codes = polyalg.from_digits(
-            matfq.mat_mul(F, phis[:, None], C[:, j:j + step]), q)
-        pos, found = _locate(q, pairs, at, w, codes)
-        _check_found(small, found | (codes == 0))  # 0: c is singular
-        keep = found.all(2) & (np.sort(pos) == at * m + range(m)).all(2)
-        # each row's kept draws first, so that few perms carry them all
-        first = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
-        keep = np.take_along_axis(keep, first, 1)[..., None]
-        pos = np.take_along_axis(pos, first[..., None], 1)
-        perms += list(np.where(keep, pos, at * m + range(m)).swapaxes(0, 1))
-    reps, sizes = _merge_orbits([p.ravel() for p in perms], R * m)
+    w = q ** (n - 1 - np.argmax(u != 0, axis=-1))  # see _locate
+    home = np.arange(R * m).reshape(R, m)  # φ's own position
+    perms = np.tile(home, (CENTRALIZER_SAMPLES + 1, 1, 1))  # [-1]: surplus
+    kept = np.full(R, 0 if m > 2 else CENTRALIZER_SAMPLES)
+    spans, rng = matfq.annihilator_spans(F, basis, u), random.Random(0)
+    eye, step = matfq.identity(n), max(1, DRAW_ENTRIES // (m * n))
+    for r in range(1, matfq.CONJUGATOR_RETRIES + 1):
+        need = np.maximum(CENTRALIZER_SAMPLES - kept, 0)
+        if not need.any():
+            break
+        share = min(CENTRALIZER_SAMPLES * r, max(1, step // need.sum()))
+        short = np.repeat(np.arange(R), share * need)
+        for lo in range(0, len(short), step):
+            at = short[lo:lo + step]
+            C = F.add_np[matfq.span_draws(F, spans[at], rng), eye]
+            if (matfq.mat_mul(F, C, u[at, :, None]) != u[at, :, None]).any():
+                raise InvariantError("a stabilizer sample moves its row's u")
+            codes = polyalg.from_digits(matfq.mat_mul(F, phis[at], C), q)
+            pos, found = _locate(q, pairs, at[:, None], w[at, None], codes)
+            _check_found(small, found | (codes == 0))  # 0: c is singular
+            keep = found.all(1) & (np.sort(pos) == home[at]).all(1)
+            at, pos = at[keep], pos[keep]
+            j = kept[at] + np.arange(len(at)) - np.searchsorted(at, at)
+            perms[np.minimum(j, CENTRALIZER_SAMPLES), at] = pos
+            kept += np.bincount(at, minlength=R)
+    reps, sizes = _merge_orbits([p.ravel() for p in perms[:-1]], R * m)
     row, col = np.divmod(reps, m)
     weights = row_sizes[row] * sizes
     if int(weights.sum()) != class_size(small, n):

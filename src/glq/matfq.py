@@ -28,8 +28,8 @@ __all__ = [
     "identity", "mat_mul", "mat_sub", "block_diag", "mat_eq", "rank",
     "kernel_dim", "inverse", "nullspace", "char_poly", "rank_one_char_polys",
     "poly_at_matrix", "conjugacy_invariant", "commuting_space", "conjugator",
-    "centralizer_samples", "conjugate_stack", "normalize", "normal_position",
-    "hyperplane_codes", "stabilizer_draws",
+    "centralizer_samples", "annihilator_spans", "span_draws",
+    "conjugate_stack", "normalize", "normal_position", "hyperplane_codes",
 ]
 
 CONJUGATOR_RETRIES = 64
@@ -350,69 +350,75 @@ def commuting_space(field: Field, A: np.ndarray, B: np.ndarray) -> list[np.ndarr
     return [v.reshape(n, n) for v in basis]
 
 
-def _combine(field: Field, coeffs, basis_stack: np.ndarray) -> np.ndarray:
-    """Linear combination of stacked basis matrices with scalar coefficients."""
-    flat = basis_stack.reshape(len(coeffs), -1)
-    row = np.array([coeffs], dtype=np.uint8)
-    return mat_mul(field, row, flat).reshape(basis_stack.shape[1:])
+def annihilator_spans(field: Field, basis, u: np.ndarray) -> np.ndarray:
+    """For each u of the (R, n) stack u, a basis of {X ∈ span(basis) : X·u
+    = 0} by one nullspace, zero-padded: an (R, len(basis), n, n) stack."""
+    (R, n), B = u.shape, np.array(basis, dtype=np.uint8)
+    K = np.zeros((R, len(B), len(B)), dtype=np.uint8)
+    for r, moved in enumerate(mat_mul(field, B, u.T).T):  # X·u_r
+        kernel = nullspace(field, moved)
+        K[r, :len(kernel)] = np.reshape(kernel, (-1, len(B)))
+    return mat_mul(field, K, B.reshape(len(B), -1)).reshape(R, len(B), n, n)
+
+
+def span_draws(field: Field, bases: np.ndarray,
+               rng: random.Random) -> np.ndarray:
+    """One seeded element of the span of each basis of the (N, s, n, n)
+    stack `bases`, in one stacked product; coefficient i of draw k is word
+    k·s + i of rng's 32-bit stream mod q, so N one-draw calls draw alike."""
+    (N, s), n = bases.shape[:2], bases.shape[-1]
+    words = np.frombuffer(rng.randbytes(4 * N * s), dtype="<u4")
+    coeffs = (words % field.q).astype(np.uint8).reshape(N, 1, s)
+    return mat_mul(field, coeffs, bases.reshape(N, s, n * n)).reshape(N, n, n)
 
 
 def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
                rng: random.Random | None = None) -> np.ndarray | None:
-    """Invertible X with X A X^-1 = B, or None if A and B are not conjugate.
-
-    Non-conjugacy is decided definitively by comparing complete conjugacy
-    invariants.  For conjugate pairs, an invertible element of the solution
-    space of X A = B X is drawn as _invertible_in_span draws it, which
-    raises InconclusiveError rather than ever returning a false None.
-    """
+    """Invertible X with X A X^-1 = B, or None if A and B are not conjugate,
+    as complete conjugacy invariants decide.  For a conjugate pair X is one
+    centralizer_samples draw from the solution space of X A = B X, which
+    raises InconclusiveError rather than ever returning a false None."""
     n = A.shape[0]
     if A.shape != B.shape or A.shape != (n, n):
         raise ValueError("conjugator requires equal square shapes")
     if conjugacy_invariant(field, A) != conjugacy_invariant(field, B):
         return None
-    rng = rng if rng is not None else random.Random(0)
-    return _invertible_in_span(field, commuting_space(field, A, B), rng)
+    return centralizer_samples(field, commuting_space(field, A, B), 1, rng)[0]
 
 
 def centralizer_samples(field: Field, basis: list[np.ndarray], count: int,
                         rng: random.Random | None = None) -> list[np.ndarray]:
-    """`count` invertible elements of the span of `basis`.  For the basis
-    commuting_space(field, A, A) of {X : X A = A X} they are elements of
-    the centralizer C(A), and with the same rng the ones that `count`
-    successive conjugator(field, A, A, rng) calls would return."""
+    """`count` invertible elements of the span of `basis`, which spans
+    {X : X A = B X} for two matrices with matching invariants (for A = B,
+    the centralizer C(A)).  Each round draws the missing samples with
+    span_draws and keeps those of full rank in draw order, so one rng gives
+    the samples of `count` successive conjugator(field, A, A, rng) calls.
+    After CONJUGATOR_RETRIES rounds the span's first invertible element in
+    lexicographic order of coefficients fills the rest when the span has at
+    most CONJUGATOR_EXHAUSTIVE_LIMIT elements; else InconclusiveError."""
     rng = rng if rng is not None else random.Random(0)
-    return [_invertible_in_span(field, basis, rng) for _ in range(count)]
-
-
-def _invertible_in_span(field: Field, basis: list[np.ndarray],
-                        rng: random.Random) -> np.ndarray:
-    """An invertible element of the span of `basis`, a list of n x n
-    matrices spanning intertwiners of two matrices with matching invariants.
-    Random combinations are sampled CONJUGATOR_RETRIES times, then the span
-    is scanned exhaustively when it has at most CONJUGATOR_EXHAUSTIVE_LIMIT
-    elements; otherwise InconclusiveError is raised."""
     if not basis:
         raise InvariantError(
             "matching invariants but no nonzero intertwiner: invariant bug")
-    stack = np.stack(basis)
-    s, n = len(basis), stack.shape[1]
-    q = field.q
+    stack, samples = np.array(basis, dtype=np.uint8), []
     for _ in range(CONJUGATOR_RETRIES):
-        coeffs = [rng.randrange(q) for _ in range(s)]
-        X = _combine(field, coeffs, stack)
-        if X.any() and rank(field, X) == n:
-            return X
-    if q ** s <= CONJUGATOR_EXHAUSTIVE_LIMIT:
-        for coeffs in itertools.product(range(q), repeat=s):
-            X = _combine(field, coeffs, stack)
-            if X.any() and rank(field, X) == n:
-                return X
-        raise InvariantError(
-            "matching invariants but no invertible intertwiner: invariant bug")
-    raise InconclusiveError(
-        f"no invertible intertwiner found in {CONJUGATOR_RETRIES} samples "
-        f"from a space of size {q}^{s}; re-seed and retry")
+        draws = span_draws(field, np.broadcast_to(
+            stack, (count - len(samples),) + stack.shape), rng)
+        samples += [X for X in draws if rank(field, X) == len(X)]
+        if len(samples) == count:
+            return samples
+    (s, n), q = stack.shape[:2], field.q
+    if q ** s > CONJUGATOR_EXHAUSTIVE_LIMIT:
+        raise InconclusiveError(
+            f"no invertible intertwiner found in {CONJUGATOR_RETRIES} rounds "
+            f"of samples from a space of size {q}^{s}; re-seed and retry")
+    flat = stack.reshape(s, n * n)
+    for coeffs in itertools.product(range(q), repeat=s):
+        X = mat_mul(field, np.array([coeffs], np.uint8), flat).reshape(n, n)
+        if rank(field, X) == n:
+            return samples + [X] * (count - len(samples))
+    raise InvariantError(
+        "matching invariants but no invertible intertwiner: invariant bug")
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +460,3 @@ def hyperplane_codes(field: Field, n: int, u: np.ndarray,
                   polyalg.to_digits(k, q, n - 1).T)
     w = w[:, None]
     return k // w * q * w + k % w + field.add_np[t, field.neg_np[dot]] * w
-
-
-def stabilizer_draws(field: Field, basis, u: np.ndarray, count: int,
-                     rng: random.Random) -> np.ndarray:
-    """A (len(u), count, n, n) stack: for each vector of the stack u,
-    `count` random I + X with X in the span of `basis` and X·u = 0, drawn
-    from a basis of that subspace, one nullspace per vector."""
-    n = u.shape[1]
-    B = np.array(basis, dtype=np.uint8).reshape(-1, n * n)
-    moved = mat_mul(field, B.reshape(-1, n, n), u.T)  # X·u of each X in B
-    kernels = [nullspace(field, moved[:, :, r].T)
-               for r in range(len(u) if count else 0)]
-    K = np.zeros((len(u), max(map(len, kernels), default=0), len(B)),
-                 dtype=np.uint8)
-    for r, kernel in enumerate(kernels):
-        K[r, :len(kernel)] = np.reshape(kernel, (-1, len(B)))
-    # random bytes mod q: the draws need not be uniform, only seeded
-    coeffs = np.frombuffer(rng.randbytes(len(u) * count * K.shape[1]),
-                           dtype=np.uint8).reshape(len(u), count, K.shape[1])
-    X = mat_mul(field, mat_mul(field, coeffs % field.q, K), B)
-    X = X.reshape(len(u), count, n, n)
-    d = np.arange(n)
-    X[..., d, d] = field.add_np[X[..., d, d], 1]
-    return X

@@ -147,7 +147,11 @@ def to_digits(codes, q: int, m: int) -> np.ndarray:
 
 def from_digits(vectors: np.ndarray, q: int) -> np.ndarray:
     """code(v) = Σ v_j·q^{m−1−j} of each vector v along the last axis."""
-    return vectors @ q ** np.arange(vectors.shape[-1] - 1, -1, -1)
+    code = np.zeros(vectors.shape[:-1], dtype=np.int64)
+    for j in range(vectors.shape[-1]):  # Horner: no int64 copy of the entries
+        code *= q
+        code += vectors[..., j]
+    return code
 
 
 def _gauss_count(q: int, d: int) -> int:

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import workload_stable_products
-from glq import classcalc, matfq, polyalg
+from glq import classcalc, matfq, memo, polyalg
 from glq.classcalc import (
     ClassSumExpansion, enumerate_class, enumerate_group,
     enumerate_modified_types, generators, multiply_class_sums,
@@ -752,17 +753,165 @@ def reflection_products(draw):
     return lam, draw(st.sampled_from(enumerate_modified_types(F, 2, n))), n
 
 
+def _seeded_draws(patch, seed: int) -> None:
+    """Seed the stream of the stabilizer draws of _reflection_orbits, and
+    empty the memos that would serve products counted from other draws."""
+    patch.setattr(classcalc, "random", SimpleNamespace(
+        Random=lambda *_: random.Random(seed)))
+    memo.clear_all()
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(reflection_products())
-@example((T(F2, "1@t-1"), T(F2, "1@t-1"), 2))    # rows of 1 value
-@example((T(F3, "1@t-1"), T(F3, "1@t-2"), 2))    # rows of 2 values
-@example((T(F2, "1@t-1"), T(F2, "1,1@t-1"), 5))  # tail split, m = 3
-@example((T(F3, "1@t-2"), T(F3, "1@t-1"), 5))    # tail split, m = 4
-def test_two_level_count_equals_the_element_level_count(case):
+@given(reflection_products(), st.integers(0, 7))
+@example((T(F2, "1@t-1"), T(F2, "1@t-1"), 2), 0)    # rows of 1 value
+@example((T(F3, "1@t-1"), T(F3, "1@t-2"), 2), 0)    # rows of 2 values
+@example((T(F2, "1@t-1"), T(F2, "1,1@t-1"), 5), 3)  # tail split, m = 3
+@example((T(F3, "1@t-2"), T(F3, "1@t-1"), 5), 5)    # tail split, m = 4
+def test_two_level_count_equals_the_element_level_count(case, seed):
     lam, mu, n = case
     assume(class_size(lam, n) <= min(class_size(mu, n), 12_000))
-    assert multiply_class_sums(lam, mu, n).terms == \
-        _element_level_terms(lam, mu, n)
+    with pytest.MonkeyPatch.context() as patch:
+        _seeded_draws(patch, seed)
+        terms = multiply_class_sums(lam, mu, n).terms
+    assert terms == _element_level_terms(lam, mu, n)
+
+
+# per draw seed 0–7, the fewest and the most representatives classified;
+# the q = 3, n = 12 product is read from its tail split at rank 9
+CLASSIFIED = [
+    (3, 8, "1@t-2", "1,1@t-1;1,1,1@t-2", 61, 74),
+    (3, 6, "1@t-2", "1,1@t-1;1@t-2", 51, 67),
+    (2, 7, "1@t-1", "1,1@t-1;1@t^2+t+1", 67, 93),
+    (5, 4, "1@t-2", "1,1@t-3;1@t-4", 78, 98),
+    (3, 12, "1@t-2", "1,1@t-1;1,1,1@t-2", 268, 356),
+]
+
+
+@pytest.mark.parametrize("q,n,lam,mu,fewest,most", CLASSIFIED)
+def test_classified_representatives_per_draw_seed(q, n, lam, mu, fewest,
+                                                  most):
+    F = field_of_order(q)
+    real = classcalc._reflection_product_types
+    counted, terms = [], []
+    for seed in range(8):
+        with pytest.MonkeyPatch.context() as patch:
+            _seeded_draws(patch, seed)
+            rows = []
+            patch.setattr(classcalc, "_reflection_product_types",
+                          lambda F, h0, u, phi: rows.append(len(u))
+                          or real(F, h0, u, phi))
+            terms.append(multiply_class_sums(T(F, lam), T(F, mu), n,
+                                             memory_bound=10 ** 12).terms)
+        counted.append(sum(rows))
+    assert (min(counted), max(counted)) == (fewest, most)
+    assert all(t == terms[0] for t in terms)
+
+
+def _kernel_projection(field, span: np.ndarray) -> np.ndarray:
+    """A projection P onto the common kernel Z of the (s, n, n) stack
+    `span`: P·z = z on Z, and P has rank dim Z."""
+    n = span.shape[-1]
+    Z = np.array(matfq.nullspace(field, span.reshape(-1, n)))
+    cols = next(list(c) for c in itertools.combinations(range(n), len(Z))
+                if matfq.rank(field, Z[:, c]) == len(Z))
+    P = np.zeros((n, n), dtype=np.uint8)
+    P[:, cols] = matfq.mat_mul(field, Z.T, matfq.inverse(field, Z[:, cols].T))
+    return P
+
+
+def _stabilizer_draws_by(monkeypatch, fake) -> None:
+    """Let fake stand in for matfq.span_draws in the stabilizer rounds of
+    _reflection_orbits; the row samples are drawn as ever."""
+    real = classcalc._reflection_orbits
+
+    def orbits(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matfq, "span_draws", fake)
+            return real(*args)
+
+    monkeypatch.setattr(classcalc, "_reflection_orbits", orbits)
+
+
+def test_a_stabilizer_draw_that_moves_u_is_an_invariant_error(monkeypatch):
+    # X = I gives c = 2I over F_3, which sends u₀ to 2u₀
+    _stabilizer_draws_by(monkeypatch, lambda field, bases, rng: np.tile(
+        matfq.identity(bases.shape[-1]), (len(bases), 1, 1)))
+    with pytest.raises(InvariantError, match="moves its row's u"):
+        multiply_class_sums(T(F3, "1@t-2"), T(F3, "1,1@t-1;1@t-2"), 5)
+
+
+def test_rows_without_a_kept_draw_classify_every_phi(monkeypatch):
+    # every candidate c = I + X is a projection onto the common kernel of
+    # its row's X, so it fixes u₀ but is singular and permutes no row:
+    # every row spends the whole round budget and no φ orbits merge
+    lam, mu, n = T(F3, "1@t-2"), T(F3, "1,1@t-1;1@t-2"), 5
+    want = multiply_class_sums(lam, mu, n).terms
+    memo.clear_all()
+    drawn, rows, shapes = [], [], []
+    eye = matfq.identity(n)
+
+    def projections(field, bases, rng):
+        drawn.append(len(bases))
+        return np.array([field.add_np[_kernel_projection(field, span),
+                                      field.neg_np[eye]] for span in bases])
+
+    real_pairs, real_types = (classcalc._reflection_pairs,
+                              classcalc._reflection_product_types)
+    _stabilizer_draws_by(monkeypatch, projections)
+    monkeypatch.setattr(classcalc, "_reflection_pairs", lambda *args: (
+        shapes.append((pairs := real_pairs(*args)).phi.shape) or pairs))
+    monkeypatch.setattr(classcalc, "_reflection_product_types",
+                        lambda F, h0, u, phi: rows.append(len(u))
+                        or real_types(F, h0, u, phi))
+    assert multiply_class_sums(lam, mu, n).terms == want
+    (R, m), = shapes
+    assert m > 2 and rows == [R * m]
+    # one batch holds 20 images of 81 values in F_3^5, too few for a second
+    # candidate per missing draw
+    assert sum(drawn) == \
+        matfq.CONJUGATOR_RETRIES * classcalc.CENTRALIZER_SAMPLES * R
+
+
+@st.composite
+def stabilizer_rows(draw):
+    """A field, a rank n ≤ 4, h₀ of a type of norm ≤ 2, the eigenvalue ξ of
+    a reflection class, the place of a normalized u and a draw seed."""
+    F = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 8, 9))))
+    n = draw(st.integers(2, 4))
+    h0 = canonical_matrix(lift(draw(st.sampled_from(
+        enumerate_modified_types(F, 2, n))), n))
+    place = draw(st.integers(0, (F.q ** n - 1) // (F.q - 1) - 1))
+    return F, n, h0, draw(st.integers(1, F.q - 1)), place, \
+        draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(stabilizer_rows())
+def test_stabilizer_candidates_permute_their_row_when_invertible(case):
+    # on a row of at least 3 values a candidate c = I + X of
+    # _reflection_orbits permutes the row under φ ↦ cᵀφ exactly when c is
+    # invertible, so the bijection test is the rank test
+    F, n, h0, xi, place, seed = case
+    q = F.q
+    normals = np.concatenate([q ** j + np.arange(q ** j)
+                              for j in range(n - 1, -1, -1)])
+    pairs = classcalc._reflection_pairs(F, n, xi, normals[[place]])
+    row = pairs.phi[0]
+    assume(len(row) >= 3)
+    u = polyalg.to_digits(pairs.u, q, n)
+    basis = matfq.commuting_space(F, h0, h0)
+    flat = np.array(basis).reshape(len(basis), n * n)
+    spans = matfq.annihilator_spans(F, basis, u)
+    X = matfq.span_draws(F, np.repeat(spans, 12, axis=0), random.Random(seed))
+    C = F.add_np[X, matfq.identity(n)]
+    phis = polyalg.to_digits(row, q, n)
+    for x, c in zip(X, C):
+        assert matfq.rank(F, np.vstack([flat, x.reshape(1, -1)])) == \
+            matfq.rank(F, flat)
+        assert matfq.mat_eq(matfq.mat_mul(F, c, u.T), u.T)
+        images = polyalg.from_digits(matfq.mat_mul(F, phis, c), q)
+        assert (sorted(images.tolist()) == sorted(row.tolist())) == \
+            (matfq.rank(F, c) == n)
 
 
 def test_criterion_two_product_holds_no_class_sized_array():

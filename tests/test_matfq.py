@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import poly_add
 from glq import matfq, polyalg
-from glq.errors import InvariantError
+from glq.errors import InconclusiveError, InvariantError
 from glq.field import field_make, field_of_order
 from glq.gltype import canonical_matrix, lift, parse_gltype
 
@@ -541,9 +541,19 @@ def test_conjugator_without_intertwiners_raises(monkeypatch):
     with pytest.raises(InvariantError, match="no nonzero intertwiner"):
         matfq.conjugator(F3, A, B)
     monkeypatch.undo()
-    monkeypatch.setattr(matfq, "_combine",
-                        lambda field, coeffs, stack: stack[0] * 0)
+    # every random draw singular: the scan of the span still finds one
+    monkeypatch.setattr(matfq, "span_draws",
+                        lambda field, bases, rng: 0 * bases[:, 0])
+    X = matfq.conjugator(F3, A, B)
+    assert matfq.mat_eq(matfq.mat_mul(F3, X, A), matfq.mat_mul(F3, B, X))
+    assert matfq.rank(F3, X) == 2
+    # nothing invertible in the span: the scan fails, unless the span is
+    # too large to scan
+    monkeypatch.setattr(matfq, "rank", lambda field, X: 0)
     with pytest.raises(InvariantError, match="no invertible intertwiner"):
+        matfq.conjugator(F3, A, B)
+    monkeypatch.setattr(matfq, "CONJUGATOR_EXHAUSTIVE_LIMIT", 8)
+    with pytest.raises(InconclusiveError, match="space of size 3"):
         matfq.conjugator(F3, A, B)
 
 

@@ -1,6 +1,7 @@
 """Polynomial ring operations, irreducibility, Phi enumeration, companions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,3 +217,20 @@ def test_parse_poly_merges_repeated_powers():
     F5 = field_make(5, 1)
     assert pa.parse_poly(F5, "t+t+t") == (0, 3)
     assert pa.parse_poly(F5, "2*t^2-t^2+4") == (4, 0, 1)
+
+
+def test_codes_hold_one_int64_per_vector():
+    # a product with the weights q^j would first cast every entry to int64,
+    # 9.3 times the bytes of this (10, 1, 9⁵, 6) stack of digits; Horner's
+    # rule keeps one int64 per vector
+    vectors = pa.to_digits(np.arange(10 * 9 ** 5).reshape(10, 1, -1) % 9 ** 6,
+                           9, 6)
+    tracemalloc.start()
+    try:
+        codes = pa.from_digits(vectors, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (10, 1, 9 ** 5) and codes.dtype == np.int64
+    assert codes.ravel().tolist() == [c % 9 ** 6 for c in range(10 * 9 ** 5)]
+    assert peak < 2 * vectors.nbytes
