@@ -3,11 +3,11 @@
 Matrices are numpy uint8 arrays of canonical field-element codes.
 Products of prime-field matrices run through int64 numpy matmul, and those
 of extension-field matrices through the field's numpy tables; everything
-scalar-heavy (elimination, Hessenberg reduction) runs on plain int lists
-indexed into the field's lookup tables, which is both exact and fast at
-desk scale (n <= 8 or so).  The vectors of F_q^n that count reflection
-classes are integer codes, converted where they are read (polyalg.to_digits
-and from_digits); no table over all of F_q^n is kept.
+scalar-heavy (elimination, Berkowitz's characteristic polynomial) runs on
+plain int lists indexed into the field's lookup tables, which is both exact
+and fast at desk scale (n <= 8 or so).  The vectors of F_q^n that count
+reflection classes are integer codes, converted where they are read
+(polyalg.to_digits and from_digits); no table over all of F_q^n is kept.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def inverse(field: Field, A: np.ndarray) -> np.ndarray:
     rows = [a + e for a, e in zip(A.tolist(), identity(n).tolist())]
     if len(_reduce(field, rows, n)) < n:
         raise ValueError("matrix is singular over " + repr(field))
-    return np.array([r[n:] for r in rows], dtype=np.uint8)
+    return np.array([r[n:] for r in rows], dtype=np.uint8).reshape(n, n)
 
 
 def nullspace(field: Field, A: np.ndarray) -> list[np.ndarray]:
@@ -193,66 +193,38 @@ def nullspace(field: Field, A: np.ndarray) -> list[np.ndarray]:
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
+def _dot(add, mul, x, v) -> int:
+    """Σ x_i·v_i over the field's add and mul tables."""
+    s = 0
+    for a, b in zip(x, v):
+        if a and b:
+            s = add[s][mul[a][b]]
+    return s
+
+
 def char_poly(field: Field, A: np.ndarray) -> tuple[int, ...]:
-    """det(tI - A) by similarity reduction to Hessenberg form followed by the
-    leading-principal-minor recurrence.  O(n^3) field operations, no zero-pivot
-    trouble, and valid for any q (interpolation would need q > n)."""
+    """det(tI - A) by Berkowitz's division-free recurrence.  Bordering the
+    leading r x r block A_r by its row R = A[r, :r], column c = A[:r, r] and
+    corner a = A[r, r] multiplies the coefficients of det(tI - A_r), leading
+    first, by the lower-triangular Toeplitz matrix whose first column is
+    1, -a, -R·c, -R·A_r·c, ..., -R·A_r^{r-1}·c.  O(n^4) field operations
+    with no pivot and no inverse, valid for any q."""
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("char_poly requires a square matrix")
-    add, mul, neg, inv = (field.add_table, field.mul_table,
-                          field.neg_table, field.inv_table)
-    H = A.tolist()
-    for m in range(n - 2):
-        piv = next((i for i in range(m + 1, n) if H[i][m]), -1)
-        if piv < 0:
-            continue
-        if piv != m + 1:
-            H[m + 1], H[piv] = H[piv], H[m + 1]
-            for row in H:
-                row[m + 1], row[piv] = row[piv], row[m + 1]
-        pinv = inv[H[m + 1][m]]
-        for i in range(m + 2, n):
-            a = H[i][m]
-            if a:
-                u = mul[a][pinv]
-                urow = mul[u]
-                Hi, Hm = H[i], H[m + 1]
-                for j in range(m, n):
-                    if Hm[j]:
-                        Hi[j] = add[Hi[j]][neg[urow[Hm[j]]]]
-                for r in range(n):
-                    if H[r][i]:
-                        H[r][m + 1] = add[H[r][m + 1]][urow[H[r][i]]]
-    # p_0 = 1; p_m = (t - H[m-1][m-1]) p_{m-1}
-    #              - sum_i H[i-1][m-1] (prod_{j=i..m-1} H[j][j-1]) p_{i-1}
-    polys: list[tuple[int, ...]] = [(1,)]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        pm = [0] * (m + 1)
-        for k, c in enumerate(prev):
-            pm[k + 1] = c
-        nh = neg[H[m - 1][m - 1]]
-        if nh:
-            row = mul[nh]
-            for k, c in enumerate(prev):
-                if c:
-                    pm[k] = add[pm[k]][row[c]]
-        prod = 1
-        for i in range(m - 1, 0, -1):
-            prod = mul[prod][H[i][i - 1]]
-            if not prod:
-                break
-            a = H[i - 1][m - 1]
-            if a:
-                coef = neg[mul[a][prod]]
-                row = mul[coef]
-                pi = polys[i - 1]
-                for k, c in enumerate(pi):
-                    if c:
-                        pm[k] = add[pm[k]][row[c]]
-        polys.append(tuple(pm))
-    return polys[n]
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    a = A.tolist()
+    p = [1]  # det(tI - A_r), leading coefficient first
+    for r in range(n):
+        block, R = [row[:r] for row in a[:r]], a[r][:r]
+        v = [row[r] for row in a[:r]]  # c
+        col = [1, neg[a[r][r]]]
+        for k in range(r):
+            if k:
+                v = [_dot(add, mul, row, v) for row in block]  # A_r^k·c
+            col.append(neg[_dot(add, mul, R, v)])
+        p = [_dot(add, mul, col[i::-1], p) for i in range(r + 2)]
+    return tuple(reversed(p))
 
 
 def rank_one_char_polys(field: Field, M: np.ndarray, u: np.ndarray,
@@ -346,7 +318,7 @@ def commuting_space(field: Field, A: np.ndarray, B: np.ndarray) -> list[np.ndarr
                 row[i * n + s] = add[row[i * n + s]][a[s][j]]
             for r in range(n):
                 row[r * n + j] = add[row[r * n + j]][neg[b[i][r]]]
-    basis = nullspace(field, np.array(M, dtype=np.uint8))
+    basis = nullspace(field, np.reshape(np.array(M, np.uint8), (n * n, n * n)))
     return [v.reshape(n, n) for v in basis]
 
 
@@ -383,6 +355,8 @@ def conjugator(field: Field, A: np.ndarray, B: np.ndarray,
         raise ValueError("conjugator requires equal square shapes")
     if conjugacy_invariant(field, A) != conjugacy_invariant(field, B):
         return None
+    if not n:  # GL_0(q) is one empty matrix, spanned by no basis
+        return identity(0)
     return centralizer_samples(field, commuting_space(field, A, B), 1, rng)[0]
 
 

@@ -19,8 +19,9 @@ from .classcalc import (DEFAULT_MEMORY_BOUND, _constants_at_ranks,
                         stable_constant, stable_product)
 from .errors import InvariantError
 from .field import field_of_order
-from .gltype import (GLType, det_of_type, enumerate_plain_types, gltype_make,
-                     min_rank, norm, parse_gltype, q_binomial, q_int)
+from .gltype import (GLType, _format_key, det_of_type, enumerate_plain_types,
+                     gltype_make, min_rank, norm, parse_gltype, q_binomial,
+                     q_int)
 
 if TYPE_CHECKING:
     from .field import Field
@@ -232,8 +233,9 @@ def _union_poly_mixed(field: "Field", xi: int, c1: int, factors,
     for f, c in factors:
         f = tuple(f)
         if any(f == g for g, _ in entries):
-            raise ValueError("factors must be distinct and differ from the "
-                             "reflection's own")
+            raise ValueError(
+                f"column {_format_key(field, f)} repeats: the columns "
+                "must be distinct and differ from the reflection's own")
         if not polyalg.is_irreducible(field, f) or f[0] == 0 or c < 1:
             raise ValueError("factors must be irreducible, prime to t, with "
                              "positive column heights")

@@ -36,9 +36,10 @@ _STABLE = "stable"  # the n field of records holding top-degree products
 _KEY = re.compile(r"q=(\d+);n=(\w+);lambda=(.*?);mu=(.*)")
 
 
-# A cache file repeats a few dozen type texts across its records, so loads
-# memoize parsing.  The lookup of parse_gltype happens at call time, not
-# import time, so the function can be replaced or wrapped from outside.
+# The keys and records one process looks up repeat a few dozen type texts,
+# so parsing is memoized across its lookups.  The lookup of parse_gltype
+# happens at call time, not import time, so the function can be replaced or
+# wrapped from outside.
 
 @memo(4096)
 def _parse_type(field, text: str) -> GLType:

@@ -1348,6 +1348,12 @@ def test_normalize_triple_identity():
     assert matfq.rank(F3, form.z) == 3
 
 
+def test_normalize_triple_at_rank_zero():
+    E = np.zeros((0, 0), dtype=np.uint8)
+    form = normalize_triple(F3, E, E)
+    assert form.z.shape == form.gbar.shape == form.hbar.shape == (0, 0)
+
+
 def test_normalize_triple_one_sided():
     J2 = polyalg.jordan_block(F3, polyalg.t_minus_one(F3), 2)
     g = matfq.block_diag([J2, matfq.identity(2)])

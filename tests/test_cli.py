@@ -726,6 +726,15 @@ def test_two_reflections_rejects_an_eigenvalue_as_every_case_does(capsys):
                                        "of F_3 (codes 1..2)\n")
 
 
+def test_check_names_the_repeated_column(capsys):
+    # union-mixed takes no factors: the message names the column instead
+    code, out, err = run(capsys, "check", "--q", "3", "--case", "union-mixed",
+                         "--params", "xs=1,1;cs=1,1")
+    assert (code, out) == (2, "")
+    assert err == ("error: column t-1 repeats: the columns must be distinct "
+                   "and differ from the reflection's own\n")
+
+
 def test_check_rejects_nu_outside_two_reflections(capsys):
     code, out, err = run(capsys, "check", "--q", "3", "--case", "union-equal",
                          "--params", "xi=2;c=1;d=1", "--nu", "1,1@t-2")

@@ -13,13 +13,17 @@ from conftest import poly_add
 from glq import matfq, polyalg
 from glq.errors import InconclusiveError, InvariantError
 from glq.field import field_make, field_of_order
-from glq.gltype import canonical_matrix, lift, parse_gltype
+from glq.gltype import (canonical_matrix, enumerate_plain_types, lift,
+                        parse_gltype)
 
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
 F5 = field_make(5)
+F8 = field_make(2, 3)
 F9 = field_make(3, 2)
+F25 = field_make(5, 2)
+EMPTY = np.zeros((0, 0), dtype=np.uint8)  # the one element of GL_0(q)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +241,10 @@ def test_inverse_rejects_singular():
         matfq.inverse(F3, np.array([[1, 2], [2, 1]], dtype=np.uint8))
 
 
+def test_inverse_of_the_empty_matrix_is_empty():
+    assert matfq.inverse(F3, EMPTY).shape == (0, 0)
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
 def test_inverse_round_trip_sweep(field):
     rng = random.Random(23)
@@ -288,7 +296,7 @@ def test_char_poly_frozen():
 
 
 def test_char_poly_of_the_empty_matrix_is_one():
-    assert matfq.char_poly(F3, np.zeros((0, 0), dtype=np.uint8)) == (1,)
+    assert matfq.char_poly(F3, EMPTY) == (1,)
     with pytest.raises(ValueError, match="square"):
         matfq.char_poly(F3, np.zeros((2, 3), dtype=np.uint8))
 
@@ -302,7 +310,7 @@ def test_char_poly_of_companion(field, d):
         assert matfq.char_poly(field, polyalg.companion(field, f)) == f
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F8, F9, F25])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_char_poly_matches_oracle(field, n):
     rng = random.Random(100 * n + field.q)
@@ -347,13 +355,39 @@ def test_rank_one_char_polys_equal_char_poly(case):
     assert polys[-1][0] == 0  # the singular product
 
 
-@pytest.mark.parametrize("field", [F2, F3, F5])
+@pytest.mark.parametrize("field", [F2, F3, F5] + [
+    field_of_order(q) for q in (4, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)])
 def test_cayley_hamilton(field):
+    # past the Leibniz oracle's n = 4, up to n = 8 over every field
     rng = random.Random(41)
-    for n in (2, 3, 4):
+    for n in range(1, 9):
         A = random_matrix(field, n, rng)
         cp = matfq.char_poly(field, A)
+        assert len(cp) == n + 1 and cp[-1] == 1
         assert not matfq.poly_at_matrix(field, cp, A).any()
+
+
+@pytest.mark.parametrize("field,top", [(F2, 4), (F3, 4), (F4, 4), (F9, 3)],
+                         ids=["q2", "q3", "q4", "q9"])
+def test_char_poly_of_canonical_matrices(field, top):
+    # block matrices: most Krylov vectors R·A_rᵏ·c vanish
+    for norm in range(top + 1):
+        for T in enumerate_plain_types(field, norm):
+            want = (1,)
+            for f, parts in T.entries:
+                for _ in range(sum(parts)):
+                    want = polyalg.poly_mul(field, want, f)
+            assert matfq.char_poly(field, canonical_matrix(T)) == want, T
+
+
+def test_char_poly_divides_by_nothing(monkeypatch):
+    # an entry below the subdiagonal, which a similarity reduction to
+    # Hessenberg form would clear by dividing
+    A = np.array([[1, 2, 0, 1], [0, 2, 1, 0], [2, 1, 0, 2], [1, 0, 2, 1]],
+                 dtype=np.uint8)
+    want = char_poly_oracle(F3, A)
+    monkeypatch.setattr(F3, "inv_table", None)
+    assert matfq.char_poly(F3, A) == want
 
 
 def test_char_poly_invariant_under_conjugation():
@@ -515,6 +549,14 @@ def test_conjugator_round_trip_sweep(field):
         got = matfq.mat_mul(field, matfq.mat_mul(field, X, A),
                             matfq.inverse(field, X))
         assert matfq.mat_eq(got, B)
+
+
+def test_commuting_space_and_conjugator_at_rank_zero():
+    assert matfq.commuting_space(F3, EMPTY, EMPTY) == []
+    assert matfq.conjugator(F3, EMPTY, EMPTY).shape == (0, 0)
+    # an empty basis spans no invertible matrix of positive rank
+    with pytest.raises(InvariantError, match="no nonzero intertwiner"):
+        matfq.centralizer_samples(F3, [], 1)
 
 
 def test_conjugator_scalar_versus_nonscalar():
