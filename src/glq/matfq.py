@@ -318,7 +318,7 @@ def commuting_space(field: Field, A: np.ndarray, B: np.ndarray) -> list[np.ndarr
                 row[i * n + s] = add[row[i * n + s]][a[s][j]]
             for r in range(n):
                 row[r * n + j] = add[row[r * n + j]][neg[b[i][r]]]
-    basis = nullspace(field, np.reshape(np.array(M, np.uint8), (n * n, n * n)))
+    basis = nullspace(field, np.array(M, dtype=np.uint8).reshape(n * n, n * n))
     return [v.reshape(n, n) for v in basis]
 
 
