@@ -4,7 +4,7 @@ verification suites.
 
 Exit codes: 0 success (conjectural mismatches are findings, still 0);
 1 proved-formula mismatch, invariant failure or inconclusive randomized
-search; 2 usage, domain or cache-file I/O error; 3 resource-bound abort.
+search; 2 usage, domain or cache-file I/O error; 3 bound or memory abort.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import sys
 import warnings
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -111,21 +110,20 @@ def _cached(args, key: str, compute):
     as one `warning: ...` line on stderr, subject to the warning filters."""
     if args.no_cache:
         return compute()
-    cache = ExpansionCache(Path(args.cache) if args.cache
-                           else default_cache_path())
+    cache = ExpansionCache(args.cache or default_cache_path())
     with warnings.catch_warnings(record=True) as skipped:
         expansion = cache.lookup(key)
     for warning in skipped:
         print(f"warning: {warning.message}", file=sys.stderr)
     if expansion is None:
         expansion = compute()
-        cache.append(key, expansion, seed=args.seed)
+        cache.append(key, expansion)
     return expansion
 
 
 def _print_expansion(expansion, args) -> None:
     if args.format == "machine":
-        print(format_record(expansion, args.seed))
+        print(format_record(expansion))
         return
     rows = [(format_gltype(nu), coeff)
             for nu, coeff in expansion.items_sorted()]
@@ -434,7 +432,7 @@ _COMMANDS = {
 def _add_options(p: argparse.ArgumentParser, bound: bool = False,
                  cache: bool = False) -> None:
     """--format everywhere; --memory-bound where classes are enumerated;
-    --seed and the cache options where expansions are cached."""
+    the cache options where expansions are cached."""
     p.add_argument("--format", choices=("table", "csv", "machine"),
                    default="table")
     if bound:
@@ -445,7 +443,6 @@ def _add_options(p: argparse.ArgumentParser, bound: bool = False,
                        "reflection class is counted from about R*q^(n-1) "
                        "codes, R its number of row orbits")
     if cache:
-        p.add_argument("--seed", type=_int, default=None)
         p.add_argument("--cache", default=None,
                        help="cache file (overrides GLQ_CACHE)")
         p.add_argument("--no-cache", dest="no_cache", action="store_true")
@@ -488,6 +485,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's failed allocations too
+        print(f"out of memory ({str(exc) or 'allocation failed'}); lower "
+              "--memory-bound", file=sys.stderr)
         return 3
     except InvariantError as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ The CLI maps these onto exit codes: ValueError subclasses are usage/domain
 errors (exit 2), ResourceBoundError subclasses abort on a configured bound
 (exit 3), InvariantError is a failed internal check and InconclusiveError a
 randomized search without a verdict (both exit 1), and proved-formula
-mismatches are reported, not raised.
+mismatches are reported, not raised.  A MemoryError (numpy's failed
+allocations included) is a bound the machine set: exit 3, with one stderr
+line that names --memory-bound.
 """
 
 from __future__ import annotations

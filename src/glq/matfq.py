@@ -52,7 +52,10 @@ def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     if field.e == 1:
         return ((A.astype(np.int64) @ B.astype(np.int64)) % field.p).astype(np.uint8)
-    prods = field.mul_np[A[..., :, :, None], B[..., None, :, :]]
+    try:
+        prods = field.mul_np[A[..., :, :, None], B[..., None, :, :]]
+    except IndexError as exc:  # leading axes that do not broadcast
+        raise ValueError(f"shape mismatch {A.shape} x {B.shape}") from exc
     out = np.zeros(prods.shape[:-3] + (A.shape[-2], B.shape[-1]), np.uint8)
     for s in range(A.shape[-1]):
         out = field.add_np[out, prods[..., s, :]]
@@ -243,7 +246,8 @@ def rank_one_char_polys(field: Field, M: np.ndarray, u: np.ndarray,
             power = mat_mul(field, power, M.T)
         m[:, j] = mat_mul(field, psi[:, None, :], power[:, :, None])[:, 0, 0]
     shifted = np.array([[c[i + j + 1] if i + j < n else 0
-                         for i in range(n + 1)] for j in range(n)], np.uint8)
+                         for i in range(n + 1)] for j in range(n)],
+                       np.uint8).reshape(n, n + 1)
     chi = field.add_np[np.array(c, np.uint8),
                        field.neg_np[mat_mul(field, m, shifted)]]
     return [tuple(row) for row in chi.tolist()]
@@ -253,6 +257,8 @@ def poly_at_matrix(field: Field, f, A: np.ndarray) -> np.ndarray:
     """Evaluate a polynomial at a square matrix by Horner's rule, started
     from c_d·A + c_{d−1}·I, so degree d ≥ 1 costs d − 1 matrix products."""
     n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("poly_at_matrix requires a square matrix")
     idx = np.arange(n)
     *rest, lead = f or (0,)  # the empty polynomial is 0
     M = field.mul_np[lead, A if rest else identity(n)]
@@ -325,12 +331,13 @@ def commuting_space(field: Field, A: np.ndarray, B: np.ndarray) -> list[np.ndarr
 def annihilator_spans(field: Field, basis, u: np.ndarray) -> np.ndarray:
     """For each u of the (R, n) stack u, a basis of {X ∈ span(basis) : X·u
     = 0} by one nullspace, zero-padded: an (R, len(basis), n, n) stack."""
-    (R, n), B = u.shape, np.array(basis, dtype=np.uint8)
-    K = np.zeros((R, len(B), len(B)), dtype=np.uint8)
+    (R, n), s = u.shape, len(basis)
+    B = np.array(basis, dtype=np.uint8).reshape(s, n, n)
+    K = np.zeros((R, s, s), dtype=np.uint8)
     for r, moved in enumerate(mat_mul(field, B, u.T).T):  # X·u_r
         kernel = nullspace(field, moved)
-        K[r, :len(kernel)] = np.reshape(kernel, (-1, len(B)))
-    return mat_mul(field, K, B.reshape(len(B), -1)).reshape(R, len(B), n, n)
+        K[r, :len(kernel)] = np.reshape(kernel, (len(kernel), s))
+    return mat_mul(field, K, B.reshape(s, n * n)).reshape(R, s, n, n)
 
 
 def span_draws(field: Field, bases: np.ndarray,

@@ -7,9 +7,9 @@ one, its key and its terms are in their one canonical text, no term type
 repeats, and its terms pass ClassSumExpansion.violation, the rule that
 every computed product passes too (positive coefficients, candidate
 types, determinants, the counting identity).  Any other line is skipped
-with a warning that gives the reason.  New records are appended one line
-at a time; when a key repeats, the last valid line wins.  A lookup of one
-key parses and revalidates only that key's lines.
+with a warning that gives the reason.  The command line looks up one key,
+parsing and revalidating only that key's lines, and appends a miss as one
+line; when a key repeats, the last valid line wins.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ def parse_expansion(field, n, lam: GLType, mu: GLType,
     return ClassSumExpansion(field=field, n=n, lam=lam, mu=mu, terms=terms)
 
 
-def _make_meta(seed, ts: int | None = None) -> str:
+def _make_meta(ts: int | None = None) -> str:
+    # seed=- stays in the record format until it next changes; only v= is read
     ts = int(time.time()) if ts is None else ts
-    return f"v={__version__};ts={ts};seed={'-' if seed is None else seed}"
+    return f"v={__version__};ts={ts};seed=-"
 
 
 def _record_line(key: str, expansion: ClassSumExpansion, meta: str) -> str:
@@ -99,11 +100,11 @@ def _record_line(key: str, expansion: ClassSumExpansion, meta: str) -> str:
     return f"{key}\t{serialize_expansion(expansion)}\t{meta}"
 
 
-def format_record(expansion: ClassSumExpansion, seed=None) -> str:
+def format_record(expansion: ClassSumExpansion) -> str:
     """The record line of an expansion with ts=0, so that printing it gives
     the same bytes on every run."""
     return _record_line(make_key(expansion.lam, expansion.mu, expansion.n),
-                        expansion, _make_meta(seed, ts=0))
+                        expansion, _make_meta(ts=0))
 
 
 def _check_meta(meta: str) -> None:
@@ -129,16 +130,16 @@ def _parse_record(target: Path, lineno: int, line: str):
         if value != serialize_expansion(expansion):
             raise ValueError("expansion text is not in canonical form")
     except (ValueError, KeyError, ResourceBoundError) as exc:
-        # stacklevel 3: the caller of load() or lookup()
+        # stacklevel 3: the caller of lookup()
         warnings.warn(f"skipping cache record at {target}:{lineno}: {exc}",
                       stacklevel=3)
         return None
     return key, expansion, meta
 
 
-def _numbered_lines(target: Path, key: str | None = None):
+def _numbered_lines(target: Path, key: str):
     """(line number, line without its line end) for each line of the file
-    that begins with key and a tab, or for every line when key is None.
+    that begins with key and a tab.
 
     As in text mode, \\r\\n and a lone \\r end a line as \\n does.  The
     key's lines are found by one search over the file's bytes, and only
@@ -147,7 +148,7 @@ def _numbered_lines(target: Path, key: str | None = None):
     data = target.read_bytes()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    prefix = b"" if key is None else key.encode("utf-8") + b"\t"
+    prefix = key.encode("utf-8") + b"\t"
     needle = b"\n" + prefix
     starts = [0] if data.startswith(prefix) else []
     at = data.find(needle)
@@ -156,8 +157,6 @@ def _numbered_lines(target: Path, key: str | None = None):
         at = data.find(needle, at + 1)
     lineno, counted = 1, 0
     for start in starts:
-        if start == len(data):  # past the last line end: no line starts here
-            break
         lineno += data.count(b"\n", counted, start)
         counted = start
         end = data.find(b"\n", start)
@@ -178,78 +177,43 @@ def default_cache_path() -> Path:
 
 
 class ExpansionCache:
-    """In-memory key → expansion map with load/lookup/save/append on a
-    record file."""
+    """A record file: lookup() and append() serve the command line one key
+    at a time; put() and save() write a whole snapshot at once."""
 
-    def __init__(self, path=None):
-        self.path = Path(path) if path is not None else None
-        self._records: dict = {}  # key -> (ClassSumExpansion, meta text)
+    def __init__(self, path):
+        self.path = Path(path)
+        self._records: dict = {}  # key -> ClassSumExpansion, for save()
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def get(self, key: str) -> ClassSumExpansion | None:
-        record = self._records.get(key)
-        return record[0] if record else None
-
-    def put(self, key: str, expansion: ClassSumExpansion, seed=None) -> None:
-        self._records[key] = (expansion, _make_meta(seed))
-
-    def _target(self) -> Path:
-        return self.path or default_cache_path()
-
-    def load(self) -> int:
-        """Merge records from the file; returns how many lines were accepted.
-        Corrupt or foreign-version records are skipped with a warning, and
-        a later line replaces an earlier one with the same key."""
-        target = self._target()
-        if not target.exists():
-            return 0
-        accepted = 0
-        for lineno, line in _numbered_lines(target):
-            if not line or line.startswith("#"):
-                continue
-            record = _parse_record(target, lineno, line)
-            if record is not None:
-                key, expansion, meta = record
-                self._records[key] = (expansion, meta)
-                accepted += 1
-        return accepted
+    def put(self, key: str, expansion: ClassSumExpansion) -> None:
+        self._records[key] = expansion
 
     def lookup(self, key: str) -> ClassSumExpansion | None:
         """The expansion under key in the cache file, or None.
 
-        Same answer as load() then get(key), but only the lines of this key
-        are parsed and revalidated, last first: the first valid one wins.
-        A skipped line of this key warns as in load(); lines of other keys
-        are neither decoded nor parsed.  The file is read once and searched
-        once, so the cost is linear in its bytes."""
-        target = self._target()
-        if not target.exists():
+        Only the lines of this key are parsed and revalidated, last first:
+        the first valid one wins, so the last valid line of a repeated key
+        is served.  A skipped line of this key warns with its line number;
+        lines of other keys are neither decoded nor parsed.  The file is
+        read once and searched once, so the cost is linear in its bytes."""
+        if not self.path.exists():
             return None
-        for lineno, line in reversed(list(_numbered_lines(target, key))):
-            record = _parse_record(target, lineno, line)
+        for lineno, line in reversed(list(_numbered_lines(self.path, key))):
+            record = _parse_record(self.path, lineno, line)
             if record is not None:
                 return record[1]
         return None
 
-    def append(self, key: str, expansion: ClassSumExpansion,
-               seed=None) -> Path:
-        """put(), then add the record as one line at the end of the file.
+    def append(self, key: str, expansion: ClassSumExpansion) -> Path:
+        """Add the record as one line at the end of the file.
 
         The line goes out in a single write on an O_APPEND descriptor, so
         concurrent writers never interleave or drop each other's records.
         A file whose last line is torn (no final newline, as a crashed
         writer leaves it) gets a newline first, so the torn line stays one
         skipped record instead of swallowing this one."""
-        self.put(key, expansion, seed)
-        target = self._target()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        line = _record_line(key, *self._records[key]) + "\n"
-        fd = os.open(target, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        line = _record_line(key, expansion, _make_meta()) + "\n"
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             size = os.fstat(fd).st_size
             if size and os.pread(fd, 1, size - 1) != b"\n":
@@ -259,17 +223,17 @@ class ExpansionCache:
         finally:
             os.close(fd)
         if written != len(data):
-            raise OSError(f"short write to {target}: {written} of "
+            raise OSError(f"short write to {self.path}: {written} of "
                           f"{len(data)} bytes")
-        return target
+        return self.path
 
     def save(self) -> Path:
         """Write a complete snapshot atomically (temp file, then rename)."""
-        target = self._target()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        temp = target.with_name(target.name + f".tmp{os.getpid()}")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        temp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
+        meta = _make_meta()
         with open(temp, "w", encoding="utf-8") as handle:
-            for key in sorted(self._records):
-                handle.write(_record_line(key, *self._records[key]) + "\n")
-        os.replace(temp, target)
-        return target
+            for key, expansion in sorted(self._records.items()):
+                handle.write(_record_line(key, expansion, meta) + "\n")
+        os.replace(temp, self.path)
+        return self.path

@@ -15,7 +15,7 @@ from glq import __version__, classcalc, gltype, matfq
 from glq.classcalc import multiply_class_sums
 from glq.cli import VERIFY_STABILITY_TRIPLES, main
 from glq.errors import InconclusiveError, InvariantError
-from glq.field import field_make
+from glq.field import field_make, field_of_order
 from glq.gltype import parse_gltype
 from glq.store import ExpansionCache, make_key, parse_expansion, parse_key
 
@@ -334,6 +334,19 @@ def test_memory_bound_reaches_every_enumerating_command(capsys, argv):
     assert err.startswith("resource bound exceeded")
 
 
+def test_failed_allocation_exits_three(capsys, monkeypatch):
+    # numpy's failed allocations raise MemoryError: a bound, not a proof
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(classcalc, "_merge_orbits", exhausted)
+    code, out, err = run(capsys, "mul", "--q", "3", "--n", "3", "--lambda",
+                         "1@t-2", "--mu", "1@t-2", "--no-cache")
+    assert code == 3 and not out
+    assert len(err.splitlines()) == 1 and "--memory-bound" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("suite", ["stability", "formulas"])
 def test_memory_bound_reaches_the_verify_suites(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite,
@@ -346,17 +359,6 @@ def test_memory_bound_reaches_the_verify_suites(capsys, suite):
 # ---------------------------------------------------------------------------
 # cache plumbing
 # ---------------------------------------------------------------------------
-
-def test_mul_writes_cache_with_seed(tmp_path, capsys):
-    path = tmp_path / "cache.tsv"
-    code, _, _ = run(capsys, "mul", "--q", "3", "--n", "2",
-                     "--cache", str(path), "--seed", "42",
-                     "--lambda", "1@t-2", "--mu", "1@t-2")
-    assert code == 0 and path.exists()
-    text = path.read_text()
-    assert text.startswith("q=3;n=2;lambda=1@t-2;mu=1@t-2\t")
-    assert "seed=42" in text
-
 
 def test_mul_reads_cache_before_computing(tmp_path, capsys):
     # a planted record proves the cache is consulted: its single term still
@@ -559,13 +561,13 @@ def test_torn_multibyte_character_skips_only_its_line(tmp_path, capsys):
     assert run(capsys, *hit, "--cache", str(path)) == (
         0, hit_out, f"warning: skipping cache record at {path}:2: "
         "not enough values to unpack (expected 3, got 2)\n")
-    assert run(capsys, *miss, "--cache", str(path))[:2] == (0, miss_out)
-    with pytest.warns(UserWarning, match="skipping cache record") as seen:
-        assert ExpansionCache(path).load() == 2
-    assert len(seen) == 1 and f"{path}:2:" in str(seen[0].message)
+    assert run(capsys, *miss, "--cache", str(path)) == (0, miss_out, "")
+    assert path.read_bytes().count(b"\n") == 3  # the torn line got its end
+    assert run(capsys, *miss, "--cache", str(path)) == (0, miss_out, "")
     key = path.read_bytes().split(b"\t")[0].decode()
-    with pytest.warns(UserWarning, match=f"{path}:2:"):
+    with pytest.warns(UserWarning, match=f"{path}:2:") as seen:
         assert ExpansionCache(path).lookup(key) is not None
+    assert len(seen) == 1
 
 
 def test_skipped_record_warning_follows_the_warning_filters(tmp_path):
@@ -626,8 +628,14 @@ def test_concurrent_writers_keep_every_record(tmp_path):
     for writer in writers:
         _, err = writer.communicate(timeout=300)
         assert writer.returncode == 0, err
-    fresh = ExpansionCache(path)
-    assert fresh.load() == len(fresh) == 12  # twelve distinct keys
+    assert path.read_text(encoding="utf-8").count("\n") == 12
+    cache = ExpansionCache(path)
+    for argv in batches[0] + batches[1]:
+        field = field_of_order(int(argv[2]))
+        lam, mu = (parse_gltype(field, argv[i]) for i in (6, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.lookup(make_key(lam, mu, int(argv[4]))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +760,8 @@ def test_check_rejects_nu_outside_two_reflections(capsys):
     ["check", "--q", "3", "--case", "union-equal", "--params", "xi=2;c=1;d=1"],
 ], ids=lambda argv: argv[0])
 def test_options_belong_to_the_commands_that_read_them(command):
-    # only mul and stable read the seed and the cache; irr, classes and type
-    # enumerate no class, so they take no memory bound either
+    # only mul and stable read the cache; irr, classes and type enumerate
+    # no class, so they take no memory bound either; no command takes a seed
     extras = [["--seed", "1"], ["--no-cache"], ["--cache", "x.tsv"]]
     if command[0] in ("irr", "classes", "type"):
         extras.append(["--memory-bound", "1"])
@@ -761,6 +769,18 @@ def test_options_belong_to_the_commands_that_read_them(command):
         with pytest.raises(SystemExit) as exc:
             main(command + extra)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["mul", "--q", "3", "--n", "2", "--lambda", "1@t-2", "--mu", "1@t-2"],
+    ["stable", "--q", "3", "--lambda", "1@t-2", "--mu", "1@t-2"],
+], ids=lambda argv: argv[0])
+def test_seed_is_no_option(command):
+    # every draw of a product is seeded by the code itself, so a seed
+    # option would change no value
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "1", "--no-cache"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

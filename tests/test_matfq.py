@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import poly_add
 from glq import matfq, polyalg
-from glq.errors import InconclusiveError, InvariantError
+from glq.errors import InconclusiveError, InvariantError, ResourceBoundError
 from glq.field import field_make, field_of_order
 from glq.gltype import (canonical_matrix, enumerate_plain_types, lift,
                         parse_gltype)
@@ -126,6 +126,14 @@ def test_mat_mul_extension_field():
     B = np.array([[1, 2], [2, 0]], dtype=np.uint8)
     # row 0: [x*1 + 1*x, x*x + 0] = [0, x+1]; row 1: [(x+1)x, 0] = [x^2+x, 0] = [1, 0]
     assert matfq.mat_mul(F4, A, B).tolist() == [[0, 3], [1, 0]]
+
+
+@pytest.mark.parametrize("field", [F4, F9], ids=lambda F: f"q{F.q}")
+def test_mat_mul_of_stacks_that_do_not_broadcast_is_a_value_error(field):
+    # the table path raises what numpy's matmul raises over a prime field
+    A = np.zeros((2, 2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        matfq.mat_mul(field, A, np.zeros((3, 2, 2), dtype=np.uint8))
 
 
 def test_mat_add_sub_neg():
@@ -355,6 +363,14 @@ def test_rank_one_char_polys_equal_char_poly(case):
     assert polys[-1][0] == 0  # the singular product
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=lambda F: f"q{F.q}")
+def test_rank_one_char_polys_at_rank_zero(field):
+    # GL_0(q) is the one empty matrix, and det(tI) of it is 1
+    empty_rows = np.zeros((1, 0), dtype=np.uint8)
+    assert matfq.rank_one_char_polys(field, EMPTY, empty_rows,
+                                     empty_rows) == [(1,)]
+
+
 @pytest.mark.parametrize("field", [F2, F3, F5] + [
     field_of_order(q) for q in (4, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)])
 def test_cayley_hamilton(field):
@@ -403,6 +419,11 @@ def test_poly_at_matrix_constant_and_linear():
     assert matfq.poly_at_matrix(F3, (2,), A).tolist() == [[2, 0], [0, 2]]
     # A - 1 kills the diagonal
     assert matfq.poly_at_matrix(F3, (2, 1), A).tolist() == [[0, 1], [0, 0]]
+
+
+def test_poly_at_matrix_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        matfq.poly_at_matrix(F3, (1, 1), np.zeros((3, 2), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("field", [F3, F4], ids=lambda F: f"q{F.q}")
@@ -559,6 +580,12 @@ def test_commuting_space_and_conjugator_at_rank_zero():
         matfq.centralizer_samples(F3, [], 1)
 
 
+@pytest.mark.parametrize("field", [F3, F9], ids=lambda F: f"q{F.q}")
+def test_annihilator_spans_of_an_empty_basis_are_empty(field):
+    u = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    assert matfq.annihilator_spans(field, [], u).shape == (3, 0, 2, 2)
+
+
 def test_conjugator_scalar_versus_nonscalar():
     assert matfq.conjugator(
         F5,
@@ -620,3 +647,157 @@ def test_centralizer_samples_are_invertible_and_commute(field, text):
     rng = random.Random(0)
     for c in samples:
         assert matfq.mat_eq(c, matfq.conjugator(field, h0, h0, rng=rng))
+
+
+# ---------------------------------------------------------------------------
+# the contract at the edges: every export raises only what the CLI maps
+# ---------------------------------------------------------------------------
+
+def _dim(draw) -> int:
+    return draw(st.integers(0, 3))
+
+
+def _entries(draw, field, shape) -> np.ndarray:
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(st.integers(0, field.q - 1),
+                                  min_size=size, max_size=size)),
+                    np.uint8).reshape(shape)
+
+
+def _matrix(draw, field, shape=None) -> np.ndarray:
+    """A square or non-square matrix of rank 0–3, drawn at random, zero, or
+    with a zero last row (singular when square)."""
+    if shape is None:
+        n = _dim(draw)
+        shape = (n, n) if draw(st.booleans()) else (n, _dim(draw))
+    A = _entries(draw, field, shape)
+    kind = draw(st.sampled_from(("random", "zero", "singular")))
+    if kind == "zero":
+        A[:] = 0
+    elif kind == "singular" and len(A):
+        A[-1] = 0
+    return A
+
+
+def _pair(draw, field):
+    """Two matrices, of one shape or of shapes drawn apart."""
+    A = _matrix(draw, field)
+    return A, _matrix(draw, field, A.shape if draw(st.booleans()) else None)
+
+
+def _stacked(draw, A) -> np.ndarray:
+    """A, or a stack of 0–3 copies of it along a new leading axis."""
+    return A if draw(st.booleans()) else np.repeat(A[None], _dim(draw), 0)
+
+
+def _rows(draw, field, n=None) -> np.ndarray:
+    """An (N, n) stack of vectors, N of 0–3; n drawn when not given."""
+    return _entries(draw, field, (_dim(draw), _dim(draw) if n is None else n))
+
+
+def _width(draw, n) -> int:
+    """n, or a width drawn apart from it: a shape that may not match."""
+    return n if draw(st.booleans()) else _dim(draw)
+
+
+def _basis(draw, field) -> list:
+    """The commuting space of a square matrix, or 0–3 matrices of one
+    shape (zero, singular and non-square ones included)."""
+    if draw(st.booleans()):
+        n = _dim(draw)
+        A = _matrix(draw, field, (n, n))
+        return matfq.commuting_space(field, A, A)
+    A = _matrix(draw, field)
+    return [_matrix(draw, field, A.shape) for _ in range(_dim(draw))]
+
+
+def _normalized(draw, field):
+    """(n, lead indices, codes) of an (N, n) stack of normalized nonzero
+    vectors of F_q^n, n of 0–3 (no nonzero vector when n = 0)."""
+    n = _dim(draw)
+    vectors = _rows(draw, field, n)
+    if n:
+        vectors[:, draw(st.integers(0, n - 1))] = 1
+        lead, codes = matfq.normalize(field, vectors)
+    else:
+        lead = codes = np.zeros(0, dtype=np.int64)
+    return n, lead, codes
+
+
+def _rng(draw) -> random.Random:
+    return random.Random(draw(st.integers(0, 3)))
+
+
+#: export -> builder of its positional arguments from (draw, field)
+_EDGE_ARGS = {
+    "identity": lambda d, F: (_dim(d),),
+    "mat_mul": lambda d, F: (F, *(_stacked(d, M) for M in _pair(d, F))),
+    "mat_sub": lambda d, F: (F, *_pair(d, F)),
+    "block_diag": lambda d, F: ([_matrix(d, F) for _ in range(_dim(d))],),
+    "mat_eq": lambda d, F: _pair(d, F),
+    "rank": lambda d, F: (F, _matrix(d, F)),
+    "kernel_dim": lambda d, F: (F, _matrix(d, F)),
+    "inverse": lambda d, F: (F, _matrix(d, F)),
+    "nullspace": lambda d, F: (F, _matrix(d, F)),
+    "char_poly": lambda d, F: (F, _matrix(d, F)),
+    "rank_one_char_polys": lambda d, F: _rank_one_args(d, F),
+    "poly_at_matrix": lambda d, F: (
+        F, tuple(d(st.lists(st.integers(0, F.q - 1), max_size=4))),
+        _matrix(d, F)),
+    "conjugacy_invariant": lambda d, F: (F, _matrix(d, F)),
+    "commuting_space": lambda d, F: (F, *_pair(d, F)),
+    "conjugator": lambda d, F: (F, *_pair(d, F), _rng(d)),
+    "centralizer_samples": lambda d, F: (F, _basis(d, F), _dim(d), _rng(d)),
+    "annihilator_spans": lambda d, F: _annihilator_args(d, F),
+    "span_draws": lambda d, F: (F, _entries(d, F, (
+        _dim(d), _dim(d), *(2 * (_dim(d),)))), _rng(d)),
+    "conjugate_stack": lambda d, F: _conjugate_stack_args(d, F),
+    "normalize": lambda d, F: (F, _rows(d, F)),
+    "normal_position": lambda d, F: (F.q, *_normalized(d, F)),
+    "hyperplane_codes": lambda d, F: _hyperplane_args(d, F),
+}
+
+
+def _rank_one_args(draw, field):
+    M = _matrix(draw, field)
+    n = M.shape[0]
+    u = _rows(draw, field, _width(draw, n))
+    psi = _entries(draw, field, (len(u) if draw(st.booleans())
+                                 else _dim(draw), _width(draw, n)))
+    return field, M, u, psi
+
+
+def _annihilator_args(draw, field):
+    basis = _basis(draw, field)
+    n = basis[0].shape[-1] if basis else _dim(draw)
+    return field, basis, _rows(draw, field, _width(draw, n))
+
+
+def _conjugate_stack_args(draw, field):
+    c = _matrix(draw, field)
+    n = _width(draw, c.shape[0])
+    return field, c, _entries(draw, field, (_dim(draw), n, _width(draw, n)))
+
+
+def _hyperplane_args(draw, field):
+    n, _, codes = _normalized(draw, field)
+    return field, n, codes, draw(st.integers(0, field.q - 1))
+
+
+def test_edge_builders_cover_every_export():
+    assert set(_EDGE_ARGS) == set(matfq.__all__)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_EDGE_ARGS)), st.sampled_from((2, 3, 4, 9)),
+       st.data())
+def test_every_export_returns_or_raises_a_mapped_error(name, q, data):
+    """Over F_2, F_3, F_4 and F_9 at ranks 0–3, on square, non-square,
+    zero, singular and mismatched inputs, each export returns or raises
+    one of the four families the CLI maps onto an exit code."""
+    args = _EDGE_ARGS[name](data.draw, field_of_order(q))
+    try:
+        getattr(matfq, name)(*args)
+    except (ValueError, ResourceBoundError, InvariantError,
+            InconclusiveError):
+        pass

@@ -1,5 +1,5 @@
-"""Cache keys, record serialization, revalidation on load, the load/save
-round trip, one-key lookups, and appending records."""
+"""Cache keys, record serialization, revalidation on lookup, the save and
+lookup round trip, one-key lookups, and appending records."""
 
 import functools
 import itertools
@@ -22,9 +22,9 @@ from glq.field import field_make, field_of_order
 from glq.gltype import (class_size, det_of_type, empty_type,
                         enumerate_plain_types, format_gltype, norm,
                         parse_gltype)
-from glq.store import (ExpansionCache, _numbered_lines, default_cache_path,
-                       format_record, make_key, parse_expansion, parse_key,
-                       serialize_expansion)
+from glq.store import (ExpansionCache, _numbered_lines, _parse_record,
+                       default_cache_path, format_record, make_key,
+                       parse_expansion, parse_key, serialize_expansion)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -61,16 +61,18 @@ def test_parse_key_rejects_garbage():
 @pytest.mark.parametrize("old,new", [("n=3", "n=03"),
                                      ("lambda=1@t-2", "lambda=1@t+1")])
 def test_load_skips_a_key_not_in_canonical_form(tmp_path, old, new):
-    # the key parses to the same product, but no lookup would ever match
-    # it, and save() would write it back out
+    # the key parses to the same product, but no lookup of the canonical
+    # key matches it, and a lookup of its own text refuses it
     lam = T(F3, "1@t-2")
     line = format_record(multiply_class_sums(lam, lam, 3, F3))
     path = tmp_path / "cache.tsv"
     path.write_text(line.replace(old, new, 1) + "\n", encoding="utf-8")
     cache = ExpansionCache(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.lookup(make_key(lam, lam, 3)) is None
     with pytest.warns(UserWarning, match="key is not in canonical form"):
-        assert cache.load() == 0
-    assert len(cache) == 0
+        assert cache.lookup(line.split("\t")[0].replace(old, new, 1)) is None
 
 
 def test_keys_are_injective_on_generated_pairs():
@@ -106,34 +108,40 @@ def test_parse_expansion_rejects_bad_terms():
 # the cache proper
 # ---------------------------------------------------------------------------
 
-def test_get_on_empty_cache_is_none():
-    cache = ExpansionCache()
-    assert cache.get("q=2;n=2;lambda=∅;mu=∅") is None
-    assert len(cache) == 0
+def test_get_on_empty_cache_is_none(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"")
+    assert ExpansionCache(path).lookup("q=2;n=2;lambda=∅;mu=∅") is None
 
 
-def test_put_then_get_returns_identical_expansion():
-    cache = ExpansionCache()
+def test_put_then_get_returns_identical_expansion(tmp_path):
+    cache = ExpansionCache(tmp_path / "cache.tsv")
     expansion = multiply_class_sums(T(F2, "1@t-1"), T(F2, "1@t-1"), 2, F2)
     key = make_key(expansion.lam, expansion.mu, 2)
     cache.put(key, expansion)
-    assert key in cache
-    assert cache.get(key).terms == expansion.terms
+    cache.save()
+    assert cache.lookup(key).terms == expansion.terms
 
 
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "nested" / "cache.tsv"
     cache = ExpansionCache(path)
+    products = {}
     for lam_txt, mu_txt in (("1@t-1", "1@t-2"), ("1@t-2", "1@t-2")):
         expansion = multiply_class_sums(T(F3, lam_txt), T(F3, mu_txt), 2, F3)
-        cache.put(make_key(expansion.lam, expansion.mu, 2), expansion, seed=7)
+        key = make_key(expansion.lam, expansion.mu, 2)
+        cache.put(key, expansion)
+        products[key] = expansion
     saved = cache.save()
     assert saved == path and path.exists()
+    text = path.read_text()
+    assert text.count("\n") == text.count("seed=-") == 2
+    # records that an older version wrote with --seed 7 are served too
+    path.write_text(text.replace("seed=-", "seed=7"))
 
     fresh = ExpansionCache(path)
-    assert fresh.load() == 2
-    key = make_key(T(F3, "1@t-1"), T(F3, "1@t-2"), 2)
-    assert fresh.get(key).terms == cache.get(key).terms
+    for key, expansion in products.items():
+        assert fresh.lookup(key).terms == expansion.terms
 
 
 def test_stable_records_round_trip(tmp_path):
@@ -142,17 +150,17 @@ def test_stable_records_round_trip(tmp_path):
     cache = ExpansionCache(tmp_path / "cache.tsv")
     cache.put(key, expansion)
     cache.save()
-    fresh = ExpansionCache(tmp_path / "cache.tsv")
-    assert fresh.load() == 1
-    assert fresh.get(key).n is None
-    assert fresh.get(key).terms == expansion.terms
+    served = ExpansionCache(tmp_path / "cache.tsv").lookup(key)
+    assert served.n is None
+    assert served.terms == expansion.terms
 
 
 def test_load_skips_corrupt_records(tmp_path):
     path = tmp_path / "cache.tsv"
     cache = ExpansionCache(path)
     expansion = multiply_class_sums(T(F2, "1@t-1"), T(F2, "1@t-1"), 2, F2)
-    cache.put(make_key(expansion.lam, expansion.mu, 2), expansion)
+    key = make_key(expansion.lam, expansion.mu, 2)
+    cache.put(key, expansion)
     cache.save()
     good_line = path.read_text().strip()
     meta = good_line.split("\t")[2]
@@ -160,11 +168,10 @@ def test_load_skips_corrupt_records(tmp_path):
         handle.write("# comment lines are fine\n")
         handle.write(good_line + "\n")
         handle.write("no tabs at all\n")
-        handle.write(f"q=2;n=2;lambda=1@t-1;mu=1@t-1\tbad,coeff,x\t{meta}\n")
-    fresh = ExpansionCache(path)
-    with pytest.warns(UserWarning, match="skipping cache record"):
-        assert fresh.load() == 1
-    assert len(fresh) == 1
+        handle.write(f"{key}\tbad,coeff,x\t{meta}\n")
+    with pytest.warns(UserWarning, match="skipping cache record") as seen:
+        assert ExpansionCache(path).lookup(key).terms == expansion.terms
+    assert len(seen) == 1 and f"{path}:4:" in str(seen[0].message)
 
 
 def test_load_skips_version_mismatch(tmp_path):
@@ -174,9 +181,9 @@ def test_load_skips_version_mismatch(tmp_path):
     cache.put(make_key(expansion.lam, expansion.mu, 2), expansion)
     cache.save()
     path.write_text(path.read_text().replace("v=", "v=999."))
-    fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="version"):
-        assert fresh.load() == 0
+        assert ExpansionCache(path).lookup(
+            make_key(expansion.lam, expansion.mu, 2)) is None
 
 
 def test_load_revalidates_counting_identity(tmp_path):
@@ -186,9 +193,9 @@ def test_load_revalidates_counting_identity(tmp_path):
     cache.put(make_key(expansion.lam, expansion.mu, 2), expansion)
     cache.save()
     path.write_text(path.read_text().replace("∅,12|", "∅,13|"))
-    fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="counting identity"):
-        assert fresh.load() == 0
+        assert ExpansionCache(path).lookup(
+            make_key(expansion.lam, expansion.mu, 2)) is None
 
 
 def test_load_rejects_non_top_degree_stable_terms(tmp_path):
@@ -200,9 +207,9 @@ def test_load_rejects_non_top_degree_stable_terms(tmp_path):
     text = path.read_text()
     first_term = text.split("\t")[1].split("|")[0]
     path.write_text(text.replace(first_term, "1@t-2,1"))
-    fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="top-degree"):
-        assert fresh.load() == 0
+        assert ExpansionCache(path).lookup(
+            make_key(expansion.lam, expansion.mu, None)) is None
 
 
 @pytest.mark.parametrize("q,lam,mu", workload_stable_products())
@@ -218,8 +225,6 @@ def test_stable_record_with_one_coefficient_raised_is_skipped(
                                    terms={**expansion.terms, nu: coeff + 1})
         path.write_text(format_record(raised) + "\n")
         with pytest.warns(UserWarning, match="stable counting identity"):
-            assert ExpansionCache(path).load() == 0
-        with pytest.warns(UserWarning, match="stable counting identity"):
             assert ExpansionCache(path).lookup(key) is None
     path.write_text(format_record(expansion) + "\n")
     assert ExpansionCache(path).lookup(key).terms == expansion.terms
@@ -233,9 +238,9 @@ def test_load_rejects_repeated_terms(tmp_path):
     cache.put(make_key(expansion.lam, expansion.mu, 2), expansion)
     cache.save()
     path.write_text(path.read_text().replace("∅,12|", "∅,12|∅,12|"))
-    fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="repeated expansion term"):
-        assert fresh.load() == 0
+        assert ExpansionCache(path).lookup(
+            make_key(expansion.lam, expansion.mu, 2)) is None
 
 
 @pytest.mark.parametrize("n, planted", [(2, "|1@t-2,0"), (None, ",-1")])
@@ -255,9 +260,8 @@ def test_load_rejects_coefficients_below_one(tmp_path, n, planted):
     else:
         value += planted
     path.write_text(f"{key}\t{value}\t{meta}\n")
-    fresh = ExpansionCache(path)
     with pytest.warns(UserWarning, match="coefficient <= 0"):
-        assert fresh.load() == 0
+        assert ExpansionCache(path).lookup(key) is None
 
 
 def _benchmark_records(cmd: str) -> list:
@@ -408,12 +412,12 @@ def test_append_keeps_existing_lines_and_later_line_wins(tmp_path):
     # a second record for the same key that also passes revalidation
     planted = multiply_class_sums(lam, lam, 2, F3)
     planted.terms = {empty_type(F3): 12 * 12}
-    assert ExpansionCache(path).append(key, planted, seed=3) == path
+    assert ExpansionCache(path).append(key, planted) == path
     after = path.read_bytes()
     assert after.startswith(before) and after.count(b"\n") == 2
-    fresh = ExpansionCache(path)
-    assert fresh.load() == 2 and len(fresh) == 1
-    assert fresh.get(key).terms == planted.terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ExpansionCache(path).lookup(key).terms == planted.terms
 
 
 def test_append_after_torn_last_line(tmp_path):
@@ -423,11 +427,11 @@ def test_append_after_torn_last_line(tmp_path):
     record = f"{key}\t{serialize_expansion(expansion)}"
     path.write_text(record[:len(record) // 2])  # a writer died mid-line
     ExpansionCache(path).append(key, expansion)
-    fresh = ExpansionCache(path)
-    with pytest.warns(UserWarning, match="skipping cache record") as seen:
-        assert fresh.load() == 1
-    assert len(seen) == 1 and ":1:" in str(seen[0].message)
-    assert fresh.get(key).terms == expansion.terms
+    torn, line = path.read_text().splitlines()
+    assert torn == record[:len(record) // 2] and line.startswith(record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the torn line is not of this key
+        assert ExpansionCache(path).lookup(key).terms == expansion.terms
 
 
 def test_append_creates_missing_file(tmp_path):
@@ -435,8 +439,8 @@ def test_append_creates_missing_file(tmp_path):
     expansion = multiply_class_sums(T(F2, "1@t-1"), T(F2, "1@t-1"), 2, F2)
     key = make_key(expansion.lam, expansion.mu, 2)
     ExpansionCache(path).append(key, expansion)
-    fresh = ExpansionCache(path)
-    assert fresh.load() == 1 and fresh.get(key).terms == expansion.terms
+    assert path.read_text().count("\n") == 1
+    assert ExpansionCache(path).lookup(key).terms == expansion.terms
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +480,8 @@ def test_lookup_ignores_corrupt_lines_of_other_keys(tmp_path):
     expansion = multiply_class_sums(lam, lam, 2, F3)
     cache = ExpansionCache(path)
     cache.put(key, expansion)
-    cache.put(other, multiply_class_sums(lam, mu, 2, F3))
+    other_expansion = multiply_class_sums(lam, mu, 2, F3)
+    cache.put(other, other_expansion)
     cache.save()
     text = path.read_text()
     corrupt = "".join(line.replace("|", "|junk|") + "\n"
@@ -485,8 +490,9 @@ def test_lookup_ignores_corrupt_lines_of_other_keys(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ExpansionCache(path).lookup(key).terms == expansion.terms
-    with pytest.warns(UserWarning, match="skipping cache record"):
-        assert ExpansionCache(path).load() == 2  # load() still reports them
+    with pytest.warns(UserWarning, match=f"{path}:3:"):  # its corrupt copy
+        assert ExpansionCache(path).lookup(other).terms \
+            == other_expansion.terms
 
 
 def test_lookup_skips_a_torn_last_line(tmp_path):
@@ -502,24 +508,22 @@ def test_lookup_skips_a_torn_last_line(tmp_path):
         assert ExpansionCache(path).lookup(key).terms == expansion.terms
 
 
-def test_lookup_agrees_with_load_then_get(tmp_path):
+def test_lookup_skips_later_lines_of_another_version(tmp_path):
     path = tmp_path / "cache.tsv"
     lam, mu = T(F3, "1@t-2"), T(F3, "1@t-1")
     cache = ExpansionCache(path)
+    products = {}
     for a, b, n in ((lam, lam, 2), (lam, mu, 2), (lam, mu, 3)):
-        cache.append(make_key(a, b, n), multiply_class_sums(a, b, n, F3))
+        products[make_key(a, b, n)] = multiply_class_sums(a, b, n, F3)
+        cache.append(make_key(a, b, n), products[make_key(a, b, n)])
     text = path.read_text()
     path.write_text(text + text.replace("v=", "v=999."))
-    keys = [make_key(lam, lam, 2), make_key(lam, mu, 3),
-            make_key(mu, mu, 2)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        loaded = ExpansionCache(path)
-        loaded.load()
-        for key in keys:
-            got = ExpansionCache(path).lookup(key)
-            want = loaded.get(key)
-            assert (got and got.terms) == (want and want.terms)
+    for key in (make_key(lam, lam, 2), make_key(lam, mu, 3)):
+        with pytest.warns(UserWarning, match="version") as seen:
+            assert ExpansionCache(path).lookup(key).terms \
+                == products[key].terms
+        assert len(seen) == 1
+    assert ExpansionCache(path).lookup(make_key(mu, mu, 2)) is None
 
 
 @functools.lru_cache(maxsize=1)
@@ -586,7 +590,7 @@ def _skipped_lines(caught) -> list:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(cache_files())
-def test_lookup_equals_load_then_get(data):
+def test_lookup_serves_the_last_valid_line_of_its_key(data):
     keys = sorted({line.split("\t")[0] for line in _record_lines()})
     keys.append(make_key(empty_type(F3), empty_type(F3), 2))  # never stored
     with tempfile.TemporaryDirectory() as scratch:
@@ -596,37 +600,28 @@ def test_lookup_equals_load_then_get(data):
         with open(path, encoding="utf-8", errors="replace") as handle:
             text_lines = [(lineno, line.rstrip("\n"))
                           for lineno, line in enumerate(handle, start=1)]
-        assert list(_numbered_lines(path)) == text_lines
-        loaded = ExpansionCache(path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loaded.load()
-        skipped = set(_skipped_lines(caught))
         for key in keys:
-            mine = [lineno for lineno, line in text_lines
+            mine = [(lineno, line) for lineno, line in text_lines
                     if line.startswith(key + "\t")]
-            assert [lineno for lineno, _ in _numbered_lines(path, key)] \
-                == mine
+            assert list(_numbered_lines(path, key)) == mine
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                valid = [(lineno, record[1]) for lineno, line in mine
+                         if (record := _parse_record(path, lineno, line))]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = ExpansionCache(path).lookup(key)
-            want = loaded.get(key)
+            served, want = valid[-1] if valid else (0, None)
             assert (got and got.terms) == (want and want.terms)
             # lookup tries this key's lines last first, up to a valid one
-            served = max((n for n in mine if n not in skipped), default=0)
-            assert _skipped_lines(caught) == [n for n in reversed(mine)
-                                              if n > served]
+            assert _skipped_lines(caught) == [lineno for lineno, _ in
+                                              reversed(mine) if lineno > served]
 
 
 def test_lookup_missing_file_is_none(tmp_path):
     cache = ExpansionCache(tmp_path / "absent.tsv")
     assert cache.lookup("q=3;n=2;lambda=∅;mu=∅") is None
-    assert len(cache) == 0
-
-
-def test_load_missing_file_is_empty(tmp_path):
-    cache = ExpansionCache(tmp_path / "absent.tsv")
-    assert cache.load() == 0
+    assert not (tmp_path / "absent.tsv").exists()
 
 
 def test_default_path_honors_environment(tmp_path, monkeypatch):
